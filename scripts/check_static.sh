@@ -13,7 +13,8 @@
 #      zero-findings gate over src/ bench/ tests/.
 #   0.5 Runtime lock-rank checker: Debug build of lock_rank_test so the
 #      METRO_LOCK_RANK_CHECK Mutex-hook death tests run with the hooks
-#      compiled in (every NDEBUG flavor compiles them out).
+#      compiled in (every NDEBUG flavor compiles them out), plus
+#      mq_cluster_test, whose broker nests the cluster and partition locks.
 #   1. Clang + METRO_THREAD_SAFETY=ON + METRO_LIFETIME=ON:
 #      -Werror=thread-safety over the annotated tree (src/util/sync.h
 #      vocabulary) and -Werror=dangling* over the METRO_LIFETIME_BOUND
@@ -74,9 +75,9 @@ mkdir -p "${PREFIX}-metrolint"
 echo "==> lock-rank + view-check: Debug death tests (hooks compiled in)"
 cmake -B "${PREFIX}-lockrank" -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build "${PREFIX}-lockrank" -j "${JOBS}" \
-  --target lock_rank_test invariants_test
+  --target lock_rank_test invariants_test mq_cluster_test
 ctest --test-dir "${PREFIX}-lockrank" --output-on-failure \
-  -R "^(lock_rank_test|invariants_test)$"
+  -R "^(lock_rank_test|invariants_test|mq_cluster_test)$"
 
 # --- 1. Clang thread-safety + lifetime analysis --------------------------
 CLANGXX="$(command -v clang++ || true)"
@@ -158,7 +159,8 @@ echo "==> asan: METRO_SANITIZE=address + tests"
 cmake -B "${PREFIX}-asan" -S . -DMETRO_SANITIZE=address >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-asan" -j "${JOBS}" \
-    --target static_stress_test invariants_test lock_rank_test metrolint
+    --target static_stress_test invariants_test lock_rank_test metrolint \
+    mq_cluster_test
 else
   cmake --build "${PREFIX}-asan" -j "${JOBS}"
 fi
@@ -169,7 +171,8 @@ echo "==> ubsan: METRO_SANITIZE=undefined (-fno-sanitize-recover) + tests"
 cmake -B "${PREFIX}-ubsan" -S . -DMETRO_SANITIZE=undefined >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
-    --target static_stress_test invariants_test lock_rank_test metrolint
+    --target static_stress_test invariants_test lock_rank_test metrolint \
+    mq_cluster_test
 else
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
 fi

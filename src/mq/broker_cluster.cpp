@@ -24,6 +24,11 @@ Status UnknownTopicError(const std::string& topic) {
   return NotFoundError("topic " + topic);
 }
 
+Status UnknownProducerError(ProducerId producer) {
+  return InvalidArgumentError("unknown producer id " +
+                              std::to_string(producer));
+}
+
 Status PartitionRangeError() {
   return InvalidArgumentError("partition out of range");
 }
@@ -81,6 +86,20 @@ Status DivergenceError(const ProduceBatchRequest& request,
                        cause.message());
 }
 
+// The single-record shim's one-record batch, built before any lock is
+// taken.
+ProduceBatchRequest OneRecordBatch(const ProduceRequest& request) {
+  RecordBatchBuilder builder;
+  builder.Add(request.key, request.value, request.headers);
+  ProduceBatchRequest batched;
+  batched.topic = request.topic;
+  batched.partition = request.partition;
+  batched.producer_id = request.producer_id;
+  batched.first_sequence = request.sequence;
+  batched.batch = builder.Build();
+  return batched;
+}
+
 }  // namespace
 
 std::string_view ClusterEventKindName(ClusterEvent::Kind kind) {
@@ -125,6 +144,15 @@ BrokerCluster::BrokerCluster(Clock& clock, BrokerClusterConfig config)
   for (int i = 0; i < config_.nodes; ++i) {
     nodes_.push_back(std::make_unique<BrokerNode>(i));
   }
+  tables_.push_back(std::make_unique<const TopicTable>());
+  topic_table_.store(tables_.back().get(), std::memory_order_release);
+}
+
+BrokerNode::Replica& BrokerCluster::Partition::On(int node) const {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    if (replicas[i] == node) return *storage[i];
+  }
+  METRO_CHECK(false, "node %d hosts no replica of this partition", node);
 }
 
 void BrokerCluster::SetEventHook(EventFn hook) {
@@ -143,82 +171,109 @@ void BrokerCluster::Emit(std::vector<ClusterEvent> events) {
   for (const ClusterEvent& event : events) hook(event);
 }
 
+BrokerCluster::Topic* BrokerCluster::FindTopic(std::string_view name) const {
+  // A published table is immutable and outlives every reader (superseded
+  // tables are kept until destruction), so no refcount is needed.
+  const TopicTable& table = *topic_table_.load(std::memory_order_acquire);
+  const auto it = table.find(name);
+  return it == table.end() ? nullptr : it->second;
+}
+
+Result<BrokerCluster::Partition*> BrokerCluster::FindPartition(
+    const std::string& topic, int partition) const {
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  if (partition < 0 || std::size_t(partition) >= t->partitions.size()) {
+    return PartitionRangeError();
+  }
+  return &t->partitions[std::size_t(partition)];
+}
+
+const BrokerCluster::TopicTable& BrokerCluster::TopicsLocked() const {
+  return *tables_.back();
+}
+
 Status BrokerCluster::CreateTopic(const std::string& topic, int partitions) {
   if (partitions < 1) return InvalidArgumentError("partitions must be >= 1");
   std::vector<ClusterEvent> events;
   MutexLock lock(mu_);
-  const auto [it, inserted] = topics_.try_emplace(topic);
-  if (!inserted) return AlreadyExistsError("topic " + topic);
-  TopicMeta& t = it->second;
-  t.partitions.resize(std::size_t(partitions));
+  const TopicTable& current = TopicsLocked();
+  if (current.count(topic) > 0) return AlreadyExistsError("topic " + topic);
+  auto t = std::make_unique<Topic>(partitions);
   const std::uint64_t base = Fnv1a64(topic);
+  const auto rf = std::size_t(config_.replication_factor);
   for (int p = 0; p < partitions; ++p) {
-    PartitionMeta& pm = t.partitions[std::size_t(p)];
+    Partition& part = t->partitions[std::size_t(p)];
     const TopicPartition tp{topic, p};
-    for (int i = 0; i < config_.replication_factor; ++i) {
-      const int node =
-          int((base + std::uint64_t(p) + std::uint64_t(i)) %
-              std::uint64_t(nodes_.size()));
-      pm.replicas.push_back(node);
-      nodes_[std::size_t(node)]->replica(tp);  // materialize the replica
-      if (nodes_[std::size_t(node)]->up()) pm.isr.push_back(node);
+    part.replicas.reserve(rf);
+    part.storage.reserve(rf);
+    // Unpublished, so uncontended; taken for the guarded fields.
+    MutexLock part_lock(part.partition_mu);
+    part.isr.reserve(rf);
+    for (std::size_t i = 0; i < rf; ++i) {
+      const int node = int((base + std::uint64_t(p) + i) %
+                           std::uint64_t(nodes_.size()));
+      BrokerNode& host = *nodes_[std::size_t(node)];
+      part.replicas.push_back(node);
+      part.storage.push_back(&host.replica(tp));  // materialize the replica
+      if (host.up()) part.isr.push_back(node);
     }
-    if (!pm.isr.empty()) {
-      pm.leader = pm.isr.front();
+    if (!part.isr.empty()) {
+      part.leader = part.isr.front();
       ClusterEvent event;
       event.kind = ClusterEvent::Kind::kLeaderElected;
       event.topic = topic;
       event.partition = p;
-      event.node = pm.leader;
+      event.node = part.leader;
       events.push_back(std::move(event));
     }
   }
+  // Publish a copy of the table with the new topic; readers of the old one
+  // keep it (it stays in tables_) and simply do not see the topic yet.
+  auto table = std::make_unique<TopicTable>(current);
+  table->emplace(topic, t.get());
+  topics_.push_back(std::move(t));
+  topic_table_.store(table.get(), std::memory_order_release);
+  tables_.push_back(std::move(table));
   lock.Unlock();
   Emit(std::move(events));
   return Status::Ok();
 }
 
 bool BrokerCluster::HasTopic(const std::string& topic) const {
-  MutexLock lock(mu_);
-  return topics_.count(topic) > 0;
+  return FindTopic(topic) != nullptr;
 }
 
 Result<int> BrokerCluster::NumPartitions(const std::string& topic) const {
-  MutexLock lock(mu_);
-  const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
-  return int(it->second.partitions.size());
+  const Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  return int(t->partitions.size());
 }
 
-Result<const BrokerCluster::PartitionMeta*> BrokerCluster::MetaLocked(
-    const std::string& topic, int partition) const {
-  const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
-  if (partition < 0 ||
-      std::size_t(partition) >= it->second.partitions.size()) {
-    return InvalidArgumentError("partition out of range");
-  }
-  return &it->second.partitions[std::size_t(partition)];
+bool BrokerCluster::KnownProducer(ProducerId producer) const {
+  return producer >= 0 &&
+         producer < next_producer_.load(std::memory_order_acquire);
 }
 
-int BrokerCluster::PickPartitionLocked(TopicMeta& topic,
-                                       const std::string& key) {
+int BrokerCluster::PickPartition(Topic& topic, const std::string& key) {
   const std::size_t n = topic.partitions.size();
   if (!key.empty()) return int(Fnv1a64(key) % n);
   // Keyless round-robin skips partitions that currently have no leader so a
   // single dead preferred leader cannot fail a fraction of keyless traffic.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = topic.round_robin++ % n;
-    if (topic.partitions[idx].leader >= 0) return int(idx);
+    const std::size_t idx =
+        topic.round_robin.fetch_add(1, std::memory_order_relaxed) % n;
+    Partition& part = topic.partitions[idx];
+    MutexLock lock(part.partition_mu);
+    if (part.leader >= 0) return int(idx);
     c_roundrobin_skips_->Increment();
   }
   // Every partition is leaderless; let the produce path report kUnavailable.
-  return int(topic.round_robin++ % n);
+  return int(topic.round_robin.fetch_add(1, std::memory_order_relaxed) % n);
 }
 
 ProducerId BrokerCluster::CreateProducer() {
-  MutexLock lock(mu_);
-  return next_producer_++;
+  return next_producer_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 Result<ProduceRequest> BrokerCluster::Prepare(ProducerId producer,
@@ -226,54 +281,44 @@ Result<ProduceRequest> BrokerCluster::Prepare(ProducerId producer,
                                               std::string key,
                                               std::string value,
                                               Headers headers) {
-  MutexLock lock(mu_);
-  const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
-  if (producer < 0 || producer >= next_producer_) {
-    return InvalidArgumentError("unknown producer id " +
-                                std::to_string(producer));
-  }
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  if (!KnownProducer(producer)) return UnknownProducerError(producer);
   ProduceRequest request;
   request.topic = topic;
-  request.partition = PickPartitionLocked(it->second, key);
+  request.partition = PickPartition(*t, key);
   request.key = std::move(key);
   request.value = std::move(value);
   request.headers = std::move(headers);
   if (producer > 0) {
+    Partition& part = t->partitions[std::size_t(request.partition)];
+    MutexLock lock(part.partition_mu);
     request.producer_id = producer;
-    request.sequence =
-        producer_seq_[producer][TopicPartition{topic, request.partition}]++;
+    request.sequence = part.next_sequence[producer]++;
   }
   return request;
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const ProduceRequest& request) {
-  MutexLock lock(mu_);
-  return ProduceLocked(request);
+  return Produce(OneRecordBatch(request));
 }
 
 Result<ProduceBatchRequest> BrokerCluster::PrepareBatch(
     ProducerId producer, const std::string& topic, int partition,
     RecordBatchBuilder& builder) {
   if (builder.empty()) return EmptyBatchError();
-  MutexLock lock(mu_);
-  const auto it = topics_.find(topic);
-  if (it == topics_.end()) return UnknownTopicError(topic);
-  if (partition < 0 ||
-      std::size_t(partition) >= it->second.partitions.size()) {
-    return PartitionRangeError();
-  }
-  if (producer < 0 || producer >= next_producer_) {
-    return InvalidArgumentError("unknown producer id " +
-                                std::to_string(producer));
-  }
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  if (!KnownProducer(producer)) return UnknownProducerError(producer);
   ProduceBatchRequest request;
   request.topic = topic;
   request.partition = partition;
   request.batch = builder.Build();
   if (producer > 0) {
+    Partition& part = **found;
+    MutexLock lock(part.partition_mu);
     request.producer_id = producer;
-    std::int64_t& next = producer_seq_[producer][TopicPartition{topic, partition}];
+    std::int64_t& next = part.next_sequence[producer];
     request.first_sequence = next;
     next += std::int64_t(request.batch->size());
   }
@@ -281,23 +326,25 @@ Result<ProduceBatchRequest> BrokerCluster::PrepareBatch(
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const ProduceBatchRequest& request) {
-  MutexLock lock(mu_);
-  return ProduceBatchLocked(request);
+  auto found = FindPartition(request.topic, request.partition);
+  if (!found.ok()) return found.status();
+  Partition& part = **found;
+  MutexLock lock(part.partition_mu);
+  return ProduceBatchLocked(part, request);
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const std::string& topic,
                                           std::string key, std::string value,
                                           Headers headers) {
-  MutexLock lock(mu_);
-  const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
   ProduceRequest request;
   request.topic = topic;
-  request.partition = PickPartitionLocked(it->second, key);
+  request.partition = PickPartition(*t, key);
   request.key = std::move(key);
   request.value = std::move(value);
   request.headers = std::move(headers);
-  return ProduceLocked(request);
+  return Produce(request);
 }
 
 Result<ProduceAck> BrokerCluster::ProduceTo(const std::string& topic,
@@ -310,52 +357,26 @@ Result<ProduceAck> BrokerCluster::ProduceTo(const std::string& topic,
   request.key = std::move(key);
   request.value = std::move(value);
   request.headers = std::move(headers);
-  MutexLock lock(mu_);
-  return ProduceLocked(request);
-}
-
-Result<ProduceAck> BrokerCluster::ProduceLocked(const ProduceRequest& request) {
-  // Compatibility shim: wrap the record in a one-record batch and run the
-  // batched path — one dedup check, one append, one shared replication.
-  RecordBatchBuilder builder;
-  builder.Add(request.key, request.value, request.headers);
-  ProduceBatchRequest batched;
-  batched.topic = request.topic;
-  batched.partition = request.partition;
-  batched.producer_id = request.producer_id;
-  batched.first_sequence = request.sequence;
-  batched.batch = builder.Build();
-  return ProduceBatchLocked(batched);
+  return Produce(request);
 }
 
 METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
-    const ProduceBatchRequest& request) {
-  const auto it = topics_.find(request.topic);
-  if (it == topics_.end()) return UnknownTopicError(request.topic);
-  TopicMeta& t = it->second;
-  if (request.partition < 0 ||
-      std::size_t(request.partition) >= t.partitions.size()) {
-    return PartitionRangeError();
-  }
+    Partition& part, const ProduceBatchRequest& request) {
   if (request.batch == nullptr || request.batch->empty()) {
     return EmptyBatchError();
   }
-  PartitionMeta& pm = t.partitions[std::size_t(request.partition)];
-  if (pm.leader < 0) {
+  if (part.leader < 0) {
     c_no_leader_->Increment();
     return NoLeaderError(request.topic, request.partition);
   }
-  if (int(pm.isr.size()) < quorum()) {
+  if (int(part.isr.size()) < quorum()) {
     c_quorum_failures_->Increment();
-    return QuorumError(request.topic, request.partition, int(pm.isr.size()),
-                       quorum());
+    return QuorumError(request.topic, request.partition,
+                       int(part.isr.size()), quorum());
   }
-  const TopicPartitionView tp{request.topic, request.partition};
-  BrokerNode::Replica* lead = nodes_[std::size_t(pm.leader)]->FindMutable(tp);
-  METRO_CHECK(lead != nullptr, "leader %d hosts no replica of %s/%d",
-              pm.leader, request.topic.c_str(), request.partition);
+  BrokerNode::Replica& lead = part.On(part.leader);
   const std::int64_t count = std::int64_t(request.batch->size());
-  const SequenceTable::Probe probe = lead->sequences.CheckRange(
+  const SequenceTable::Probe probe = lead.sequences.CheckRange(
       request.producer_id, request.first_sequence, count);
   if (probe.verdict == SequenceTable::Verdict::kDuplicate) {
     c_duplicates_suppressed_->Increment();
@@ -386,16 +407,16 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
     return ResubmitError(request);
   }
   if (config_.max_partition_backlog > 0 &&
-      lead->log.size() + count > config_.max_partition_backlog) {
+      lead.log.size() + count > config_.max_partition_backlog) {
     c_backpressure_->Increment();
     return BacklogError(request, config_.max_partition_backlog);
   }
   // Assign the batch its identity — offsets, broker timestamp, idempotence
   // range — and append to the leader. A rolled-back attempt re-seals on
   // retry; a committed one never reaches here (dedup or the guard above).
-  request.batch->Seal(lead->log.end_offset(), clock_->Now(),
+  request.batch->Seal(lead.log.end_offset(), clock_->Now(),
                       request.producer_id, request.first_sequence);
-  const std::int64_t base = lead->log.AppendBatch(request.batch);
+  const std::int64_t base = lead.log.AppendBatch(request.batch);
   // acks=quorum via synchronous replication: every ISR member appends before
   // the ack; quorum was pre-checked above, so the acked batch is on at
   // least `quorum()` replicas when the caller sees it. Replication shares
@@ -404,19 +425,17 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
   // diverge under synchronous appends) rolls the append back everywhere so
   // an errored produce leaves no record: the producer may then safely
   // retry without duplicating.
-  for (std::size_t i = 0; i < pm.isr.size(); ++i) {
-    const int node = pm.isr[i];
-    if (node == pm.leader) continue;
-    BrokerNode::Replica* rep = nodes_[std::size_t(node)]->FindMutable(tp);
-    METRO_CHECK(rep != nullptr, "ISR node %d hosts no replica of %s/%d", node,
-                request.topic.c_str(), request.partition);
-    const Status replicated = rep->log.AppendReplicaBatch(request.batch);
+  for (std::size_t i = 0; i < part.isr.size(); ++i) {
+    const int node = part.isr[i];
+    if (node == part.leader) continue;
+    const Status replicated =
+        part.On(node).log.AppendReplicaBatch(request.batch);
     if (!replicated.ok()) {
-      lead->log.TruncateTo(base);
+      lead.log.TruncateTo(base);
       for (std::size_t j = 0; j < i; ++j) {
-        const int prior = pm.isr[j];
-        if (prior == pm.leader) continue;
-        nodes_[std::size_t(prior)]->FindMutable(tp)->log.TruncateTo(base);
+        const int prior = part.isr[j];
+        if (prior == part.leader) continue;
+        part.On(prior).log.TruncateTo(base);
       }
       return DivergenceError(request, replicated);
     }
@@ -424,19 +443,19 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
   // The batch is durable on the full ISR; only now fold its sequence range
   // into the dedup tables (a rolled-back attempt must stay fresh for its
   // retry) and mark it committed.
-  for (std::size_t i = 0; i < pm.isr.size(); ++i) {
-    nodes_[std::size_t(pm.isr[i])]->FindMutable(tp)->sequences.ObserveRange(
+  for (const int node : part.isr) {
+    part.On(node).sequences.ObserveRange(
         request.producer_id, request.first_sequence, count, base);
   }
   request.batch->MarkCommitted();
-  pm.high_water = lead->log.end_offset();
+  part.high_water = lead.log.end_offset();
   c_records_produced_->Increment(count);
   c_batches_produced_->Increment();
   c_bytes_produced_->Increment(std::int64_t(request.batch->key_value_bytes()));
-  if (pm.isr.size() > 1) {
+  if (part.isr.size() > 1) {
     c_replica_bytes_shared_->Increment(
         std::int64_t(request.batch->payload_bytes()) *
-        std::int64_t(pm.isr.size() - 1));
+        std::int64_t(part.isr.size() - 1));
   }
   ProduceAck ack;
   ack.partition = request.partition;
@@ -449,107 +468,87 @@ Result<std::vector<Record>> BrokerCluster::Fetch(const std::string& topic,
                                                  int partition,
                                                  std::int64_t offset,
                                                  std::size_t max_records) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  const PartitionMeta& pm = **meta;
-  if (pm.leader < 0) {
-    return NoLeaderError(topic, partition);
-  }
-  const BrokerNode::Replica* lead =
-      nodes_[std::size_t(pm.leader)]->Find(TopicPartitionView{topic, partition});
-  if (lead == nullptr) return InternalError("leader replica missing");
-  return lead->log.Fetch(offset, max_records, pm.high_water);
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  const Partition& part = **found;
+  MutexLock lock(part.partition_mu);
+  if (part.leader < 0) return NoLeaderError(topic, partition);
+  return part.On(part.leader).log.Fetch(offset, max_records, part.high_water);
 }
 
 METRO_NOALLOC Result<BatchView> BrokerCluster::FetchBatch(
     const std::string& topic, int partition, std::int64_t offset,
     std::size_t max_records) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  const PartitionMeta& pm = **meta;
-  if (pm.leader < 0) {
-    return NoLeaderError(topic, partition);
-  }
-  const BrokerNode::Replica* lead =
-      nodes_[std::size_t(pm.leader)]->Find(TopicPartitionView{topic, partition});
-  METRO_CHECK(lead != nullptr, "leader %d hosts no replica of %s/%d",
-              pm.leader, topic.c_str(), partition);
-  return lead->log.FetchBatch(offset, max_records, pm.high_water);
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  const Partition& part = **found;
+  MutexLock lock(part.partition_mu);
+  if (part.leader < 0) return NoLeaderError(topic, partition);
+  return part.On(part.leader).log.FetchBatch(offset, max_records,
+                                             part.high_water);
 }
 
 Result<PartitionInfo> BrokerCluster::GetPartitionInfo(const std::string& topic,
                                                       int partition) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  const PartitionMeta& pm = **meta;
-  if (pm.leader < 0) {
-    return NoLeaderError(topic, partition);
-  }
-  const BrokerNode::Replica* lead =
-      nodes_[std::size_t(pm.leader)]->Find(TopicPartitionView{topic, partition});
-  if (lead == nullptr) return InternalError("leader replica missing");
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  const Partition& part = **found;
+  MutexLock lock(part.partition_mu);
+  if (part.leader < 0) return NoLeaderError(topic, partition);
   PartitionInfo info;
   info.partition = partition;
-  info.begin_offset = lead->log.begin_offset();
-  info.end_offset = pm.high_water;
+  info.begin_offset = part.On(part.leader).log.begin_offset();
+  info.end_offset = part.high_water;
   return info;
 }
 
 Result<PartitionView> BrokerCluster::View(const std::string& topic,
                                           int partition) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  const PartitionMeta& pm = **meta;
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  const Partition& part = **found;
+  MutexLock lock(part.partition_mu);
   PartitionView view;
-  view.leader = pm.leader;
-  view.replicas = pm.replicas;
-  view.isr = pm.isr;
-  view.high_water_mark = pm.high_water;
-  const int sample = pm.leader >= 0 ? pm.leader : pm.replicas.front();
-  const BrokerNode::Replica* rep =
-      nodes_[std::size_t(sample)]->Find(TopicPartitionView{topic, partition});
-  if (rep != nullptr) {
-    view.begin_offset = rep->log.begin_offset();
-    view.end_offset = rep->log.end_offset();
-  }
+  view.leader = part.leader;
+  view.replicas = part.replicas;
+  view.isr = part.isr;
+  view.high_water_mark = part.high_water;
+  const PartitionLog& sample =
+      part.On(part.leader >= 0 ? part.leader : part.replicas.front()).log;
+  view.begin_offset = sample.begin_offset();
+  view.end_offset = sample.end_offset();
   return view;
 }
 
 Result<int> BrokerCluster::PreferredLeader(const std::string& topic,
                                            int partition) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  return (*meta)->replicas.front();
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  return (*found)->replicas.front();  // placement is fixed: no lock
 }
 
 Result<int> BrokerCluster::LeaderOf(const std::string& topic,
                                     int partition) const {
-  MutexLock lock(mu_);
-  auto meta = MetaLocked(topic, partition);
-  if (!meta.ok()) return meta.status();
-  return (*meta)->leader;
+  auto found = FindPartition(topic, partition);
+  if (!found.ok()) return found.status();
+  const Partition& part = **found;
+  MutexLock lock(part.partition_mu);
+  return part.leader;
 }
 
 std::int64_t BrokerCluster::EnforceRetention(TimeNs retention) {
   MutexLock lock(mu_);
   const TimeNs cutoff = clock_->Now() - retention;
   std::int64_t dropped = 0;
-  for (auto& [name, topic] : topics_) {
-    for (std::size_t p = 0; p < topic.partitions.size(); ++p) {
-      const PartitionMeta& pm = topic.partitions[p];
-      const TopicPartition tp{name, int(p)};
+  for (const auto& topic : topics_) {
+    for (Partition& part : topic->partitions) {
+      MutexLock part_lock(part.partition_mu);
       // The janitor runs on every replica — dead nodes included — so the
       // retention floors stay aligned and a revived follower resyncs
       // against the same window the leader retains.
-      for (const int node : pm.replicas) {
-        const std::int64_t n =
-            nodes_[std::size_t(node)]->replica(tp).log.EnforceRetention(cutoff);
-        if (node == pm.leader) dropped += n;
+      for (std::size_t i = 0; i < part.replicas.size(); ++i) {
+        const std::int64_t n = part.storage[i]->log.EnforceRetention(cutoff);
+        if (part.replicas[i] == part.leader) dropped += n;
       }
     }
   }
@@ -572,12 +571,13 @@ Status BrokerCluster::KillNode(int node) {
     event.node = node;
     events.push_back(std::move(event));
   }
-  for (auto& [name, topic] : topics_) {
-    for (std::size_t p = 0; p < topic.partitions.size(); ++p) {
-      PartitionMeta& pm = topic.partitions[p];
-      if (!Contains(pm.isr, node)) continue;
-      const std::vector<int> old_isr = pm.isr;
-      pm.isr.erase(std::find(pm.isr.begin(), pm.isr.end(), node));
+  for (const auto& [name, topic] : TopicsLocked()) {
+    for (std::size_t p = 0; p < topic->partitions.size(); ++p) {
+      Partition& part = topic->partitions[p];
+      MutexLock part_lock(part.partition_mu);
+      if (!Contains(part.isr, node)) continue;
+      const std::vector<int> old_isr = part.isr;
+      part.isr.erase(std::find(part.isr.begin(), part.isr.end(), node));
       {
         ClusterEvent event;
         event.kind = ClusterEvent::Kind::kIsrShrink;
@@ -586,13 +586,13 @@ Status BrokerCluster::KillNode(int node) {
         event.node = node;
         events.push_back(std::move(event));
       }
-      if (pm.leader != node) continue;
-      if (pm.isr.empty()) {
+      if (part.leader != node) continue;
+      if (part.isr.empty()) {
         // The last in-sync replica died. Remember who was in sync at that
         // moment: only those replicas hold every acked record, so only they
         // may be elected when nodes come back (no unclean election).
-        pm.final_isr = old_isr;
-        pm.leader = -1;
+        part.final_isr = old_isr;
+        part.leader = -1;
         ClusterEvent event;
         event.kind = ClusterEvent::Kind::kQuorumLost;
         event.topic = name;
@@ -603,8 +603,8 @@ Status BrokerCluster::KillNode(int node) {
         // ISR members hold every acked record by the synchronous-replication
         // invariant, so the first survivor in replica order takes over with
         // the high-water mark intact.
-        const int successor = pm.isr.front();
-        pm.leader = successor;
+        const int successor = part.isr.front();
+        part.leader = successor;
         c_failovers_->Increment();
         ClusterEvent event;
         event.kind = ClusterEvent::Kind::kFailover;
@@ -621,13 +621,12 @@ Status BrokerCluster::KillNode(int node) {
   return Status::Ok();
 }
 
-void BrokerCluster::ResyncReplicaLocked(const TopicPartition& tp,
-                                        PartitionMeta& meta, int node,
+void BrokerCluster::ResyncReplicaLocked(const std::string& topic, int index,
+                                        Partition& part, int node,
                                         std::vector<ClusterEvent>& events) {
-  if (Contains(meta.isr, node)) return;
-  BrokerNode::Replica& lead =
-      nodes_[std::size_t(meta.leader)]->replica(tp);
-  BrokerNode::Replica& rep = nodes_[std::size_t(node)]->replica(tp);
+  if (Contains(part.isr, node)) return;
+  const BrokerNode::Replica& lead = part.On(part.leader);
+  BrokerNode::Replica& rep = part.On(node);
   // A follower can never be ahead of the leader (appends are synchronous
   // across the ISR), but truncate defensively before copying the suffix.
   rep.log.TruncateTo(lead.log.end_offset());
@@ -674,14 +673,14 @@ void BrokerCluster::ResyncReplicaLocked(const TopicPartition& tp,
   }
   // Rejoin the ISR, keeping it in replica (preferred-leader) order.
   std::vector<int> isr;
-  for (const int r : meta.replicas) {
-    if (r == node || Contains(meta.isr, r)) isr.push_back(r);
+  for (const int r : part.replicas) {
+    if (r == node || Contains(part.isr, r)) isr.push_back(r);
   }
-  meta.isr = std::move(isr);
+  part.isr = std::move(isr);
   ClusterEvent event;
   event.kind = ClusterEvent::Kind::kIsrExpand;
-  event.topic = tp.topic;
-  event.partition = tp.partition;
+  event.topic = topic;
+  event.partition = index;
   event.node = node;
   events.push_back(std::move(event));
 }
@@ -702,23 +701,23 @@ Status BrokerCluster::ReviveNode(int node) {
     event.node = node;
     events.push_back(std::move(event));
   }
-  for (auto& [name, topic] : topics_) {
-    for (std::size_t p = 0; p < topic.partitions.size(); ++p) {
-      PartitionMeta& pm = topic.partitions[p];
-      if (!Contains(pm.replicas, node)) continue;
-      const TopicPartition tp{name, int(p)};
-      if (pm.leader >= 0) {
-        ResyncReplicaLocked(tp, pm, node, events);
+  for (const auto& [name, topic] : TopicsLocked()) {
+    for (std::size_t p = 0; p < topic->partitions.size(); ++p) {
+      Partition& part = topic->partitions[p];
+      if (!Contains(part.replicas, node)) continue;
+      MutexLock part_lock(part.partition_mu);
+      if (part.leader >= 0) {
+        ResyncReplicaLocked(name, int(p), part, node, events);
         continue;
       }
       // Leaderless partition: elect the revived node only if it was in the
       // final ISR (an empty snapshot means the partition never had a leader,
       // so nothing acked can be lost). Anyone else waits, out of the ISR,
       // for a final-ISR member to return.
-      if (!pm.final_isr.empty() && !Contains(pm.final_isr, node)) continue;
-      pm.leader = node;
-      pm.isr = {node};
-      pm.high_water = revived.replica(tp).log.end_offset();
+      if (!part.final_isr.empty() && !Contains(part.final_isr, node)) continue;
+      part.leader = node;
+      part.isr = {node};
+      part.high_water = part.On(node).log.end_offset();
       {
         ClusterEvent event;
         event.kind = ClusterEvent::Kind::kLeaderElected;
@@ -728,9 +727,9 @@ Status BrokerCluster::ReviveNode(int node) {
         events.push_back(std::move(event));
       }
       // Bring the other survivors back in sync under the new leader.
-      for (const int r : pm.replicas) {
+      for (const int r : part.replicas) {
         if (r != node && nodes_[std::size_t(r)]->up()) {
-          ResyncReplicaLocked(tp, pm, r, events);
+          ResyncReplicaLocked(name, int(p), part, r, events);
         }
       }
     }
@@ -751,17 +750,13 @@ Result<bool> BrokerCluster::NodeUp(int node) const {
 
 Status BrokerCluster::Probe() const {
   MutexLock lock(mu_);
-  for (const auto& [name, topic] : topics_) {
-    for (std::size_t p = 0; p < topic.partitions.size(); ++p) {
-      const PartitionMeta& pm = topic.partitions[p];
-      const std::string where = name + "/" + std::to_string(p);
-      if (pm.leader < 0) {
-        return UnavailableError("partition " + where + " has no leader");
-      }
-      if (int(pm.isr.size()) < quorum()) {
-        return UnavailableError("partition " + where + " ISR " +
-                                std::to_string(pm.isr.size()) +
-                                " below quorum " + std::to_string(quorum()));
+  for (const auto& [name, topic] : TopicsLocked()) {
+    for (std::size_t p = 0; p < topic->partitions.size(); ++p) {
+      const Partition& part = topic->partitions[p];
+      MutexLock part_lock(part.partition_mu);
+      if (part.leader < 0) return NoLeaderError(name, int(p));
+      if (int(part.isr.size()) < quorum()) {
+        return QuorumError(name, int(p), int(part.isr.size()), quorum());
       }
     }
   }
@@ -771,26 +766,17 @@ Status BrokerCluster::Probe() const {
 Result<std::vector<int>> BrokerCluster::JoinGroup(const std::string& group,
                                                   const std::string& topic,
                                                   const std::string& member) {
-  int partitions = 0;
-  {
-    MutexLock lock(mu_);
-    const auto it = topics_.find(topic);
-    if (it == topics_.end()) return NotFoundError("topic " + topic);
-    partitions = int(it->second.partitions.size());
-  }
-  return groups_.Join(group, topic, member, partitions);
+  const Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  return groups_.Join(group, topic, member, int(t->partitions.size()));
 }
 
 Status BrokerCluster::LeaveGroup(const std::string& group,
                                  const std::string& member) {
   auto topic = groups_.TopicOf(group);
   if (!topic.ok()) return topic.status();
-  int partitions = 0;
-  {
-    MutexLock lock(mu_);
-    const auto it = topics_.find(*topic);
-    if (it != topics_.end()) partitions = int(it->second.partitions.size());
-  }
+  const Topic* t = FindTopic(*topic);
+  const int partitions = t == nullptr ? 0 : int(t->partitions.size());
   return groups_.Leave(group, member, partitions);
 }
 
@@ -802,16 +788,14 @@ std::vector<int> BrokerCluster::Assignment(const std::string& group,
 Status BrokerCluster::CommitOffset(const std::string& group,
                                    const std::string& topic, int partition,
                                    std::int64_t offset) {
-  int partitions = 0;
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  const int partitions = int(t->partitions.size());
   std::int64_t end = 0;
-  {
-    MutexLock lock(mu_);
-    const auto it = topics_.find(topic);
-    if (it == topics_.end()) return NotFoundError("topic " + topic);
-    partitions = int(it->second.partitions.size());
-    if (partition >= 0 && partition < partitions) {
-      end = it->second.partitions[std::size_t(partition)].high_water;
-    }
+  if (partition >= 0 && partition < partitions) {
+    const Partition& part = t->partitions[std::size_t(partition)];
+    MutexLock lock(part.partition_mu);
+    end = part.high_water;
   }
   return groups_.Commit(group, topic, partition, offset, partitions, end);
 }
@@ -827,15 +811,15 @@ Result<std::int64_t> BrokerCluster::Lag(const std::string& group) const {
   if (!topic.ok()) return topic.status();
   auto committed = groups_.CommittedAll(group);
   if (!committed.ok()) return committed.status();
-  MutexLock lock(mu_);
-  const auto it = topics_.find(*topic);
-  if (it == topics_.end()) return NotFoundError("topic " + *topic);
+  const Topic* t = FindTopic(*topic);
+  if (t == nullptr) return UnknownTopicError(*topic);
   std::int64_t lag = 0;
-  for (std::size_t p = 0; p < it->second.partitions.size(); ++p) {
+  for (std::size_t p = 0; p < t->partitions.size(); ++p) {
     const auto cit = committed->find(int(p));
     const std::int64_t done = cit == committed->end() ? 0 : cit->second;
-    lag += std::max<std::int64_t>(
-        it->second.partitions[p].high_water - done, 0);
+    const Partition& part = t->partitions[p];
+    MutexLock lock(part.partition_mu);
+    lag += std::max<std::int64_t>(part.high_water - done, 0);
   }
   return lag;
 }

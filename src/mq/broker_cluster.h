@@ -30,10 +30,31 @@
 //     the `mq.backpressure` counter ticks) instead of growing the log
 //     without bound; retention is the release valve.
 //
-// All cluster state is guarded by one lock — the "network" between replicas
-// is a function call, which is what makes replication synchronous and the
-// chaos tests deterministic.
+// Two lock domains. The "network" between replicas is a function call,
+// which is what makes replication synchronous and the chaos tests
+// deterministic; the locks decide what runs in parallel:
+//
+//   * Data plane — one lock per partition (`mq.partition`). It guards the
+//     partition's leader, ISR, final ISR, high-water mark, per-producer
+//     sequence counters, and the logs and dedup tables of all its replicas.
+//     Prepare, Produce, Fetch/FetchBatch, partition metadata reads and the
+//     high-water read of CommitOffset take only their partition's lock, so
+//     producers on different partitions never wait on each other. Topics
+//     are found through an immutable name table published by atomic
+//     pointer, so the data path takes no cluster-wide lock.
+//   * Control plane — the cluster lock (`mq.cluster`), taken by topology
+//     changes: CreateTopic, KillNode/ReviveNode, EnforceRetention, Probe,
+//     NodeUp and the event hook. It owns node liveness, and it visits
+//     partitions one at a time under each partition's lock (never two at
+//     once; the cluster lock ranks first).
+//
+// Failover is therefore atomic per partition, not across partitions: a
+// produce to a partition runs entirely before or entirely after a kill's
+// ISR shrink and leader move on that partition, but may land on another
+// partition between the kill reaching the first and the second. That is
+// enough for the contract above, which is per partition.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -64,35 +85,12 @@ struct TopicPartition {
   }
 };
 
-/// A borrowed (topic, partition) key, for allocation-free replica lookups
-/// on the hot produce/fetch path.
-struct TopicPartitionView {
-  std::string_view topic;
-  int partition = 0;
-};
-
-/// Transparent ordering over owned and borrowed keys.
-struct TopicPartitionLess {
-  using is_transparent = void;
-  static bool Less(std::string_view at, int ap, std::string_view bt, int bp) {
-    if (at != bt) return at < bt;
-    return ap < bp;
-  }
-  bool operator()(const TopicPartition& a, const TopicPartition& b) const {
-    return Less(a.topic, a.partition, b.topic, b.partition);
-  }
-  bool operator()(const TopicPartition& a, const TopicPartitionView& b) const {
-    return Less(a.topic, a.partition, b.topic, b.partition);
-  }
-  bool operator()(const TopicPartitionView& a, const TopicPartition& b) const {
-    return Less(a.topic, a.partition, b.topic, b.partition);
-  }
-};
-
-/// One broker process. All methods are called by the owning `BrokerCluster`
-/// under the cluster lock; the node carries no synchronization of its own.
-/// `Kill` models a process crash: the node stops serving, but its replicas
-/// (its disk) survive and serve again after `Revive` + resync.
+/// One broker process. Its liveness is guarded by the cluster lock; each
+/// hosted replica's contents are guarded by the lock of the partition it
+/// replicates (`BrokerCluster` keeps direct pointers to them), so the node
+/// carries no synchronization of its own. `Kill` models a process crash:
+/// the node stops serving, but its replicas (its disk) survive and serve
+/// again after `Revive` + resync.
 class BrokerNode {
  public:
   explicit BrokerNode(int id) : id_(id) {}
@@ -109,23 +107,14 @@ class BrokerNode {
     SequenceTable sequences;
   };
 
-  /// The replica for `tp`, created on first use.
+  /// The replica for `tp`, created on first use. The reference stays valid
+  /// for the node's lifetime (map nodes never move).
   Replica& replica(const TopicPartition& tp) { return replicas_[tp]; }
-  const Replica* Find(const TopicPartitionView& tp) const {
-    const auto it = replicas_.find(tp);
-    return it == replicas_.end() ? nullptr : &it->second;
-  }
-  /// Allocation-free lookup of a replica materialized at topic creation;
-  /// nullptr when this node does not host `tp`.
-  Replica* FindMutable(const TopicPartitionView& tp) {
-    const auto it = replicas_.find(tp);
-    return it == replicas_.end() ? nullptr : &it->second;
-  }
 
  private:
   int id_;
   bool up_ = true;
-  std::map<TopicPartition, Replica, TopicPartitionLess> replicas_;
+  std::map<TopicPartition, Replica> replicas_;
 };
 
 /// Cluster tuning.
@@ -208,7 +197,7 @@ class BrokerCluster {
   int quorum() const { return config_.replication_factor / 2 + 1; }
 
   /// Registers the event hook (replacing any previous one). Events are
-  /// delivered outside the cluster lock; the hook may call back into
+  /// delivered outside every broker lock; the hook may call back into
   /// read-side cluster methods but must not inject faults.
   void SetEventHook(EventFn hook) METRO_EXCLUDES(mu_);
 
@@ -219,9 +208,8 @@ class BrokerCluster {
   Status CreateTopic(const std::string& topic, int partitions)
       METRO_EXCLUDES(mu_);
 
-  bool HasTopic(const std::string& topic) const METRO_EXCLUDES(mu_);
-  Result<int> NumPartitions(const std::string& topic) const
-      METRO_EXCLUDES(mu_);
+  bool HasTopic(const std::string& topic) const;
+  Result<int> NumPartitions(const std::string& topic) const;
 
   // --- produce ---
 
@@ -229,16 +217,15 @@ class BrokerCluster {
   /// hash, or round-robin over partitions that currently have a leader for
   /// empty keys (skipped leaderless partitions tick `mq.roundrobin_skips`).
   Result<ProduceAck> Produce(const std::string& topic, std::string key,
-                             std::string value, Headers headers = {})
-      METRO_EXCLUDES(mu_);
+                             std::string value, Headers headers = {});
 
   /// Non-idempotent produce to an explicit partition.
   Result<ProduceAck> ProduceTo(const std::string& topic, int partition,
                                std::string key, std::string value,
-                               Headers headers = {}) METRO_EXCLUDES(mu_);
+                               Headers headers = {});
 
   /// Registers an idempotent producer and returns its id.
-  ProducerId CreateProducer() METRO_EXCLUDES(mu_);
+  ProducerId CreateProducer();
 
   /// Builds a pinned request: picks the partition (as `Produce` does) and,
   /// for a registered producer, assigns the next per-partition sequence
@@ -246,14 +233,13 @@ class BrokerCluster {
   /// any number of times — exactly one append results.
   Result<ProduceRequest> Prepare(ProducerId producer, const std::string& topic,
                                  std::string key, std::string value,
-                                 Headers headers = {}) METRO_EXCLUDES(mu_);
+                                 Headers headers = {});
 
   /// Submits a prepared request. acks=quorum: fails with kUnavailable when
   /// the partition has no leader or the ISR is below quorum (retry after
   /// failover), with kResourceExhausted when the backlog bound is hit.
   /// Implemented as a one-record batch through the batched path below.
-  Result<ProduceAck> Produce(const ProduceRequest& request)
-      METRO_EXCLUDES(mu_);
+  Result<ProduceAck> Produce(const ProduceRequest& request);
 
   /// Builds a pinned batched request to an explicit partition from the
   /// records accumulated in `builder` (at least one). For a registered
@@ -265,8 +251,7 @@ class BrokerCluster {
   Result<ProduceBatchRequest> PrepareBatch(ProducerId producer,
                                            const std::string& topic,
                                            int partition,
-                                           RecordBatchBuilder& builder)
-      METRO_EXCLUDES(mu_);
+                                           RecordBatchBuilder& builder);
 
   /// Submits a pinned batched request: quorum-acked, idempotent over the
   /// whole sequence range, appended to the leader and shared (not copied)
@@ -274,8 +259,7 @@ class BrokerCluster {
   /// plus kFailedPrecondition for a partially-appended range
   /// (`mq.sequence_overlap`) and for resubmitting an already-committed
   /// non-idempotent batch. Steady state is allocation-free end to end.
-  Result<ProduceAck> Produce(const ProduceBatchRequest& request)
-      METRO_EXCLUDES(mu_);
+  Result<ProduceAck> Produce(const ProduceBatchRequest& request);
 
   // --- fetch / metadata ---
 
@@ -285,8 +269,7 @@ class BrokerCluster {
   /// `MessageLog::Fetch` for the reset policy).
   Result<std::vector<Record>> Fetch(const std::string& topic, int partition,
                                     std::int64_t offset,
-                                    std::size_t max_records) const
-      METRO_EXCLUDES(mu_);
+                                    std::size_t max_records) const;
 
   /// Zero-copy fetch: a shared view of up to `max_records` from the leader,
   /// never past the high-water mark and never across a batch boundary (the
@@ -296,23 +279,18 @@ class BrokerCluster {
   /// returns — even across retention or failover.
   Result<BatchView> FetchBatch(const std::string& topic, int partition,
                                std::int64_t offset,
-                               std::size_t max_records) const
-      METRO_EXCLUDES(mu_);
+                               std::size_t max_records) const;
 
   Result<PartitionInfo> GetPartitionInfo(const std::string& topic,
-                                         int partition) const
-      METRO_EXCLUDES(mu_);
+                                         int partition) const;
 
-  Result<PartitionView> View(const std::string& topic, int partition) const
-      METRO_EXCLUDES(mu_);
+  Result<PartitionView> View(const std::string& topic, int partition) const;
 
   /// The node that would lead `partition` with every replica healthy — the
   /// deterministic target for "kill the leader" fault plans.
-  Result<int> PreferredLeader(const std::string& topic, int partition) const
-      METRO_EXCLUDES(mu_);
+  Result<int> PreferredLeader(const std::string& topic, int partition) const;
 
-  Result<int> LeaderOf(const std::string& topic, int partition) const
-      METRO_EXCLUDES(mu_);
+  Result<int> LeaderOf(const std::string& topic, int partition) const;
 
   /// Drops records older than `retention` from every replica of every
   /// partition (the disk-level janitor runs on dead nodes too, keeping
@@ -341,69 +319,98 @@ class BrokerCluster {
 
   Result<std::vector<int>> JoinGroup(const std::string& group,
                                      const std::string& topic,
-                                     const std::string& member)
-      METRO_EXCLUDES(mu_);
-  Status LeaveGroup(const std::string& group, const std::string& member)
-      METRO_EXCLUDES(mu_);
+                                     const std::string& member);
+  Status LeaveGroup(const std::string& group, const std::string& member);
   std::vector<int> Assignment(const std::string& group,
                               const std::string& member) const;
   /// Validated commit: rejects partitions outside the topic and offsets
   /// beyond the high-water mark (kOutOfRange) — see GroupCoordinator.
   Status CommitOffset(const std::string& group, const std::string& topic,
-                      int partition, std::int64_t offset) METRO_EXCLUDES(mu_);
+                      int partition, std::int64_t offset);
   std::int64_t CommittedOffset(const std::string& group,
                                const std::string& topic, int partition) const;
   /// Uncommitted backlog across the group's topic (high-water mark minus
   /// committed, floored at 0 per partition).
-  Result<std::int64_t> Lag(const std::string& group) const METRO_EXCLUDES(mu_);
+  Result<std::int64_t> Lag(const std::string& group) const;
 
   MetricsRegistry& metrics() { return metrics_; }
 
  private:
-  struct PartitionMeta {
-    std::vector<int> replicas;  ///< preferred order
-    std::vector<int> isr;       ///< in-sync subset (empty iff leader == -1)
-    std::vector<int> final_isr; ///< ISR at the moment quorum was lost
-    int leader = -1;
-    std::int64_t high_water = 0;
-  };
-  struct TopicMeta {
-    std::vector<PartitionMeta> partitions;
-    std::size_t round_robin = 0;
-  };
+  /// One partition: its placement, fixed at CreateTopic, and the data-plane
+  /// state its own lock guards.
+  struct Partition {
+    /// Preferred replica order; [0] is the preferred leader.
+    std::vector<int> replicas;
+    /// storage[i] is the replica hosted on node replicas[i], resolved once
+    /// at CreateTopic so the data path never searches a node's replica map.
+    /// The pointers are fixed; what they point to is guarded by
+    /// `partition_mu`.
+    std::vector<BrokerNode::Replica*> storage;
 
-  /// Single-record path: wraps the request in a one-record batch and runs
-  /// it through `ProduceBatchLocked`.
-  Result<ProduceAck> ProduceLocked(const ProduceRequest& request)
-      METRO_REQUIRES(mu_);
+    mutable Mutex partition_mu{lockrank::kMqPartition, "mq.partition"};
+    int leader METRO_GUARDED_BY(partition_mu) = -1;
+    /// In-sync subset of `replicas`, in replica order; empty iff leader < 0.
+    std::vector<int> isr METRO_GUARDED_BY(partition_mu);
+    /// ISR at the moment the last in-sync replica died.
+    std::vector<int> final_isr METRO_GUARDED_BY(partition_mu);
+    std::int64_t high_water METRO_GUARDED_BY(partition_mu) = 0;
+    /// Next sequence `Prepare`/`PrepareBatch` assign, per producer.
+    std::map<ProducerId, std::int64_t> next_sequence
+        METRO_GUARDED_BY(partition_mu);
+
+    /// The replica hosted on `node`, which must be one of `replicas`.
+    BrokerNode::Replica& On(int node) const;
+  };
+  struct Topic {
+    explicit Topic(int partitions) : partitions(std::size_t(partitions)) {}
+    std::vector<Partition> partitions;  ///< sized once, never resized
+    std::atomic<std::size_t> round_robin{0};
+  };
+  /// Name -> topic. A published table is never modified: CreateTopic
+  /// publishes a copy with the new topic added.
+  using TopicTable = std::map<std::string, Topic*, std::less<>>;
+
+  /// Lock-free topic lookup through the published table; nullptr when
+  /// unknown.
+  Topic* FindTopic(std::string_view name) const;
+  /// The partition, or kNotFound / kInvalidArgument. Lock-free.
+  Result<Partition*> FindPartition(const std::string& topic,
+                                   int partition) const;
+  /// The latest table, for control-plane iteration in name order.
+  const TopicTable& TopicsLocked() const METRO_REQUIRES(mu_);
+  bool KnownProducer(ProducerId producer) const;
+  /// Picks the partition for a produce (key hash / leader-skipping
+  /// round-robin); never fails. Keyless picks briefly take each candidate
+  /// partition's lock to read its leader.
+  int PickPartition(Topic& topic, const std::string& key);
   /// The batched produce path: dedup (whole range), backlog bound, seal,
   /// leader append, shared replication, sequence-range observation.
-  Result<ProduceAck> ProduceBatchLocked(const ProduceBatchRequest& request)
-      METRO_REQUIRES(mu_);
-  /// Picks the partition for a produce (key hash / leader-skipping
-  /// round-robin); never fails for a known topic.
-  int PickPartitionLocked(TopicMeta& topic, const std::string& key)
-      METRO_REQUIRES(mu_);
+  Result<ProduceAck> ProduceBatchLocked(Partition& part,
+                                        const ProduceBatchRequest& request)
+      METRO_REQUIRES(part.partition_mu);
   /// Copies the leader's suffix into `node`'s replica and rejoins the ISR.
-  void ResyncReplicaLocked(const TopicPartition& tp, PartitionMeta& meta,
-                           int node, std::vector<ClusterEvent>& events)
-      METRO_REQUIRES(mu_);
-  Result<const PartitionMeta*> MetaLocked(const std::string& topic,
-                                          int partition) const
-      METRO_REQUIRES(mu_);
+  void ResyncReplicaLocked(const std::string& topic, int index,
+                           Partition& part, int node,
+                           std::vector<ClusterEvent>& events)
+      METRO_REQUIRES(mu_, part.partition_mu);
   void Emit(std::vector<ClusterEvent> events) METRO_EXCLUDES(mu_);
 
   Clock* clock_;
   BrokerClusterConfig config_;
-  // Lock order: mu_ before metrics_'s internal lock; the group
-  // coordinator's lock is a leaf taken after topic metadata is resolved.
+  // The control-plane lock. Lock order: mu_ before a partition lock (one at
+  // a time), both before metrics_'s internal lock; the group coordinator's
+  // lock is a leaf taken after partition state is read.
   mutable Mutex mu_{lockrank::kMqCluster, "mq.cluster"};
   std::vector<std::unique_ptr<BrokerNode>> nodes_ METRO_GUARDED_BY(mu_);
-  std::map<std::string, TopicMeta> topics_ METRO_GUARDED_BY(mu_);
-  ProducerId next_producer_ METRO_GUARDED_BY(mu_) = 1;
-  /// Next sequence to assign per (producer, topic, partition).
-  std::map<ProducerId, std::map<TopicPartition, std::int64_t>> producer_seq_
+  /// Every topic, in creation order; topics are never deleted.
+  std::vector<std::unique_ptr<Topic>> topics_ METRO_GUARDED_BY(mu_);
+  /// Every table ever published, the latest last. Superseded tables are
+  /// kept until destruction, so a data-path reader holding one needs no
+  /// refcount.
+  std::vector<std::unique_ptr<const TopicTable>> tables_
       METRO_GUARDED_BY(mu_);
+  std::atomic<const TopicTable*> topic_table_{nullptr};
+  std::atomic<ProducerId> next_producer_{1};
   EventFn hook_ METRO_GUARDED_BY(mu_);
   GroupCoordinator groups_;
   MetricsRegistry metrics_;

@@ -19,11 +19,13 @@
 //
 //   * The builder owns the arena while building; `Build()` transfers it to
 //     the batch. After `Build()` the payload bytes never move or change.
-//   * Only the broker, under the cluster lock and before the batch is
-//     visible in any log, may call `Seal` (assigning identity). Once a
-//     sealed batch has been appended, nothing mutates it — replicas and
-//     consumers hold `shared_ptr<const RecordBatch>` views of the same
-//     object, which is what makes sharing across threads race-free.
+//   * Only the broker, under the lock of the partition the batch is
+//     produced to and before the batch is visible in any log, may call
+//     `Seal` (assigning identity); a batch is produced to one partition
+//     only. Once a sealed batch has been appended, nothing mutates it —
+//     replicas and consumers hold `shared_ptr<const RecordBatch>` views of
+//     the same object, which is what makes sharing across threads
+//     race-free.
 //   * `RecordView` / `BatchView` are non-owning / shared-owning views;
 //     record offsets and sequences are derived (`base + index`), never
 //     stored per record.
@@ -149,7 +151,7 @@ class RecordBatch {
   }
 
   /// Assigns the batch identity at append time. Called by the broker under
-  /// the cluster lock, before the batch becomes visible in any log; a
+  /// the partition's lock, before the batch becomes visible in any log; a
   /// rolled-back append may re-seal on retry, an appended batch is never
   /// sealed again (the idempotent path dedups the retry first).
   void Seal(std::int64_t base_offset, TimeNs timestamp,

@@ -1,20 +1,24 @@
 // Tests for the replicated broker cluster: deterministic replica placement,
 // quorum-acked produce, leader failover, unclean-election prevention, the
 // idempotent produce path, bounded backlogs, consumer-group redelivery
-// across failover, and the chaos acceptance run (random node kills with
-// zero acked-record loss and no duplicate delivery).
+// across failover, the chaos acceptance run (random node kills with zero
+// acked-record loss and no duplicate delivery), and the concurrency run
+// (producers, a consumer and node kills racing on one wall-clock cluster).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "mq/broker_cluster.h"
 #include "resilience/chaos.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace metro::mq {
 namespace {
@@ -671,6 +675,155 @@ TEST(BrokerClusterTest, JustEvictedSequenceRetryFailsLoudNeverDuplicateAck) {
   const std::int64_t after_end = cluster.GetPartitionInfo("t", 0)->end_offset;
   EXPECT_EQ(after_end - before_end,
             std::int64_t(SequenceTable::kMaxTracked) + 1);
+}
+
+// ------------------------------------------------------------ Concurrency
+
+// Three idempotent producers, one FetchBatch + CommitOffset consumer and a
+// seeded kill/revive thread race on one wall-clock cluster. Oracle: every
+// acked record is fetched exactly once and no unacked record is fetched,
+// fetched offsets rise strictly within each partition, and no partition's
+// high-water mark ever decreases.
+TEST(BrokerClusterConcurrencyTest, ProducersConsumerAndFailoverRace) {
+  constexpr int kNodes = 5;
+  constexpr int kPartitions = 6;
+  constexpr int kProducers = 3;
+  constexpr int kRecords = 3000;  // per producer
+  BrokerClusterConfig config;
+  config.nodes = kNodes;
+  config.replication_factor = 3;
+  BrokerCluster cluster(WallClock::Instance(), config);
+  ASSERT_TRUE(cluster.CreateTopic("race", kPartitions).ok());
+  ASSERT_TRUE(cluster.JoinGroup("g", "race", "c0").ok());
+
+  // acked[p][j]: producer p's record j was acked. Each producer writes only
+  // its own row; the consumer reads the rows after joining the producers.
+  std::vector<std::vector<char>> acked(kProducers,
+                                       std::vector<char>(kRecords, 0));
+  std::atomic<int> producing{kProducers};
+  std::atomic<bool> quiesced{false};  // producers done, every node revived
+  std::vector<std::jthread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      const ProducerId id = cluster.CreateProducer();
+      for (int j = 0; j < kRecords; ++j) {
+        const auto request = cluster.Prepare(
+            id, "race", "key" + std::to_string((p * 31 + j) % 97),
+            std::to_string(p) + "/" + std::to_string(j));
+        EXPECT_TRUE(request.ok()) << request.status().message();
+        if (!request.ok()) continue;
+        for (int attempt = 0; attempt < 4; ++attempt) {
+          const auto ack = cluster.Produce(*request);
+          if (ack.ok()) {
+            EXPECT_FALSE(ack->duplicate);  // failed attempts append nothing
+            acked[std::size_t(p)][std::size_t(j)] = 1;
+            break;
+          }
+          // Only a leaderless or below-quorum partition may refuse.
+          EXPECT_EQ(ack.status().code(), StatusCode::kUnavailable)
+              << ack.status().message();
+        }
+        // Hand the CPU over between records so the fault thread is not
+        // starved of the locks it waits on.
+        std::this_thread::yield();
+      }
+      producing.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    Rng rng(/*seed=*/2026);
+    std::vector<char> down(kNodes, 0);
+    int n_down = 0;
+    while (producing.load(std::memory_order_acquire) > 0) {
+      const int node = int(rng.UniformU64(kNodes));
+      if (down[std::size_t(node)]) {
+        EXPECT_TRUE(cluster.ReviveNode(node).ok());
+        down[std::size_t(node)] = 0;
+        --n_down;
+      } else if (n_down < 3) {  // three down can take a whole replica set
+        EXPECT_TRUE(cluster.KillNode(node).ok());
+        down[std::size_t(node)] = 1;
+        ++n_down;
+      }
+      // Let the data path run between faults.
+      const TimeNs until = WallClock::Instance().Now() + 100 * 1000;
+      while (WallClock::Instance().Now() < until &&
+             producing.load(std::memory_order_acquire) > 0) {
+        // Hand the CPU over between records so the fault thread is not
+        // starved of the locks it waits on.
+        std::this_thread::yield();
+      }
+    }
+    for (int node = 0; node < kNodes; ++node) {
+      EXPECT_TRUE(cluster.ReviveNode(node).ok());
+    }
+    quiesced.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::vector<int>> seen(kProducers, std::vector<int>(kRecords, 0));
+  std::vector<std::int64_t> cursor(kPartitions, 0);
+  std::vector<std::int64_t> last_offset(kPartitions, -1);
+  std::vector<std::int64_t> high_water(kPartitions, 0);
+  std::int64_t malformed = 0;
+  while (true) {
+    const bool final_pass = quiesced.load(std::memory_order_acquire);
+    bool progressed = false;
+    for (int part = 0; part < kPartitions; ++part) {
+      const auto view = cluster.View("race", part);
+      ASSERT_TRUE(view.ok());
+      EXPECT_GE(view->high_water_mark, high_water[std::size_t(part)])
+          << "partition " << part << " high-water mark went backwards";
+      high_water[std::size_t(part)] = view->high_water_mark;
+      const auto batch =
+          cluster.FetchBatch("race", part, cursor[std::size_t(part)], 64);
+      if (!batch.ok()) {
+        EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable)
+            << batch.status().message();
+        continue;
+      }
+      if (batch->empty()) continue;
+      progressed = true;
+      for (std::size_t i = 0; i < batch->size(); ++i) {
+        const RecordView rec = (*batch)[i];
+        EXPECT_GT(rec.offset(), last_offset[std::size_t(part)])
+            << "partition " << part << " offsets not strictly rising";
+        last_offset[std::size_t(part)] = rec.offset();
+        const std::string value(rec.value());
+        const std::size_t slash = value.find('/');
+        const int p = slash == std::string::npos
+                          ? -1
+                          : std::stoi(value.substr(0, slash));
+        const int j = p < 0 ? -1 : std::stoi(value.substr(slash + 1));
+        if (p < 0 || p >= kProducers || j < 0 || j >= kRecords) {
+          ++malformed;
+          continue;
+        }
+        ++seen[std::size_t(p)][std::size_t(j)];
+      }
+      cursor[std::size_t(part)] = batch->next_offset();
+      EXPECT_TRUE(
+          cluster.CommitOffset("g", "race", part, cursor[std::size_t(part)])
+              .ok());
+    }
+    if (final_pass && !progressed) break;
+  }
+  threads.clear();  // joins
+
+  EXPECT_EQ(malformed, 0);
+  EXPECT_TRUE(cluster.Probe().ok());
+  EXPECT_EQ(cluster.Lag("g").value(), 0);
+  int total_acked = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    for (int j = 0; j < kRecords; ++j) {
+      const int want = acked[std::size_t(p)][std::size_t(j)];
+      total_acked += want;
+      EXPECT_EQ(seen[std::size_t(p)][std::size_t(j)], want)
+          << "record " << p << "/" << j
+          << (want ? " acked but not fetched exactly once"
+                   : " fetched but never acked");
+    }
+  }
+  EXPECT_GT(total_acked, 0);
 }
 
 }  // namespace
