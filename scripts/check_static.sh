@@ -14,7 +14,9 @@
 #   0.5 Runtime lock-rank checker: Debug build of lock_rank_test so the
 #      METRO_LOCK_RANK_CHECK Mutex-hook death tests run with the hooks
 #      compiled in (every NDEBUG flavor compiles them out), plus
-#      mq_cluster_test, whose broker nests the cluster and partition locks.
+#      mq_cluster_test and mq_test, whose brokers nest the cluster and
+#      partition locks (mq_test through the consumer-group, retention and
+#      fault paths).
 #   1. Clang + METRO_THREAD_SAFETY=ON + METRO_LIFETIME=ON:
 #      -Werror=thread-safety over the annotated tree (src/util/sync.h
 #      vocabulary) and -Werror=dangling* over the METRO_LIFETIME_BOUND
@@ -75,9 +77,9 @@ mkdir -p "${PREFIX}-metrolint"
 echo "==> lock-rank + view-check: Debug death tests (hooks compiled in)"
 cmake -B "${PREFIX}-lockrank" -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build "${PREFIX}-lockrank" -j "${JOBS}" \
-  --target lock_rank_test invariants_test mq_cluster_test
+  --target lock_rank_test invariants_test mq_cluster_test mq_test
 ctest --test-dir "${PREFIX}-lockrank" --output-on-failure \
-  -R "^(lock_rank_test|invariants_test|mq_cluster_test)$"
+  -R "^(lock_rank_test|invariants_test|mq_cluster_test|mq_test)$"
 
 # --- 1. Clang thread-safety + lifetime analysis --------------------------
 CLANGXX="$(command -v clang++ || true)"

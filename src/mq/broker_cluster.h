@@ -185,7 +185,8 @@ struct PartitionView {
   std::int64_t end_offset = 0;
 };
 
-/// The replicated broker. Thread-safe.
+/// The broker: replicated across nodes, or, at one node and replication
+/// factor 1, the single-broker deployment. Thread-safe.
 class BrokerCluster {
  public:
   using EventFn = std::function<void(const ClusterEvent&)>;
@@ -264,9 +265,17 @@ class BrokerCluster {
   // --- fetch / metadata ---
 
   /// Reads up to `max_records` from the leader, never past the high-water
-  /// mark. kUnavailable when the partition has no leader; kOutOfRange below
-  /// the retention floor (consumers reset to `begin_offset` — see
-  /// `MessageLog::Fetch` for the reset policy).
+  /// mark. kUnavailable when the partition has no leader. An offset at the
+  /// high-water mark returns an empty vector (not an error); one below the
+  /// retention floor or past the log end fails with kOutOfRange (the
+  /// boundary contract in partition_log.h).
+  ///
+  /// Reset policy: a consumer whose next offset has been retired by
+  /// retention gets kOutOfRange and is expected to reset to the current
+  /// `begin_offset` (from GetPartitionInfo), accounting the gap as skipped
+  /// records — the records are gone; re-fetching older offsets cannot bring
+  /// them back. See core::CityPipeline's consumer loop for the reference
+  /// implementation.
   Result<std::vector<Record>> Fetch(const std::string& topic, int partition,
                                     std::int64_t offset,
                                     std::size_t max_records) const;
@@ -274,9 +283,10 @@ class BrokerCluster {
   /// Zero-copy fetch: a shared view of up to `max_records` from the leader,
   /// never past the high-water mark and never across a batch boundary (the
   /// caller advances to `view.next_offset()` and fetches again; an empty
-  /// view means "parked at the high-water mark"). The view keeps the
-  /// underlying immutable batch alive, so it remains valid after the call
-  /// returns — even across retention or failover.
+  /// view means "parked at the high-water mark"). Same error space and
+  /// retention reset policy as `Fetch`. The view keeps the underlying
+  /// immutable batch alive, so it remains valid after the call returns —
+  /// even across retention or failover.
   Result<BatchView> FetchBatch(const std::string& topic, int partition,
                                std::int64_t offset,
                                std::size_t max_records) const;
@@ -315,8 +325,10 @@ class BrokerCluster {
   /// otherwise.
   Status Probe() const METRO_EXCLUDES(mu_);
 
-  // --- consumer groups (same contract as MessageLog) ---
+  // --- consumer groups (see GroupCoordinator) ---
 
+  /// Adds a member and rebalances; returns the partitions now assigned to
+  /// this member.
   Result<std::vector<int>> JoinGroup(const std::string& group,
                                      const std::string& topic,
                                      const std::string& member);

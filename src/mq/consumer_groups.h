@@ -1,7 +1,6 @@
 #pragma once
 
-// Consumer-group bookkeeping shared by the single-broker `MessageLog` and
-// the replicated `BrokerCluster`.
+// Consumer-group bookkeeping for the `BrokerCluster`.
 //
 // A group binds to one topic; members get partitions assigned round-robin
 // and the assignment rebalances as members join or leave. Committed offsets

@@ -117,15 +117,6 @@ std::optional<RecordView> PartitionLog::ViewAt(std::int64_t offset) const {
   return seg->batch->view(std::size_t(offset - seg->first_offset));
 }
 
-std::int64_t PartitionLog::Append(Record record) {
-  RecordBatchBuilder builder;
-  builder.Add(record.key, record.value, record.headers);
-  std::shared_ptr<RecordBatch> batch = builder.Build();
-  batch->Seal(end_offset_, record.timestamp, record.producer_id,
-              record.sequence);
-  return AppendBatch(std::move(batch));
-}
-
 Status PartitionLog::AppendReplica(Record record) {
   if (record.offset != end_offset_) {
     return ReplicaGapError(record.offset, end_offset_);

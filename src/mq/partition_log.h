@@ -2,8 +2,7 @@
 
 // The per-partition append-only record segment shared by every broker role.
 //
-// One `PartitionLog` is one replica of one partition: the single-broker
-// `MessageLog` holds one per partition, and each replicated `BrokerNode`
+// One `PartitionLog` is one replica of one partition: each `BrokerNode`
 // holds one per (topic, partition) it hosts. It models a broker's disk —
 // offsets are assigned monotonically, the front is trimmed by retention,
 // and the tail can be truncated during follower resync. It carries no
@@ -13,8 +12,8 @@
 // (see record_batch.h). A replicated batch is therefore the SAME object on
 // every ISR member — replication and resync bump a refcount instead of
 // copying payload bytes — and fetches hand out `BatchView`s over it rather
-// than materialized `Record` copies. The single-record `Append`/`Fetch`
-// API remains as a compatibility shim over one-record batches.
+// than materialized `Record` copies. The single-record `AppendReplica` and
+// the materializing `Fetch` remain as compatibility shims over the batches.
 //
 // Fetch boundary contract (shared by `Fetch` and `FetchBatch`, and relied
 // on by both the consumer path and revive-time replica resync in
@@ -22,7 +21,7 @@
 //
 //   * `offset < begin_offset()`          -> kOutOfRange ("below retention
 //     floor"; the consumer's cursor points at trimmed history and must be
-//     reset — see `MessageLog::Fetch` for the reset policy).
+//     reset — see `BrokerCluster::Fetch` for the reset policy).
 //   * `offset > end_offset()`            -> kOutOfRange ("beyond end"; the
 //     cursor points past anything the log has ever assigned).
 //   * otherwise                          -> OK with the records in
@@ -127,9 +126,6 @@ class PartitionLog {
   std::optional<RecordView> ViewAt(std::int64_t offset) const;
 
   // --- single-record compatibility path (one-record batches) ---
-
-  /// Appends as leader: assigns the next offset and returns it.
-  std::int64_t Append(Record record);
 
   /// Appends as follower: `record.offset` must equal `end_offset()` (the
   /// replication stream is contiguous); kFailedPrecondition otherwise.

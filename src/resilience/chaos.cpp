@@ -67,23 +67,18 @@ void FaultPlan::ApplyEvent(const FaultEvent& event,
       break;
     case FaultKind::kMqPartitionDown:
     case FaultKind::kMqPartitionUp: {
-      const bool up = event.kind == FaultKind::kMqPartitionUp;
-      if (targets.mq_cluster) {
-        // Re-target the partition fault onto the replicated broker: taking a
-        // partition "down" means crashing its preferred leader. The mapping
-        // round-trips (the matching Up event revives the same node) because
-        // the preferred leader is a pure function of (topic, partition).
-        const auto leader =
-            targets.mq_cluster->PreferredLeader(event.topic, event.index);
-        if (leader.ok()) {
-          if (up) {
-            (void)targets.mq_cluster->ReviveNode(*leader);
-          } else {
-            (void)targets.mq_cluster->KillNode(*leader);
-          }
-        }
-      } else if (targets.mq) {
-        (void)targets.mq->SetPartitionUp(event.topic, event.index, up);
+      if (!targets.mq_cluster) break;
+      // Taking a partition "down" means crashing its preferred leader. The
+      // mapping round-trips (the matching Up event revives the same node)
+      // because the preferred leader is a pure function of (topic,
+      // partition).
+      const auto leader =
+          targets.mq_cluster->PreferredLeader(event.topic, event.index);
+      if (!leader.ok()) break;
+      if (event.kind == FaultKind::kMqPartitionUp) {
+        (void)targets.mq_cluster->ReviveNode(*leader);
+      } else {
+        (void)targets.mq_cluster->KillNode(*leader);
       }
       break;
     }
@@ -164,9 +159,7 @@ FaultPlan FaultPlan::Random(double intensity, TimeNs horizon,
   for (int e = 0; e < episodes; ++e) {
     std::vector<int> classes;
     if (targets.dfs && targets.dfs->num_datanodes() > 0) classes.push_back(0);
-    if ((targets.mq || targets.mq_cluster) && !topics.empty()) {
-      classes.push_back(1);
-    }
+    if (targets.mq_cluster && !topics.empty()) classes.push_back(1);
     if (targets.fog && targets.fog->num_servers() > 0) classes.push_back(2);
     if (targets.fog && targets.fog->num_fogs() > 0) classes.push_back(3);
     if (targets.mq_cluster && targets.mq_cluster->num_nodes() > 0) {

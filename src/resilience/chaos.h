@@ -4,7 +4,7 @@
 //
 // A `FaultPlan` is a time-ordered script of faults against the subsystems a
 // deployment is built from: DFS DataNode crashes, network link flaps and
-// latency spikes, message-log partition outages, and whole analysis-server
+// latency spikes, broker partition outages, and whole analysis-server
 // tier outages. Plans are either hand-written (scripted experiments) or
 // drawn from a seeded distribution at a chosen intensity, and are applied
 // deterministically — pull-style against any clock via `ApplyUpTo`, or
@@ -17,7 +17,6 @@
 #include "dfs/dfs.h"
 #include "fog/fog.h"
 #include "mq/broker_cluster.h"
-#include "mq/message_log.h"
 #include "net/simulator.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -31,10 +30,10 @@ enum class FaultKind {
   kLinkDown,          ///< net link (`index`, `index2`) goes down
   kLinkUp,            ///< net link (`index`, `index2`) comes back
   kLinkLatencySpike,  ///< net link latency multiplied by `magnitude`
-  kMqPartitionDown,   ///< `topic` partition `index` leader fails
-  kMqPartitionUp,     ///< `topic` partition `index` leader returns
-  kMqNodeKill,        ///< replicated-broker node `index` crashes
-  kMqNodeRevive,      ///< replicated-broker node `index` restarts
+  kMqPartitionDown,   ///< preferred leader of (`topic`, `index`) crashes
+  kMqPartitionUp,     ///< preferred leader of (`topic`, `index`) revives
+  kMqNodeKill,        ///< broker node `index` crashes
+  kMqNodeRevive,      ///< broker node `index` restarts
   kServerOutage,      ///< fog analysis server `index` loses all fog links
   kServerRecovery,    ///< fog analysis server `index` links restored
 };
@@ -48,7 +47,7 @@ struct FaultEvent {
   int index = 0;           ///< node / partition / server id (kind-dependent)
   int index2 = 0;          ///< second link endpoint for link faults
   double magnitude = 1.0;  ///< latency multiplier for kLinkLatencySpike
-  std::string topic;       ///< topic for message-log faults
+  std::string topic;       ///< topic for partition faults
 };
 
 /// The subsystems a plan may target; unneeded targets stay null and events
@@ -56,13 +55,11 @@ struct FaultEvent {
 struct FaultTargets {
   dfs::Cluster* dfs = nullptr;
   net::Simulator* net = nullptr;
-  mq::MessageLog* mq = nullptr;
-  /// Replicated broker. kMqNodeKill / kMqNodeRevive act on it directly;
-  /// kMqPartitionDown / kMqPartitionUp are re-targeted onto it as a kill /
-  /// revive of the partition's *preferred* leader, so partition-outage plans
-  /// written against the single-broker log replay unchanged against the
-  /// cluster — where the same fault now triggers a failover instead of an
-  /// outage.
+  /// The broker. kMqNodeKill / kMqNodeRevive act on a node directly; a
+  /// partition fault (kMqPartitionDown / kMqPartitionUp) always kills or
+  /// revives the partition's *preferred* leader node. With replication the
+  /// partition fails over; at replication factor 1 it goes unavailable
+  /// until the node returns.
   mq::BrokerCluster* mq_cluster = nullptr;
   fog::FogTopology* fog = nullptr;  ///< for server-tier outages
 };
@@ -81,9 +78,9 @@ class FaultPlan {
   /// injected fault gets a matching recovery event before `horizon`, so a
   /// full replay always ends healthy. Which fault classes are drawn depends
   /// on which targets exist: DataNode crash/revive cycles when `dfs` is set,
-  /// partition outages per `topic` when `mq` or `mq_cluster` is set, broker
-  /// node kill/revive cycles when `mq_cluster` is set, and server-tier
-  /// outages + fog-link latency spikes when `fog` is set.
+  /// partition outages per `topic` and broker node kill/revive cycles when
+  /// `mq_cluster` is set, and server-tier outages + fog-link latency spikes
+  /// when `fog` is set.
   static FaultPlan Random(double intensity, TimeNs horizon,
                           const FaultTargets& targets,
                           const std::vector<std::string>& topics,

@@ -33,11 +33,9 @@ inline constexpr int kCorePipelineWeb = 12;  // CityPipeline::web_mu_
 inline constexpr int kResilienceHealth = 20;   // HealthRegistry::mu_
 inline constexpr int kResilienceBreaker = 22;  // CircuitBreaker::mu_
 
-// mq — broker control plane, per-partition data plane, single-broker log,
-// consumer groups.
+// mq — broker control plane, per-partition data plane, consumer groups.
 inline constexpr int kMqCluster = 30;    // BrokerCluster::mu_
 inline constexpr int kMqPartition = 31;  // BrokerCluster::Partition::partition_mu
-inline constexpr int kMqLog = 32;        // MessageLog::mu_
 inline constexpr int kMqGroups = 34;     // GroupCoordinator::mu_
 
 // store — wide-column, document, and LSM engines. Writer-side locks rank

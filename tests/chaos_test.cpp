@@ -12,7 +12,6 @@
 #include "fog/fog.h"
 #include "ingest/flume.h"
 #include "mq/broker_cluster.h"
-#include "mq/message_log.h"
 #include "net/simulator.h"
 #include "resilience/chaos.h"
 #include "resilience/health.h"
@@ -296,24 +295,24 @@ TEST(InfrastructureHealthTest, BuiltInProbesSeeInjectedFaults) {
 
 TEST(FaultPlanTest, AppliesEventsUpToNowExactlyOnce) {
   SimClock clock;
-  mq::MessageLog log(clock);
-  ASSERT_TRUE(log.CreateTopic("t", 1).ok());
+  mq::BrokerCluster broker(clock, {.nodes = 1, .replication_factor = 1});
+  ASSERT_TRUE(broker.CreateTopic("t", 1).ok());
   FaultPlan plan;
   plan.Add(Event(20 * kMillisecond, FaultKind::kMqPartitionUp, 0, "t"));
   plan.Add(Event(10 * kMillisecond, FaultKind::kMqPartitionDown, 0, "t"));
   FaultTargets targets;
-  targets.mq = &log;
+  targets.mq_cluster = &broker;
 
   EXPECT_EQ(plan.ApplyUpTo(5 * kMillisecond, targets), 0);
-  EXPECT_TRUE(log.PartitionUp("t", 0).value());
+  EXPECT_EQ(broker.LeaderOf("t", 0).value(), 0);
   EXPECT_EQ(plan.NextAt(), 10 * kMillisecond);
 
   EXPECT_EQ(plan.ApplyUpTo(10 * kMillisecond, targets), 1);
-  EXPECT_FALSE(log.PartitionUp("t", 0).value());
+  EXPECT_EQ(broker.LeaderOf("t", 0).value(), -1);  // no replica to fail to
   EXPECT_EQ(plan.ApplyUpTo(10 * kMillisecond, targets), 0);  // fires once
 
   EXPECT_EQ(plan.ApplyUpTo(25 * kMillisecond, targets), 1);
-  EXPECT_TRUE(log.PartitionUp("t", 0).value());
+  EXPECT_EQ(broker.LeaderOf("t", 0).value(), 0);
   EXPECT_EQ(plan.applied(), 2u);
   EXPECT_EQ(plan.NextAt(), -1);
 }
@@ -362,8 +361,8 @@ TEST(FaultPlanTest, ClusterNodeKillReviveRoundTrips) {
 TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndPaired) {
   dfs::Cluster cluster(3, {});
   SimClock clock;
-  mq::MessageLog log(clock);
-  ASSERT_TRUE(log.CreateTopic("frames", 2).ok());
+  mq::BrokerCluster broker(clock, {.nodes = 1, .replication_factor = 1});
+  ASSERT_TRUE(broker.CreateTopic("frames", 2).ok());
   fog::FogConfig fog_config;
   fog_config.num_edges = 4;
   fog_config.edges_per_fog = 2;
@@ -371,7 +370,7 @@ TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndPaired) {
   fog::FogTopology topo(fog_config);
   FaultTargets targets;
   targets.dfs = &cluster;
-  targets.mq = &log;
+  targets.mq_cluster = &broker;
   targets.fog = &topo;
   const TimeNs horizon = kSecond;
 

@@ -8,7 +8,7 @@
 #include <map>
 
 #include "dataflow/dataset.h"
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 #include "sched/resource_manager.h"
 #include "store/wide_column.h"
 #include "util/rng.h"
@@ -149,15 +149,15 @@ class GroupCoverage : public ::testing::TestWithParam<int> {};
 TEST_P(GroupCoverage, AssignmentPartitionsExactlyOnce) {
   const int members = GetParam();
   SimClock clock;
-  mq::MessageLog log(clock);
+  mq::BrokerCluster broker(clock, {.nodes = 1, .replication_factor = 1});
   const int partitions = 7;
-  ASSERT_TRUE(log.CreateTopic("t", partitions).ok());
+  ASSERT_TRUE(broker.CreateTopic("t", partitions).ok());
   for (int m = 0; m < members; ++m) {
-    ASSERT_TRUE(log.JoinGroup("g", "t", "m" + std::to_string(m)).ok());
+    ASSERT_TRUE(broker.JoinGroup("g", "t", "m" + std::to_string(m)).ok());
   }
   std::vector<int> owners(std::size_t(partitions), 0);
   for (int m = 0; m < members; ++m) {
-    for (const int p : log.Assignment("g", "m" + std::to_string(m))) {
+    for (const int p : broker.Assignment("g", "m" + std::to_string(m))) {
       ++owners[std::size_t(p)];
     }
   }
@@ -165,10 +165,10 @@ TEST_P(GroupCoverage, AssignmentPartitionsExactlyOnce) {
 
   // After one member leaves, coverage still holds.
   if (members > 1) {
-    ASSERT_TRUE(log.LeaveGroup("g", "m0").ok());
+    ASSERT_TRUE(broker.LeaveGroup("g", "m0").ok());
     std::fill(owners.begin(), owners.end(), 0);
     for (int m = 1; m < members; ++m) {
-      for (const int p : log.Assignment("g", "m" + std::to_string(m))) {
+      for (const int p : broker.Assignment("g", "m" + std::to_string(m))) {
         ++owners[std::size_t(p)];
       }
     }

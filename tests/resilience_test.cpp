@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dfs/dfs.h"
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 #include "net/simulator.h"
 #include "util/rng.h"
 
@@ -100,20 +100,21 @@ TEST(DfsBalanceTest, NoopWhenBalanced) {
 
 TEST(MqLagTest, TracksBacklogAcrossPartitions) {
   SimClock clock;
-  mq::MessageLog log(clock);
-  ASSERT_TRUE(log.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(log.JoinGroup("g", "t", "m").ok());
-  EXPECT_EQ(log.Lag("g").value(), 0);
+  mq::BrokerCluster broker(clock, {.nodes = 1, .replication_factor = 1});
+  ASSERT_TRUE(broker.CreateTopic("t", 2).ok());
+  ASSERT_TRUE(broker.JoinGroup("g", "t", "m").ok());
+  EXPECT_EQ(broker.Lag("g").value(), 0);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(log.Produce("t", "k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(broker.Produce("t", "k" + std::to_string(i), "v").ok());
   }
-  EXPECT_EQ(log.Lag("g").value(), 10);
+  EXPECT_EQ(broker.Lag("g").value(), 10);
   // Commit one partition fully.
-  const auto info = log.GetPartitionInfo("t", 0);
+  const auto info = broker.GetPartitionInfo("t", 0);
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(log.CommitOffset("g", "t", 0, info->end_offset).ok());
-  EXPECT_EQ(log.Lag("g").value(), 10 - (info->end_offset - info->begin_offset));
-  EXPECT_EQ(log.Lag("nope").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(broker.CommitOffset("g", "t", 0, info->end_offset).ok());
+  EXPECT_EQ(broker.Lag("g").value(),
+            10 - (info->end_offset - info->begin_offset));
+  EXPECT_EQ(broker.Lag("nope").status().code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------- Net links
