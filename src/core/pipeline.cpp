@@ -89,7 +89,16 @@ Result<mq::ProduceAck> CityPipeline::Produce(const std::string& topic,
   } else if (ack->duplicate) {
     span.SetTag("duplicate", "true");
   }
-  spans_.End(std::move(span));
+  if (ack.ok() && !ack->duplicate) {
+    // The stage ends where the consumer-side `mq.queue` stage starts: at
+    // the broker's append time. What the call does after the append (the
+    // ack's return, waking a parked consumer) runs beside the record's
+    // consumer stages and is not on its critical path.
+    span.end = ack->timestamp;
+    spans_.Record(std::move(span));
+  } else {
+    spans_.End(std::move(span));
+  }
   return ack;
 }
 
@@ -112,103 +121,130 @@ Status CityPipeline::Start() {
 
 void CityPipeline::ConsumerLoop(TopicState& state, std::stop_token stop) {
   const std::string& topic = state.spec.topic;
-  const std::string group = "pipeline";
-  const std::string member = "consumer-" + topic;
-  const auto assignment = log_.JoinGroup(group + "-" + topic, topic, member);
+  const std::string group = "pipeline-" + topic;
+  const auto assignment = log_.JoinGroup(group, topic, "consumer-" + topic);
   if (!assignment.ok()) return;
+  const auto doorbell = log_.TopicDoorbell(topic);
+  if (!doorbell.ok()) return;
 
-  // Poll all assigned partitions until stop is requested *and* the backlog
-  // is drained — a clean shutdown loses nothing.
+  // Sweep the assigned partitions until stop is requested *and* the backlog
+  // is drained — a clean shutdown loses nothing. After an empty sweep the
+  // consumer registers on the topic's doorbell, checks once more for unread
+  // records (one appended before the registration shows up here, one
+  // appended after it rings), and parks until a produce rings. The check
+  // only reads offsets, so the registration ends before any record is
+  // processed and producers stop ringing as soon as the consumer is awake.
+  // The park is capped at 0.5 ms: stop requests and leaderless partitions
+  // ring nothing and are picked up by the next sweep after the cap.
   while (true) {
-    bool progressed = false;
-    for (const int partition : *assignment) {
-      const std::int64_t committed =
-          log_.CommittedOffset(group + "-" + topic, topic, partition);
-      // Zero-copy fetch: a shared view into the leader's retained batch —
-      // record payloads are read in place (string_view) and only
-      // materialized at the parser call, not copied per fetch.
-      const auto view = log_.FetchBatch(topic, partition, committed, 128);
-      if (!view.ok()) {
-        if (view.status().code() == StatusCode::kUnavailable) {
-          // Partition leader down; back off (below) and retry the fetch.
-          fetch_retries_.fetch_add(1, std::memory_order_relaxed);
-        } else if (view.status().code() == StatusCode::kOutOfRange) {
-          // Retention truncated past our committed offset. Skip the
-          // committed position forward to the retention floor so the pump
-          // does not stall forever on offsets that no longer exist.
-          const auto info = log_.GetPartitionInfo(topic, partition);
-          if (info.ok() && info->begin_offset > committed) {
-            records_skipped_.fetch_add(info->begin_offset - committed,
-                                       std::memory_order_relaxed);
-            (void)log_.CommitOffset(group + "-" + topic, topic, partition,
-                                    info->begin_offset);
-            progressed = true;
-          }
-        }
-        continue;
-      }
-      if (view->empty()) continue;
-      progressed = true;
-      for (std::size_t i = 0; i < view->size(); ++i) {
-        const mq::RecordView rec = (*view)[i];
-        records_consumed_.fetch_add(1, std::memory_order_relaxed);
-        // Continue the producer's trace from the record header. Stage spans
-        // chain off a cursor (each start = the previous end), so per-trace
-        // stage durations sum to the produce -> web latency.
-        obs::TraceContext trace;
-        if (const auto header = rec.FindHeader(obs::kTraceHeader)) {
-          if (const auto parsed = obs::TraceContext::Parse(*header)) {
-            trace = *parsed;
-          }
-        }
-        TimeNs cursor = rec.timestamp();
-        auto stage = [&](const char* name) {
-          if (!trace.valid()) return;
-          const TimeNs now = clock_->Now();
-          obs::Span span;
-          span.name = name;
-          span.context = spans_.Child(trace);
-          span.start = cursor;
-          span.end = now;
-          spans_.Record(std::move(span));
-          cursor = now;
-        };
-        // Queue-wait stage: broker append time -> consumer pickup.
-        stage("mq.queue");
-        // The parser contract takes owned strings; this is the single point
-        // where the record's payload is copied out of the shared batch.
-        const std::string key(rec.key());
-        const std::string value(rec.value());
-        auto doc = state.spec.parser(key, value);
-        if (!doc) continue;
-        // Storage stage.
-        (void)state.collection->Insert(*doc);
-        documents_stored_.fetch_add(1, std::memory_order_relaxed);
-        stage("store");
-        // Analysis stage.
-        if (state.spec.analyzer) {
-          auto annotation = state.spec.analyzer(*doc);
-          stage("analyze");
-          if (annotation) {
-            annotations_.fetch_add(1, std::memory_order_relaxed);
-            // Visualization stage: render to the web feed.
-            const std::string json = store::ToJson(*annotation);
-            {
-              MutexLock lock(web_mu_);
-              web_feed_.push_back(json);
-            }
-            stage("web");
-          }
-        }
-      }
-      (void)log_.CommitOffset(group + "-" + topic, topic, partition,
-                              view->next_offset());
-    }
-    if (!progressed) {
-      if (stop.stop_requested()) return;
-      clock_->SleepFor(kMillisecond / 2);
+    if (SweepPartitions(state, group, *assignment)) continue;
+    if (stop.stop_requested()) return;
+    mq::Doorbell::Waiter waiter(**doorbell);
+    if (HasUnread(topic, group, *assignment)) continue;
+    waiter.Park(kMillisecond / 2);
+  }
+}
+
+bool CityPipeline::HasUnread(const std::string& topic, const std::string& group,
+                             const std::vector<int>& partitions) const {
+  for (const int partition : partitions) {
+    // Takes the partition lock a producer appends under: see mq/doorbell.h
+    // for why that makes the registration and the append see each other.
+    const auto info = log_.GetPartitionInfo(topic, partition);
+    if (info.ok() &&
+        info->end_offset > log_.CommittedOffset(group, topic, partition)) {
+      return true;
     }
   }
+  return false;
+}
+
+bool CityPipeline::SweepPartitions(TopicState& state, const std::string& group,
+                                   const std::vector<int>& partitions) {
+  const std::string& topic = state.spec.topic;
+  bool progressed = false;
+  for (const int partition : partitions) {
+    const std::int64_t committed =
+        log_.CommittedOffset(group, topic, partition);
+    // Zero-copy fetch: a shared view into the leader's retained batch —
+    // record payloads are read in place (string_view) and only
+    // materialized at the parser call, not copied per fetch.
+    const auto view = log_.FetchBatch(topic, partition, committed, 128);
+    if (!view.ok()) {
+      if (view.status().code() == StatusCode::kUnavailable) {
+        // Partition leader down; the next sweep retries the fetch.
+        fetch_retries_.fetch_add(1, std::memory_order_relaxed);
+      } else if (view.status().code() == StatusCode::kOutOfRange) {
+        // Retention truncated past our committed offset. Skip the
+        // committed position forward to the retention floor so the pump
+        // does not stall forever on offsets that no longer exist.
+        const auto info = log_.GetPartitionInfo(topic, partition);
+        if (info.ok() && info->begin_offset > committed) {
+          records_skipped_.fetch_add(info->begin_offset - committed,
+                                     std::memory_order_relaxed);
+          (void)log_.CommitOffset(group, topic, partition, info->begin_offset);
+          progressed = true;
+        }
+      }
+      continue;
+    }
+    if (view->empty()) continue;
+    progressed = true;
+    for (std::size_t i = 0; i < view->size(); ++i) {
+      const mq::RecordView rec = (*view)[i];
+      records_consumed_.fetch_add(1, std::memory_order_relaxed);
+      // Continue the producer's trace from the record header. Stage spans
+      // chain off a cursor (each start = the previous end), so per-trace
+      // stage durations sum to the produce -> web latency.
+      obs::TraceContext trace;
+      if (const auto header = rec.FindHeader(obs::kTraceHeader)) {
+        if (const auto parsed = obs::TraceContext::Parse(*header)) {
+          trace = *parsed;
+        }
+      }
+      TimeNs cursor = rec.timestamp();
+      auto stage = [&](const char* name) {
+        if (!trace.valid()) return;
+        const TimeNs now = clock_->Now();
+        obs::Span span;
+        span.name = name;
+        span.context = spans_.Child(trace);
+        span.start = cursor;
+        span.end = now;
+        spans_.Record(std::move(span));
+        cursor = now;
+      };
+      // Queue-wait stage: broker append time -> consumer pickup.
+      stage("mq.queue");
+      // The parser contract takes owned strings; this is the single point
+      // where the record's payload is copied out of the shared batch.
+      const std::string key(rec.key());
+      const std::string value(rec.value());
+      auto doc = state.spec.parser(key, value);
+      if (!doc) continue;
+      // Storage stage.
+      (void)state.collection->Insert(*doc);
+      documents_stored_.fetch_add(1, std::memory_order_relaxed);
+      stage("store");
+      // Analysis stage.
+      if (state.spec.analyzer) {
+        auto annotation = state.spec.analyzer(*doc);
+        stage("analyze");
+        if (annotation) {
+          annotations_.fetch_add(1, std::memory_order_relaxed);
+          // Visualization stage: render to the web feed.
+          const std::string json = store::ToJson(*annotation);
+          {
+            MutexLock lock(web_mu_);
+            web_feed_.push_back(json);
+          }
+          stage("web");
+        }
+      }
+    }
+    (void)log_.CommitOffset(group, topic, partition, view->next_offset());
+  }
+  return progressed;
 }
 
 void CityPipeline::Stop() {
@@ -299,8 +335,8 @@ PipelineStats CityPipeline::Stats() const {
     double sum = 0;
     for (const double v : e2e_ms) sum += v;
     s.mean_latency_ms = sum / double(e2e_ms.size());
-    s.p99_latency_ms =
-        e2e_ms[std::size_t(double(e2e_ms.size() - 1) * 0.99)];
+    // Same quantile as the per-stage breakdown above.
+    s.p99_latency_ms = obs::QuantileOf(e2e_ms, 0.99);
   }
   return s;
 }

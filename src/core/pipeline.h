@@ -106,10 +106,12 @@ class CityPipeline {
   /// Stored documents for a topic (one collection per topic).
   Result<store::Collection*> collection(const std::string& topic);
 
-  /// Starts one consumer thread per topic.
+  /// Starts one consumer thread per topic. An idle consumer parks on its
+  /// topic's doorbell (mq/doorbell.h) and wakes when a record is appended.
   Status Start();
 
-  /// Signals consumers to finish the backlog and stop, then joins.
+  /// Signals consumers to finish the backlog and stop, then joins. A parked
+  /// consumer notices the stop within its 0.5 ms park cap.
   void Stop();
 
   /// Blocks until every topic's committed offset reaches the end of its log
@@ -133,6 +135,15 @@ class CityPipeline {
   };
 
   void ConsumerLoop(TopicState& state, std::stop_token stop);
+  /// Fetches, stores, analyzes and commits whatever each assigned partition
+  /// holds past the group's committed offset; true when any partition made
+  /// progress.
+  bool SweepPartitions(TopicState& state, const std::string& group,
+                       const std::vector<int>& partitions);
+  /// True when a partition with a live leader holds records past the
+  /// group's committed offset. Reads offsets only.
+  bool HasUnread(const std::string& topic, const std::string& group,
+                 const std::vector<int>& partitions) const;
 
   Clock* clock_;
   mq::BrokerCluster log_;

@@ -207,6 +207,7 @@ Status BrokerCluster::CreateTopic(const std::string& topic, int partitions) {
     const TopicPartition tp{topic, p};
     part.replicas.reserve(rf);
     part.storage.reserve(rf);
+    part.doorbell = &t->doorbell;
     // Unpublished, so uncontended; taken for the guarded fields.
     MutexLock part_lock(part.partition_mu);
     part.isr.reserve(rf);
@@ -330,7 +331,15 @@ Result<ProduceAck> BrokerCluster::Produce(const ProduceBatchRequest& request) {
   if (!found.ok()) return found.status();
   Partition& part = **found;
   MutexLock lock(part.partition_mu);
-  return ProduceBatchLocked(part, request);
+  Result<ProduceAck> ack = ProduceBatchLocked(part, request);
+  // A consumer registers on the doorbell before its re-check fetch takes
+  // this lock, so reading the count here, under the lock, cannot miss it.
+  // Nothing is written on the produce path unless someone sleeps.
+  const bool ring =
+      ack.ok() && !ack->duplicate && part.doorbell->sleepers() > 0;
+  lock.Unlock();
+  if (ring) part.doorbell->Ring();
+  return ack;
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const std::string& topic,
@@ -461,6 +470,7 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
   ack.partition = request.partition;
   ack.offset = base;
   ack.count = count;
+  ack.timestamp = request.batch->timestamp();
   return ack;
 }
 
@@ -525,6 +535,12 @@ Result<int> BrokerCluster::PreferredLeader(const std::string& topic,
   auto found = FindPartition(topic, partition);
   if (!found.ok()) return found.status();
   return (*found)->replicas.front();  // placement is fixed: no lock
+}
+
+Result<Doorbell*> BrokerCluster::TopicDoorbell(const std::string& topic) {
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  return &t->doorbell;
 }
 
 Result<int> BrokerCluster::LeaderOf(const std::string& topic,
@@ -687,6 +703,7 @@ void BrokerCluster::ResyncReplicaLocked(const std::string& topic, int index,
 
 Status BrokerCluster::ReviveNode(int node) {
   std::vector<ClusterEvent> events;
+  std::vector<Doorbell*> rings;
   MutexLock lock(mu_);
   if (node < 0 || std::size_t(node) >= nodes_.size()) {
     return InvalidArgumentError("node " + std::to_string(node) +
@@ -718,6 +735,7 @@ Status BrokerCluster::ReviveNode(int node) {
       part.leader = node;
       part.isr = {node};
       part.high_water = part.On(node).log.end_offset();
+      if (part.doorbell->sleepers() > 0) rings.push_back(part.doorbell);
       {
         ClusterEvent event;
         event.kind = ClusterEvent::Kind::kLeaderElected;
@@ -735,6 +753,7 @@ Status BrokerCluster::ReviveNode(int node) {
     }
   }
   lock.Unlock();
+  for (Doorbell* bell : rings) bell->Ring();
   Emit(std::move(events));
   return Status::Ok();
 }

@@ -29,6 +29,9 @@
 //     `max_partition_backlog`, produce fails with kResourceExhausted (and
 //     the `mq.backpressure` counter ticks) instead of growing the log
 //     without bound; retention is the release valve.
+//   * Consumer wake-up: every high-water-mark advance (an appended batch,
+//     or a leader elected on revival) rings the topic's `Doorbell` when a
+//     consumer sleeps on it (mq/doorbell.h has the lost-wake-up argument).
 //
 // Two lock domains. The "network" between replicas is a function call,
 // which is what makes replication synchronous and the chaos tests
@@ -64,6 +67,7 @@
 #include <vector>
 
 #include "mq/consumer_groups.h"
+#include "mq/doorbell.h"
 #include "mq/idempotence.h"
 #include "mq/partition_log.h"
 #include "util/clock.h"
@@ -302,6 +306,11 @@ class BrokerCluster {
 
   Result<int> LeaderOf(const std::string& topic, int partition) const;
 
+  /// The topic's doorbell, rung after every high-water-mark advance on any
+  /// of its partitions while a `Doorbell::Waiter` is registered. Lives as
+  /// long as the cluster.
+  Result<Doorbell*> TopicDoorbell(const std::string& topic);
+
   /// Drops records older than `retention` from every replica of every
   /// partition (the disk-level janitor runs on dead nodes too, keeping
   /// replicas aligned); returns records dropped from leader replicas.
@@ -358,6 +367,8 @@ class BrokerCluster {
     /// The pointers are fixed; what they point to is guarded by
     /// `partition_mu`.
     std::vector<BrokerNode::Replica*> storage;
+    /// The owning topic's doorbell; fixed at CreateTopic.
+    Doorbell* doorbell = nullptr;
 
     mutable Mutex partition_mu{lockrank::kMqPartition, "mq.partition"};
     int leader METRO_GUARDED_BY(partition_mu) = -1;
@@ -377,6 +388,7 @@ class BrokerCluster {
     explicit Topic(int partitions) : partitions(std::size_t(partitions)) {}
     std::vector<Partition> partitions;  ///< sized once, never resized
     std::atomic<std::size_t> round_robin{0};
+    Doorbell doorbell;
   };
   /// Name -> topic. A published table is never modified: CreateTopic
   /// publishes a copy with the new topic added.

@@ -78,6 +78,7 @@ struct ProduceAck {
   std::int64_t offset = 0;
   std::int64_t count = 1;
   bool duplicate = false;
+  TimeNs timestamp = 0;  ///< broker append time; 0 on a duplicate ack
 };
 
 /// Append-only in-memory log for one partition replica. NOT thread-safe —

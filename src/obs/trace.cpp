@@ -23,17 +23,6 @@ std::optional<std::uint64_t> ParseHex(std::string_view s) {
   return v;
 }
 
-/// Exact linear-interpolation quantile over a sorted sample vector.
-double QuantileOf(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * double(sorted.size() - 1);
-  const std::size_t lo = std::size_t(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - double(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -56,6 +45,16 @@ void AppendJsonString(std::string& out, std::string_view s) {
 }
 
 }  // namespace
+
+double QuantileOf(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * double(sorted.size() - 1);
+  const std::size_t lo = std::size_t(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - double(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
 
 std::string TraceContext::Serialize() const {
   std::string out;

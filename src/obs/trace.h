@@ -77,6 +77,10 @@ struct Span {
   const std::string* FindTag(std::string_view key) const;
 };
 
+/// Exact quantile of a sorted sample vector, interpolating linearly between
+/// the two samples around rank `q * (n - 1)`; 0 when empty.
+double QuantileOf(const std::vector<double>& sorted, double q);
+
 /// Per-stage latency aggregate over recorded stage spans; quantiles are
 /// exact (sorted-sample), not bucketed, so stage sums reconcile with
 /// end-to-end latency.

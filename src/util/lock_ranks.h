@@ -33,10 +33,12 @@ inline constexpr int kCorePipelineWeb = 12;  // CityPipeline::web_mu_
 inline constexpr int kResilienceHealth = 20;   // HealthRegistry::mu_
 inline constexpr int kResilienceBreaker = 22;  // CircuitBreaker::mu_
 
-// mq — broker control plane, per-partition data plane, consumer groups.
+// mq — broker control plane, per-partition data plane, consumer groups,
+// and the per-topic consumer wake-up (a leaf: never held with another lock).
 inline constexpr int kMqCluster = 30;    // BrokerCluster::mu_
 inline constexpr int kMqPartition = 31;  // BrokerCluster::Partition::partition_mu
 inline constexpr int kMqGroups = 34;     // GroupCoordinator::mu_
+inline constexpr int kMqDoorbell = 36;   // Doorbell::mu_
 
 // store — wide-column, document, and LSM engines. Writer-side locks rank
 // before the brief version/map pin locks so a writer may publish a new

@@ -30,6 +30,7 @@
 // per-module lock hierarchy and scripts/check_static.sh for the gate that
 // runs the analysis together with clang-tidy and the sanitizer matrix.
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -285,6 +286,13 @@ class CondVar {
   /// Atomically releases `mu` and suspends; re-acquires before returning.
   /// Callers loop on their predicate as with any condition variable.
   void Wait(Mutex& mu) METRO_REQUIRES(mu) { cv_.wait(mu); }
+
+  /// `Wait`, giving up at `deadline`. False once the deadline has passed; a
+  /// true return may still be spurious.
+  bool WaitUntil(Mutex& mu, std::chrono::steady_clock::time_point deadline)
+      METRO_REQUIRES(mu) {
+    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
+  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/infrastructure.h"
 #include "core/pipeline.h"
 
@@ -173,6 +175,60 @@ TEST(PipelineTest, DrainIsBoundedWhenQuorumNeverRecovers) {
     ASSERT_TRUE(pipeline.log().KillNode(n).ok());
   }
   EXPECT_FALSE(pipeline.Drain(20 * kMillisecond));
+}
+
+// Blocks until a consumer is registered on `topic`'s doorbell, i.e. found
+// nothing to fetch and is parking.
+void AwaitParkedConsumer(CityPipeline& pipeline, const std::string& topic) {
+  const mq::Doorbell& bell = *pipeline.log().TopicDoorbell(topic).value();
+  while (bell.sleepers() == 0) std::this_thread::yield();
+}
+
+TEST(PipelineTest, StopIsPromptWhenEveryConsumerIsParked) {
+  WallClock& clock = WallClock::Instance();
+  CityPipeline pipeline(clock);
+  for (const char* name : {"a", "b", "c"}) {
+    CityPipeline::TopicSpec spec;
+    spec.topic = name;
+    ASSERT_TRUE(pipeline.AddTopic(std::move(spec)).ok());
+  }
+  ASSERT_TRUE(pipeline.Start().ok());
+  for (const char* name : {"a", "b", "c"}) AwaitParkedConsumer(pipeline, name);
+  // Nothing rings an idle topic: the 0.5 ms park cap is what lets a parked
+  // consumer see the stop request.
+  const Stopwatch watch;
+  pipeline.Stop();
+  EXPECT_LT(watch.ElapsedNs(), 250 * kMillisecond);
+}
+
+TEST(PipelineTest, ConsumerParkedOnLeaderlessPartitionResumesAfterRevive) {
+  WallClock& clock = WallClock::Instance();
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  CityPipeline pipeline(clock, config);
+  CityPipeline::TopicSpec spec;
+  spec.topic = "t";
+  spec.partitions = 1;
+  ASSERT_TRUE(pipeline.AddTopic(std::move(spec)).ok());
+  store::Document doc;
+  doc["x"] = std::int64_t(1);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pipeline.log().Produce("t", "", EncodeDocument(doc)).ok());
+  }
+  // The only broker dies before the consumer starts: its fetches fail with
+  // kUnavailable and it parks with the backlog unread.
+  ASSERT_TRUE(pipeline.log().KillNode(0).ok());
+  ASSERT_TRUE(pipeline.Start().ok());
+  while (pipeline.Stats().fetch_retries == 0) std::this_thread::yield();
+  AwaitParkedConsumer(pipeline, "t");
+  EXPECT_EQ(pipeline.Stats().records_consumed, 0);
+
+  ASSERT_TRUE(pipeline.log().ReviveNode(0).ok());
+  EXPECT_TRUE(pipeline.Drain());
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.Stats().records_consumed, 10);
+  EXPECT_EQ(pipeline.Stats().documents_stored, 10);
 }
 
 TEST(PipelineTest, AddTopicAfterStartRejected) {

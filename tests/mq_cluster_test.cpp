@@ -2,12 +2,14 @@
 // quorum-acked produce, leader failover, unclean-election prevention, the
 // idempotent produce path, bounded backlogs, consumer-group redelivery
 // across failover, the chaos acceptance run (random node kills with zero
-// acked-record loss and no duplicate delivery), and the concurrency run
-// (producers, a consumer and node kills racing on one wall-clock cluster).
+// acked-record loss and no duplicate delivery), the concurrency run
+// (producers, a consumer and node kills racing on one wall-clock cluster),
+// and the consumer wake-up doorbell.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -675,6 +677,117 @@ TEST(BrokerClusterTest, JustEvictedSequenceRetryFailsLoudNeverDuplicateAck) {
   const std::int64_t after_end = cluster.GetPartitionInfo("t", 0)->end_offset;
   EXPECT_EQ(after_end - before_end,
             std::int64_t(SequenceTable::kMaxTracked) + 1);
+}
+
+// ------------------------------------------------------------- Doorbell
+
+// Parks a waiter on `topic`'s doorbell in its own thread, runs `poke` once
+// the waiter has registered, and returns whether the park ended on a ring
+// (true) or on `cap` (false).
+bool ParkThenPoke(BrokerCluster& cluster, const std::string& topic,
+                  TimeNs cap, const std::function<void()>& poke) {
+  Doorbell& bell = *cluster.TopicDoorbell(topic).value();
+  std::atomic<bool> rung{false};
+  std::jthread waiter([&] {
+    Doorbell::Waiter registration(bell);
+    rung.store(registration.Park(cap));
+  });
+  while (bell.sleepers() == 0) std::this_thread::yield();
+  // Let the waiter reach its park before poking.
+  const TimeNs until = WallClock::Instance().Now() + kMillisecond;
+  while (WallClock::Instance().Now() < until) std::this_thread::yield();
+  poke();
+  waiter.join();
+  return rung.load();
+}
+
+TEST(DoorbellTest, ProduceToAnyPartitionWakesParkedWaiter) {
+  BrokerCluster cluster(WallClock::Instance());
+  ASSERT_TRUE(cluster.CreateTopic("t", 3).ok());
+  for (int p = 0; p < 3; ++p) {
+    const Stopwatch watch;
+    EXPECT_TRUE(ParkThenPoke(cluster, "t", 10 * kSecond, [&] {
+      EXPECT_TRUE(cluster.ProduceTo("t", p, "k", "v").ok());
+    })) << "partition " << p;
+    EXPECT_LT(watch.ElapsedNs(), 5 * kSecond) << "partition " << p;
+  }
+  EXPECT_EQ((*cluster.TopicDoorbell("t"))->sleepers(), 0);
+}
+
+TEST(DoorbellTest, LeaderElectedOnRevivalWakesParkedWaiter) {
+  BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  BrokerCluster cluster(WallClock::Instance(), config);
+  ASSERT_TRUE(cluster.CreateTopic("t", 2).ok());
+  ASSERT_TRUE(cluster.ProduceTo("t", 1, "k", "v").ok());
+  ASSERT_TRUE(cluster.KillNode(0).ok());
+  EXPECT_TRUE(ParkThenPoke(cluster, "t", 10 * kSecond, [&] {
+    EXPECT_TRUE(cluster.ReviveNode(0).ok());
+  }));
+}
+
+TEST(DoorbellTest, ProduceToAnotherTopicDoesNotWakeWaiter) {
+  BrokerCluster cluster(WallClock::Instance());
+  ASSERT_TRUE(cluster.CreateTopic("a", 2).ok());
+  ASSERT_TRUE(cluster.CreateTopic("b", 2).ok());
+  EXPECT_FALSE(ParkThenPoke(cluster, "a", 50 * kMillisecond, [&] {
+    EXPECT_TRUE(cluster.ProduceTo("b", 0, "k", "v").ok());
+    EXPECT_TRUE(cluster.ProduceTo("b", 1, "k", "v").ok());
+  }));
+}
+
+// A producer and a consumer take turns: the producer appends one record and
+// waits until the consumer has seen it; the consumer checks, registers,
+// re-checks and parks. A lost wake-up would leave the consumer parked until
+// its 10 s cap with the record already appended.
+TEST(DoorbellTest, PingPongLosesNoWakeUp) {
+  constexpr int kRounds = 10000;
+  constexpr int kPartitions = 2;
+  BrokerCluster cluster(WallClock::Instance());
+  ASSERT_TRUE(cluster.CreateTopic("t", kPartitions).ok());
+  Doorbell& bell = *cluster.TopicDoorbell("t").value();
+  std::atomic<std::int64_t> seen{0};
+  int expiries = 0;
+  std::jthread consumer([&](std::stop_token stop) {
+    // Records appended to the topic; each read takes the partition lock
+    // the producer appends under, as a consumer's fetch does.
+    const auto appended = [&] {
+      std::int64_t total = 0;
+      for (int p = 0; p < kPartitions; ++p) {
+        total += cluster.GetPartitionInfo("t", p)->end_offset;
+      }
+      return total;
+    };
+    std::int64_t have = 0;
+    while (have < kRounds && !stop.stop_requested()) {
+      std::int64_t now = appended();
+      if (now == have) {
+        Doorbell::Waiter waiter(bell);
+        now = appended();
+        if (now == have) {
+          if (!waiter.Park(10 * kSecond)) ++expiries;
+          continue;
+        }
+      }
+      have = now;
+      seen.store(have, std::memory_order_release);
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    const auto ack = cluster.ProduceTo("t", i % kPartitions, "k", "v");
+    if (!ack.ok()) {
+      ADD_FAILURE() << ack.status().message();
+      break;
+    }
+    while (seen.load(std::memory_order_acquire) <= i) {
+      std::this_thread::yield();
+    }
+  }
+  consumer.request_stop();  // reached only early if a produce failed
+  consumer.join();
+  EXPECT_EQ(seen.load(), kRounds);
+  EXPECT_EQ(expiries, 0);
 }
 
 // ------------------------------------------------------------ Concurrency

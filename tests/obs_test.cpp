@@ -276,9 +276,11 @@ TEST(PipelineTracingTest, EveryRecordYieldsOneTraceCoveringAllStages) {
   const std::vector<std::string> kStages = {"produce", "mq.queue", "store",
                                             "analyze", "web"};
   int complete = 0;
+  std::vector<double> e2e_ms;
   for (const auto& t : traces) {
     if (t.stage_ns.count("web") == 0) continue;
     ++complete;
+    e2e_ms.push_back(double(t.total()) / double(kMillisecond));
     for (const auto& stage : kStages) {
       EXPECT_EQ(t.stage_ns.count(stage), 1u)
           << "trace " << t.trace_id << " missing stage " << stage;
@@ -302,6 +304,12 @@ TEST(PipelineTracingTest, EveryRecordYieldsOneTraceCoveringAllStages) {
   EXPECT_FALSE(stats.stage_latency.empty());
   EXPECT_GT(stats.mean_latency_ms, 0.0);
   EXPECT_GE(stats.p99_latency_ms, stats.mean_latency_ms);
+  // The p99 is taken over the same per-trace extents: at least their
+  // median, at most the slowest.
+  std::sort(e2e_ms.begin(), e2e_ms.end());
+  ASSERT_FALSE(e2e_ms.empty());
+  EXPECT_GE(stats.p99_latency_ms, e2e_ms[e2e_ms.size() / 2]);
+  EXPECT_LE(stats.p99_latency_ms, e2e_ms.back());
 }
 
 TEST(PipelineTracingTest, ProduceContinuesCallerTrace) {
