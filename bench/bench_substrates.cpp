@@ -95,24 +95,35 @@ void BM_MqProduce(benchmark::State& state) {
 BENCHMARK(BM_MqProduce);
 
 void BM_MqFetchBatch128(benchmark::State& state) {
+  // 800 batches of 128 records; each iteration fetches one whole batch.
+  constexpr std::int64_t kBatches = 800;
+  constexpr std::int64_t kEnd = kBatches * 128;
   SimClock clock;
   mq::BrokerCluster broker(clock, {.nodes = 1, .replication_factor = 1});
   (void)broker.CreateTopic("t", 1);
   Rng rng(5);
-  for (int i = 0; i < 100'000; ++i) {
-    const auto ack = broker.ProduceTo("t", 0, "", RandomValue(rng, 128));
-    if (!ack.ok()) {
-      state.SkipWithError(ack.status().ToString().c_str());
+  mq::RecordBatchBuilder builder;
+  for (std::int64_t b = 0; b < kBatches; ++b) {
+    for (int i = 0; i < 128; ++i) builder.Add("", RandomValue(rng, 128));
+    const auto request = broker.PrepareBatch(0, "t", 0, builder);
+    if (!request.ok() || !broker.Produce(*request).ok()) {
+      state.SkipWithError("filling the partition failed");
       return;
     }
   }
   std::int64_t offset = 0;
+  std::int64_t delivered = 0;
   for (auto _ : state) {
-    auto records = broker.Fetch("t", 0, offset, 128);
-    offset = (offset + 128) % 90'000;
-    benchmark::DoNotOptimize(records->size());
+    const auto view = broker.FetchBatch("t", 0, offset, 128);
+    if (!view.ok()) {
+      state.SkipWithError(view.status().ToString().c_str());
+      break;
+    }
+    delivered += std::int64_t(view->size());
+    offset = view->next_offset() % kEnd;
+    benchmark::DoNotOptimize(view->size());
   }
-  state.SetItemsProcessed(state.iterations() * 128);
+  state.SetItemsProcessed(delivered);
 }
 BENCHMARK(BM_MqFetchBatch128);
 

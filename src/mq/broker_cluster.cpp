@@ -86,18 +86,13 @@ Status DivergenceError(const ProduceBatchRequest& request,
                        cause.message());
 }
 
-// The single-record shim's one-record batch, built before any lock is
-// taken.
-ProduceBatchRequest OneRecordBatch(const ProduceRequest& request) {
+// The batch behind a single-record produce, built before any lock is taken.
+std::shared_ptr<RecordBatch> OneRecord(const std::string& key,
+                                       const std::string& value,
+                                       const Headers& headers) {
   RecordBatchBuilder builder;
-  builder.Add(request.key, request.value, request.headers);
-  ProduceBatchRequest batched;
-  batched.topic = request.topic;
-  batched.partition = request.partition;
-  batched.producer_id = request.producer_id;
-  batched.first_sequence = request.sequence;
-  batched.batch = builder.Build();
-  return batched;
+  builder.Add(key, value, headers);
+  return builder.Build();
 }
 
 }  // namespace
@@ -277,31 +272,35 @@ ProducerId BrokerCluster::CreateProducer() {
   return next_producer_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-Result<ProduceRequest> BrokerCluster::Prepare(ProducerId producer,
-                                              const std::string& topic,
-                                              std::string key,
-                                              std::string value,
-                                              Headers headers) {
-  Topic* t = FindTopic(topic);
-  if (t == nullptr) return UnknownTopicError(topic);
-  if (!KnownProducer(producer)) return UnknownProducerError(producer);
-  ProduceRequest request;
+ProduceBatchRequest BrokerCluster::Pin(ProducerId producer,
+                                       const std::string& topic,
+                                       Partition& part, int partition,
+                                       std::shared_ptr<RecordBatch> batch) {
+  ProduceBatchRequest request;
   request.topic = topic;
-  request.partition = PickPartition(*t, key);
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
+  request.partition = partition;
+  request.batch = std::move(batch);
   if (producer > 0) {
-    Partition& part = t->partitions[std::size_t(request.partition)];
     MutexLock lock(part.partition_mu);
     request.producer_id = producer;
-    request.sequence = part.next_sequence[producer]++;
+    std::int64_t& next = part.next_sequence[producer];
+    request.first_sequence = next;
+    next += std::int64_t(request.batch->size());
   }
   return request;
 }
 
-Result<ProduceAck> BrokerCluster::Produce(const ProduceRequest& request) {
-  return Produce(OneRecordBatch(request));
+Result<ProduceBatchRequest> BrokerCluster::Prepare(ProducerId producer,
+                                                   const std::string& topic,
+                                                   std::string key,
+                                                   std::string value,
+                                                   Headers headers) {
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return UnknownTopicError(topic);
+  if (!KnownProducer(producer)) return UnknownProducerError(producer);
+  const int partition = PickPartition(*t, key);
+  return Pin(producer, topic, t->partitions[std::size_t(partition)],
+             partition, OneRecord(key, value, headers));
 }
 
 Result<ProduceBatchRequest> BrokerCluster::PrepareBatch(
@@ -311,19 +310,7 @@ Result<ProduceBatchRequest> BrokerCluster::PrepareBatch(
   auto found = FindPartition(topic, partition);
   if (!found.ok()) return found.status();
   if (!KnownProducer(producer)) return UnknownProducerError(producer);
-  ProduceBatchRequest request;
-  request.topic = topic;
-  request.partition = partition;
-  request.batch = builder.Build();
-  if (producer > 0) {
-    Partition& part = **found;
-    MutexLock lock(part.partition_mu);
-    request.producer_id = producer;
-    std::int64_t& next = part.next_sequence[producer];
-    request.first_sequence = next;
-    next += std::int64_t(request.batch->size());
-  }
-  return request;
+  return Pin(producer, topic, **found, partition, builder.Build());
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const ProduceBatchRequest& request) {
@@ -347,25 +334,19 @@ Result<ProduceAck> BrokerCluster::Produce(const std::string& topic,
                                           Headers headers) {
   Topic* t = FindTopic(topic);
   if (t == nullptr) return UnknownTopicError(topic);
-  ProduceRequest request;
-  request.topic = topic;
-  request.partition = PickPartition(*t, key);
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
-  return Produce(request);
+  const int partition = PickPartition(*t, key);
+  return ProduceTo(topic, partition, std::move(key), std::move(value),
+                   std::move(headers));
 }
 
 Result<ProduceAck> BrokerCluster::ProduceTo(const std::string& topic,
                                             int partition, std::string key,
                                             std::string value,
                                             Headers headers) {
-  ProduceRequest request;
+  ProduceBatchRequest request;
   request.topic = topic;
   request.partition = partition;
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
+  request.batch = OneRecord(key, value, headers);
   return Produce(request);
 }
 
@@ -437,8 +418,8 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
   for (std::size_t i = 0; i < part.isr.size(); ++i) {
     const int node = part.isr[i];
     if (node == part.leader) continue;
-    const Status replicated =
-        part.On(node).log.AppendReplicaBatch(request.batch);
+    const Status replicated = part.On(node).log.AppendReplicaBatch(
+        request.batch, std::size_t(count));
     if (!replicated.ok()) {
       lead.log.TruncateTo(base);
       for (std::size_t j = 0; j < i; ++j) {
@@ -472,18 +453,6 @@ METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
   ack.count = count;
   ack.timestamp = request.batch->timestamp();
   return ack;
-}
-
-Result<std::vector<Record>> BrokerCluster::Fetch(const std::string& topic,
-                                                 int partition,
-                                                 std::int64_t offset,
-                                                 std::size_t max_records) const {
-  auto found = FindPartition(topic, partition);
-  if (!found.ok()) return found.status();
-  const Partition& part = **found;
-  MutexLock lock(part.partition_mu);
-  if (part.leader < 0) return NoLeaderError(topic, partition);
-  return part.On(part.leader).log.Fetch(offset, max_records, part.high_water);
 }
 
 METRO_NOALLOC Result<BatchView> BrokerCluster::FetchBatch(
@@ -637,56 +606,51 @@ Status BrokerCluster::KillNode(int node) {
   return Status::Ok();
 }
 
+Status BrokerNode::Replica::ResyncFrom(const Replica& leader) {
+  // A follower can never be ahead of the leader (appends are synchronous
+  // across the ISR), but truncate defensively before sharing the suffix.
+  log.TruncateTo(leader.log.end_offset());
+  if (log.end_offset() < leader.log.begin_offset()) {
+    // The follower's window fell entirely behind the leader's retention
+    // floor; restart it from the floor. Dedup state from records older than
+    // the retained window is rebuilt only from what the leader still holds.
+    log.Reset(leader.log.begin_offset());
+    sequences.Clear();
+  }
+  while (log.end_offset() < leader.log.end_offset()) {
+    const std::int64_t off = log.end_offset();
+    // The leader segment holding `off`, at its retained count: a segment
+    // `TruncateTo` shortened is shared short.
+    const BatchView seg = leader.log.SegmentAt(off);
+    METRO_CHECK(!seg.empty(), "leader retains no segment at %lld",
+                (long long)off);
+    const std::int64_t base = seg.batch()->base_offset();
+    if (base != off) {
+      // The follower's end falls inside this leader segment: drop its
+      // partial copy and share the segment whole. Retention trims every
+      // replica's front by the same whole batches, so the follower's floor
+      // never lies inside a leader segment and the truncation reaches `base`.
+      log.TruncateTo(base);
+      METRO_CHECK(log.end_offset() == base,
+                  "follower floor %lld inside the leader segment at %lld",
+                  (long long)log.begin_offset(), (long long)base);
+      continue;
+    }
+    METRO_RETURN_IF_ERROR(log.AppendReplicaBatch(seg.batch(), seg.size()));
+    sequences.ObserveRange(seg.batch()->producer_id(),
+                           seg.batch()->first_sequence(),
+                           std::int64_t(seg.size()), base);
+  }
+  return Status::Ok();
+}
+
 void BrokerCluster::ResyncReplicaLocked(const std::string& topic, int index,
                                         Partition& part, int node,
                                         std::vector<ClusterEvent>& events) {
   if (Contains(part.isr, node)) return;
-  const BrokerNode::Replica& lead = part.On(part.leader);
-  BrokerNode::Replica& rep = part.On(node);
-  // A follower can never be ahead of the leader (appends are synchronous
-  // across the ISR), but truncate defensively before copying the suffix.
-  rep.log.TruncateTo(lead.log.end_offset());
-  if (rep.log.end_offset() < lead.log.begin_offset()) {
-    // The follower's window fell entirely behind the leader's retention
-    // floor; restart it from the floor. Dedup state from records older than
-    // the retained window is rebuilt only from what the leader still holds.
-    rep.log.Reset(lead.log.begin_offset());
-    rep.sequences.Clear();
-  }
-  std::int64_t off = rep.log.end_offset();
-  while (off < lead.log.end_offset()) {
-    // Zero-copy resync: share the leader's retained segment whenever the
-    // follower's cursor sits on a whole-batch boundary — the common case,
-    // since both sides append batch-at-a-time.
-    if (std::shared_ptr<const RecordBatch> seg = lead.log.BatchAt(off)) {
-      const std::int64_t next = seg->end_offset();
-      if (!rep.log.AppendReplicaBatch(seg).ok()) {
-        // Divergent follower state: abort the resync before observing any
-        // dedup state. The follower stays out of the ISR and the next
-        // heartbeat round retries from its (unchanged) end offset.
-        return;
-      }
-      rep.sequences.ObserveRange(seg->producer_id(), seg->first_sequence(),
-                                 std::int64_t(seg->size()), off);
-      off = next;
-      continue;
-    }
-    // Cold fallback (the cursor landed mid-batch after a defensive
-    // truncation): copy record-by-record until the next batch boundary.
-    const std::optional<RecordView> rv = lead.log.ViewAt(off);
-    if (!rv) break;  // unreachable: [end, lead end) is retained
-    Record rec;
-    rec.offset = rv->offset();
-    rec.timestamp = rv->timestamp();
-    rec.key = std::string(rv->key());
-    rec.value = std::string(rv->value());
-    rec.headers = rv->CopyHeaders();
-    rec.producer_id = rv->producer_id();
-    rec.sequence = rv->sequence();
-    rep.sequences.Observe(rec);
-    if (!rep.log.AppendReplica(std::move(rec)).ok()) return;  // retry later
-    ++off;
-  }
+  // Divergent follower state: the follower stays out of the ISR and the
+  // next revive retries from its end offset.
+  if (!part.On(node).ResyncFrom(part.On(part.leader)).ok()) return;
   // Rejoin the ISR, keeping it in replica (preferred-leader) order.
   std::vector<int> isr;
   for (const int r : part.replicas) {

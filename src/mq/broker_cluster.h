@@ -40,7 +40,7 @@
 //   * Data plane — one lock per partition (`mq.partition`). It guards the
 //     partition's leader, ISR, final ISR, high-water mark, per-producer
 //     sequence counters, and the logs and dedup tables of all its replicas.
-//     Prepare, Produce, Fetch/FetchBatch, partition metadata reads and the
+//     Prepare, Produce, FetchBatch, partition metadata reads and the
 //     high-water read of CommitOffset take only their partition's lock, so
 //     producers on different partitions never wait on each other. Topics
 //     are found through an immutable name table published by atomic
@@ -109,6 +109,14 @@ class BrokerNode {
   struct Replica {
     PartitionLog log;
     SequenceTable sequences;
+
+    /// Brings this (follower) replica level with `leader`: truncates any
+    /// suffix the leader lacks, then shares the leader's segments from this
+    /// log's end onward — whole batches, by reference — folding each
+    /// shared range into `sequences`. An end inside a leader segment is
+    /// first truncated back to that segment's base. A failed append leaves
+    /// the replica behind the leader (retry later).
+    Status ResyncFrom(const Replica& leader);
   };
 
   /// The replica for `tp`, created on first use. The reference stays valid
@@ -152,21 +160,8 @@ struct ClusterEvent {
 
 std::string_view ClusterEventKindName(ClusterEvent::Kind kind);
 
-/// A pinned, retry-safe produce: partition and idempotence identity are
-/// assigned once by `Prepare`, so re-submitting the same request after a
-/// transient failure (or across a leader failover) cannot duplicate.
-struct ProduceRequest {
-  std::string topic;
-  int partition = 0;
-  std::string key;
-  std::string value;
-  Headers headers;
-  ProducerId producer_id = 0;
-  std::int64_t sequence = -1;
-};
-
-/// A pinned, retry-safe batched produce (see `PrepareBatch`). The batch's
-/// payload arena is built once by the caller; the broker appends it to the
+/// A pinned, retry-safe produce (see `Prepare` / `PrepareBatch`). The
+/// batch's payload arena is built once; the broker appends it to the
 /// leader and shares it into every ISR replica by reference. Resubmitting
 /// the same request after a transient failure (or across a leader failover)
 /// cannot duplicate: the sequence range `[first_sequence,
@@ -232,19 +227,14 @@ class BrokerCluster {
   /// Registers an idempotent producer and returns its id.
   ProducerId CreateProducer();
 
-  /// Builds a pinned request: picks the partition (as `Produce` does) and,
-  /// for a registered producer, assigns the next per-partition sequence
-  /// number. The request may then be submitted through `Produce(request)`
-  /// any number of times — exactly one append results.
-  Result<ProduceRequest> Prepare(ProducerId producer, const std::string& topic,
-                                 std::string key, std::string value,
-                                 Headers headers = {});
-
-  /// Submits a prepared request. acks=quorum: fails with kUnavailable when
-  /// the partition has no leader or the ISR is below quorum (retry after
-  /// failover), with kResourceExhausted when the backlog bound is hit.
-  /// Implemented as a one-record batch through the batched path below.
-  Result<ProduceAck> Produce(const ProduceRequest& request);
+  /// Builds a pinned one-record request: picks the partition (as
+  /// `Produce` does), builds the record's batch once and, for a registered
+  /// producer, assigns the next per-partition sequence number. Submitted
+  /// through `Produce(request)` as `PrepareBatch`'s requests are.
+  Result<ProduceBatchRequest> Prepare(ProducerId producer,
+                                      const std::string& topic,
+                                      std::string key, std::string value,
+                                      Headers headers = {});
 
   /// Builds a pinned batched request to an explicit partition from the
   /// records accumulated in `builder` (at least one). For a registered
@@ -258,21 +248,27 @@ class BrokerCluster {
                                            int partition,
                                            RecordBatchBuilder& builder);
 
-  /// Submits a pinned batched request: quorum-acked, idempotent over the
-  /// whole sequence range, appended to the leader and shared (not copied)
-  /// into every ISR replica. Error space matches the single-record path,
-  /// plus kFailedPrecondition for a partially-appended range
-  /// (`mq.sequence_overlap`) and for resubmitting an already-committed
-  /// non-idempotent batch. Steady state is allocation-free end to end.
+  /// Submits a pinned request: quorum-acked, idempotent over the whole
+  /// sequence range, appended to the leader and shared (not copied) into
+  /// every ISR replica. kUnavailable when the partition has no leader or
+  /// the ISR is below quorum (retry after failover); kResourceExhausted at
+  /// the backlog bound; kFailedPrecondition for a partially-appended range
+  /// (`mq.sequence_overlap`), a range below the idempotence window, or a
+  /// resubmitted, already-committed non-idempotent batch. Steady state is
+  /// allocation-free end to end.
   Result<ProduceAck> Produce(const ProduceBatchRequest& request);
 
   // --- fetch / metadata ---
 
-  /// Reads up to `max_records` from the leader, never past the high-water
-  /// mark. kUnavailable when the partition has no leader. An offset at the
-  /// high-water mark returns an empty vector (not an error); one below the
-  /// retention floor or past the log end fails with kOutOfRange (the
-  /// boundary contract in partition_log.h).
+  /// Zero-copy fetch: a shared view of up to `max_records` from the leader,
+  /// never past the high-water mark and never across a batch boundary (the
+  /// caller advances to `view.next_offset()` and fetches again; an empty
+  /// view means "parked at the high-water mark"). kUnavailable when the
+  /// partition has no leader; an offset below the retention floor or past
+  /// the log end fails with kOutOfRange (the boundary contract in
+  /// partition_log.h). The view keeps the underlying immutable batch alive,
+  /// so it remains valid after the call returns — even across retention or
+  /// failover.
   ///
   /// Reset policy: a consumer whose next offset has been retired by
   /// retention gets kOutOfRange and is expected to reset to the current
@@ -280,17 +276,6 @@ class BrokerCluster {
   /// records — the records are gone; re-fetching older offsets cannot bring
   /// them back. See core::CityPipeline's consumer loop for the reference
   /// implementation.
-  Result<std::vector<Record>> Fetch(const std::string& topic, int partition,
-                                    std::int64_t offset,
-                                    std::size_t max_records) const;
-
-  /// Zero-copy fetch: a shared view of up to `max_records` from the leader,
-  /// never past the high-water mark and never across a batch boundary (the
-  /// caller advances to `view.next_offset()` and fetches again; an empty
-  /// view means "parked at the high-water mark"). Same error space and
-  /// retention reset policy as `Fetch`. The view keeps the underlying
-  /// immutable batch alive, so it remains valid after the call returns —
-  /// even across retention or failover.
   Result<BatchView> FetchBatch(const std::string& topic, int partition,
                                std::int64_t offset,
                                std::size_t max_records) const;
@@ -407,12 +392,18 @@ class BrokerCluster {
   /// round-robin); never fails. Keyless picks briefly take each candidate
   /// partition's lock to read its leader.
   int PickPartition(Topic& topic, const std::string& key);
+  /// Pins `batch` to `partition` (whose state is `part`) and, for a
+  /// registered producer, assigns it the next `batch->size()` sequences.
+  ProduceBatchRequest Pin(ProducerId producer, const std::string& topic,
+                          Partition& part, int partition,
+                          std::shared_ptr<RecordBatch> batch);
   /// The batched produce path: dedup (whole range), backlog bound, seal,
   /// leader append, shared replication, sequence-range observation.
   Result<ProduceAck> ProduceBatchLocked(Partition& part,
                                         const ProduceBatchRequest& request)
       METRO_REQUIRES(part.partition_mu);
-  /// Copies the leader's suffix into `node`'s replica and rejoins the ISR.
+  /// Resyncs `node`'s replica from the leader's (`Replica::ResyncFrom`) and
+  /// rejoins the ISR.
   void ResyncReplicaLocked(const std::string& topic, int index,
                            Partition& part, int node,
                            std::vector<ClusterEvent>& events)

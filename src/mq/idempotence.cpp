@@ -53,17 +53,16 @@ SequenceTable::Probe SequenceTable::CheckRange(ProducerId producer,
   return probe;
 }
 
-void SequenceTable::Observe(const Record& record) {
-  if (record.producer_id <= 0 || record.sequence < 0) return;
-  ProducerState& state = producers_[record.producer_id];
-  if (record.sequence <= state.contiguous ||
-      state.appended.count(record.sequence) > 0) {
+void SequenceTable::Observe(ProducerId producer, std::int64_t sequence,
+                            std::int64_t offset) {
+  ProducerState& state = producers_[producer];
+  if (sequence <= state.contiguous || state.appended.count(sequence) > 0) {
     return;  // already folded in (resync replays retained records)
   }
-  state.appended.insert(record.sequence);
-  if (record.sequence > state.last_sequence) {
-    state.last_sequence = record.sequence;
-    state.last_offset = record.offset;
+  state.appended.insert(sequence);
+  if (sequence > state.last_sequence) {
+    state.last_sequence = sequence;
+    state.last_offset = offset;
   }
   // Collapse the contiguous prefix into the floor; in the common in-order
   // case the set holds at most one element at a time.
@@ -113,12 +112,8 @@ METRO_NOALLOC void SequenceTable::ObserveRange(ProducerId producer,
 void SequenceTable::ObserveRangeSlow(ProducerId producer, std::int64_t first,
                                      std::int64_t count,
                                      std::int64_t base_offset) {
-  Record rec;
-  rec.producer_id = producer;
   for (std::int64_t i = 0; i < count; ++i) {
-    rec.sequence = first + i;
-    rec.offset = base_offset + i;
-    Observe(rec);
+    Observe(producer, first + i, base_offset + i);
   }
 }
 

@@ -31,7 +31,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "mq/partition_log.h"
 #include "util/analysis.h"
 
 namespace metro::mq {
@@ -77,14 +76,13 @@ class SequenceTable {
   Probe CheckRange(ProducerId producer, std::int64_t first,
                    std::int64_t count) const;
 
-  /// Folds an appended record into the table (leader append and follower
-  /// replication both call this, keeping tables identical across the ISR).
-  void Observe(const Record& record);
-
   /// Folds an appended batch — sequences `[first, first + count)` landed at
-  /// offsets `[base_offset, base_offset + count)`. The in-order fast path
-  /// (the next contiguous range, no gaps outstanding) is allocation-free;
-  /// gap bookkeeping and first contact from a producer take the cold path.
+  /// offsets `[base_offset, base_offset + count)`. Leader append and
+  /// follower replication/resync both call this, keeping the tables
+  /// identical across the ISR; folding a range again is a no-op. The
+  /// in-order fast path (the next contiguous range, no gaps outstanding) is
+  /// allocation-free; gap bookkeeping and first contact from a producer
+  /// take the cold path.
   void ObserveRange(ProducerId producer, std::int64_t first,
                     std::int64_t count, std::int64_t base_offset);
 
@@ -106,6 +104,9 @@ class SequenceTable {
   /// a producer's first contact (creates the map entry).
   void ObserveRangeSlow(ProducerId producer, std::int64_t first,
                         std::int64_t count, std::int64_t base_offset);
+  /// Folds one appended sequence, landed at `offset`.
+  void Observe(ProducerId producer, std::int64_t sequence,
+               std::int64_t offset);
 
   std::unordered_map<ProducerId, ProducerState> producers_;
 };

@@ -33,11 +33,11 @@ void PartitionLog::GrowRing() {
 }
 
 METRO_NOALLOC void PartitionLog::PlaceBatch(
-    std::shared_ptr<const RecordBatch> batch) {
+    std::shared_ptr<const RecordBatch> batch, std::size_t count) {
   if (seg_count_ == ring_.size()) GrowRing();  // cold: amortized wrap
   Segment& slot = ring_[(head_ + seg_count_) % ring_.size()];
   slot.first_offset = end_offset_;
-  slot.count = std::uint32_t(batch->size());
+  slot.count = std::uint32_t(count);
   end_offset_ += std::int64_t(slot.count);
   slot.batch = std::move(batch);
   ++seg_count_;
@@ -51,18 +51,22 @@ METRO_NOALLOC std::int64_t PartitionLog::AppendBatch(
               "batch sealed at base %lld but log ends at %lld",
               (long long)batch->base_offset(), (long long)end_offset_);
   const std::int64_t base = end_offset_;
-  PlaceBatch(std::move(batch));
+  const std::size_t count = batch->size();
+  PlaceBatch(std::move(batch), count);
   return base;
 }
 
 METRO_NOALLOC Status PartitionLog::AppendReplicaBatch(
-    std::shared_ptr<const RecordBatch> batch) {
+    std::shared_ptr<const RecordBatch> batch, std::size_t count) {
   if (batch == nullptr || !batch->sealed() ||
       batch->base_offset() != end_offset_) {
     return ReplicaGapError(batch == nullptr ? -1 : batch->base_offset(),
                            end_offset_);
   }
-  PlaceBatch(std::move(batch));
+  METRO_CHECK(count > 0 && count <= batch->size(),
+              "replica append of %zu records from a batch of %zu", count,
+              batch->size());
+  PlaceBatch(std::move(batch), count);
   return Status::Ok();
 }
 
@@ -103,59 +107,11 @@ METRO_NOALLOC Result<BatchView> PartitionLog::FetchBatch(
                    offset + take);
 }
 
-std::shared_ptr<const RecordBatch> PartitionLog::BatchAt(
-    std::int64_t offset) const {
+BatchView PartitionLog::SegmentAt(std::int64_t offset) const {
   const Segment* seg = SegmentFor(offset);
-  if (seg == nullptr || seg->first_offset != offset) return nullptr;
-  if (std::size_t(seg->count) != seg->batch->size()) return nullptr;
-  return seg->batch;
-}
-
-std::optional<RecordView> PartitionLog::ViewAt(std::int64_t offset) const {
-  const Segment* seg = SegmentFor(offset);
-  if (seg == nullptr) return std::nullopt;
-  return seg->batch->view(std::size_t(offset - seg->first_offset));
-}
-
-Status PartitionLog::AppendReplica(Record record) {
-  if (record.offset != end_offset_) {
-    return ReplicaGapError(record.offset, end_offset_);
-  }
-  RecordBatchBuilder builder;
-  builder.Add(record.key, record.value, record.headers);
-  std::shared_ptr<RecordBatch> batch = builder.Build();
-  batch->Seal(record.offset, record.timestamp, record.producer_id,
-              record.sequence);
-  return AppendReplicaBatch(std::move(batch));
-}
-
-Result<std::vector<Record>> PartitionLog::Fetch(std::int64_t offset,
-                                                std::size_t max_records,
-                                                std::int64_t limit) const {
-  if (offset < begin_offset_) return RetentionFloorError(offset, begin_offset_);
-  if (offset > end_offset_) return BeyondEndError(offset, end_offset_);
-  const std::int64_t readable = std::min(limit, end_offset_);
-  std::vector<Record> out;
-  std::int64_t cursor = offset;
-  while (cursor < readable && out.size() < max_records) {
-    auto view = FetchBatch(cursor, max_records - out.size(), readable);
-    const BatchView& bv = view.value();  // in-range by the checks above
-    if (bv.empty()) break;
-    for (std::size_t i = 0; i < bv.size(); ++i) {
-      const RecordView rv = bv[i];
-      Record rec;
-      rec.offset = rv.offset();
-      rec.timestamp = rv.timestamp();
-      rec.key = std::string(rv.key());
-      rec.value = std::string(rv.value());
-      rec.headers = rv.CopyHeaders();
-      rec.producer_id = rv.producer_id();
-      rec.sequence = rv.sequence();
-      out.push_back(std::move(rec));
-    }
-    cursor = bv.next_offset();
-  }
-  return out;
+  if (seg == nullptr) return BatchView(nullptr, 0, 0, offset);
+  return BatchView(seg->batch, 0, seg->count,
+                   seg->first_offset + std::int64_t(seg->count));
 }
 
 std::int64_t PartitionLog::EnforceRetention(TimeNs cutoff) {

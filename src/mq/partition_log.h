@@ -11,30 +11,28 @@
 // Storage is a ring of *segments*, each one `shared_ptr<const RecordBatch>`
 // (see record_batch.h). A replicated batch is therefore the SAME object on
 // every ISR member — replication and resync bump a refcount instead of
-// copying payload bytes — and fetches hand out `BatchView`s over it rather
-// than materialized `Record` copies. The single-record `AppendReplica` and
-// the materializing `Fetch` remain as compatibility shims over the batches.
+// copying payload bytes — and fetches hand out `BatchView`s over it. The
+// batch is the log's only record representation: nothing is materialized
+// record by record.
 //
-// Fetch boundary contract (shared by `Fetch` and `FetchBatch`, and relied
-// on by both the consumer path and revive-time replica resync in
-// broker_cluster.cpp):
+// Fetch boundary contract (relied on by both the consumer path and
+// revive-time replica resync in broker_cluster.cpp):
 //
 //   * `offset < begin_offset()`          -> kOutOfRange ("below retention
 //     floor"; the consumer's cursor points at trimmed history and must be
-//     reset — see `BrokerCluster::Fetch` for the reset policy).
+//     reset — see `BrokerCluster::FetchBatch` for the reset policy).
 //   * `offset > end_offset()`            -> kOutOfRange ("beyond end"; the
 //     cursor points past anything the log has ever assigned).
 //   * otherwise                          -> OK with the records in
-//     `[offset, min(limit, end_offset()))`, POSSIBLY EMPTY. In particular
-//     `offset == limit` (a consumer parked at the high-water mark) and
-//     `offset == end_offset()` with `limit < end_offset()` (a cursor at the
-//     unreplicated tail) both return empty-OK: the position is valid, there
-//     is simply nothing readable yet.
+//     `[offset, min(limit, end_offset()))` up to the end of the segment
+//     holding `offset`, POSSIBLY EMPTY. In particular `offset == limit` (a
+//     consumer parked at the high-water mark) and `offset == end_offset()`
+//     with `limit < end_offset()` (a cursor at the unreplicated tail) both
+//     return empty-OK: the position is valid, there is simply nothing
+//     readable yet.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "mq/record_batch.h"
@@ -43,22 +41,6 @@
 #include "util/status.h"
 
 namespace metro::mq {
-
-/// One record in a partition, materialized (the compatibility / convenience
-/// representation; the zero-copy path reads `RecordView`s instead).
-struct Record {
-  std::int64_t offset = 0;
-  TimeNs timestamp = 0;
-  std::string key;
-  std::string value;
-  Headers headers;
-  /// Idempotent-producer identity: the broker-assigned producer id and the
-  /// producer's per-partition sequence number, replicated with the record so
-  /// a failed-over leader rebuilds the dedup state from its log.
-  /// producer_id 0 / sequence -1 mean "not an idempotent produce".
-  std::int64_t producer_id = 0;
-  std::int64_t sequence = -1;
-};
 
 /// Per-partition high-water marks etc.
 struct PartitionInfo {
@@ -71,8 +53,7 @@ struct PartitionInfo {
 /// idempotent retry the broker suppressed — the records were already
 /// appended by an earlier attempt and `offset` is the original base offset
 /// when the broker still remembers it (-1 for older duplicates past the
-/// remembered window). `count` is the number of records acked (1 for the
-/// single-record API).
+/// remembered window). `count` is the number of records acked.
 struct ProduceAck {
   int partition = 0;
   std::int64_t offset = 0;
@@ -91,8 +72,6 @@ class PartitionLog {
   /// applies to.
   std::int64_t size() const { return end_offset_ - begin_offset_; }
 
-  // --- batched zero-copy path ---
-
   /// Appends a sealed batch as leader. The broker must have sealed it with
   /// `base_offset == end_offset()` (it owns offset assignment under its
   /// lock); violating that is a programming error (METRO_CHECK). Returns
@@ -100,11 +79,13 @@ class PartitionLog {
   /// ring grows only on the cold wrap path.
   std::int64_t AppendBatch(std::shared_ptr<const RecordBatch> batch);
 
-  /// Appends a sealed batch as follower: `batch->base_offset()` must equal
-  /// `end_offset()` (the replication stream is contiguous);
-  /// kFailedPrecondition otherwise. Shares the leader's batch — no payload
-  /// copy.
-  Status AppendReplicaBatch(std::shared_ptr<const RecordBatch> batch);
+  /// Appends the first `count` records of a sealed batch as follower:
+  /// `batch->base_offset()` must equal `end_offset()` (the replication
+  /// stream is contiguous); kFailedPrecondition otherwise. Shares the
+  /// leader's batch — no payload copy. `count` is the batch's size except
+  /// when resync shares a leader segment that `TruncateTo` shortened.
+  Status AppendReplicaBatch(std::shared_ptr<const RecordBatch> batch,
+                            std::size_t count);
 
   /// Reads a view of at most `max_records` from `offset`, never past
   /// `limit` (exclusive — the high-water mark for replicated reads) and
@@ -115,29 +96,11 @@ class PartitionLog {
   Result<BatchView> FetchBatch(std::int64_t offset, std::size_t max_records,
                                std::int64_t limit) const;
 
-  /// The whole retained batch whose base offset is exactly `offset`, for
-  /// zero-copy replica resync; nullptr when `offset` is not a retained
-  /// segment boundary or the segment was tail-truncated (resync falls back
-  /// to record-level copy).
-  std::shared_ptr<const RecordBatch> BatchAt(std::int64_t offset) const;
-
-  /// The record at `offset` viewed in place; nullopt outside the retained
-  /// window. The view borrows from the log — it is invalidated by
-  /// retention/truncation, so use it before releasing the broker lock.
-  std::optional<RecordView> ViewAt(std::int64_t offset) const;
-
-  // --- single-record compatibility path (one-record batches) ---
-
-  /// Appends as follower: `record.offset` must equal `end_offset()` (the
-  /// replication stream is contiguous); kFailedPrecondition otherwise.
-  Status AppendReplica(Record record);
-
-  /// Materializing fetch: same boundary contract as `FetchBatch`, but
-  /// copies up to `max_records` out as owning `Record`s (and, unlike
-  /// `FetchBatch`, crosses segment boundaries).
-  Result<std::vector<Record>> Fetch(std::int64_t offset,
-                                    std::size_t max_records,
-                                    std::int64_t limit) const;
+  /// The whole retained segment holding `offset`, for replica resync: a
+  /// view from the segment's base over its retained count (short of the
+  /// batch's size after a tail truncation). Empty outside the retained
+  /// window.
+  BatchView SegmentAt(std::int64_t offset) const;
 
   // --- retention / truncation ---
 
@@ -177,8 +140,9 @@ class PartitionLog {
   const Segment* SegmentFor(std::int64_t offset) const;
   /// Cold path: re-linearizes the ring into a larger backing vector.
   void GrowRing();
-  /// Places a validated batch at the tail (shared by leader/replica paths).
-  void PlaceBatch(std::shared_ptr<const RecordBatch> batch);
+  /// Places the first `count` records of a validated batch at the tail
+  /// (shared by leader/replica paths).
+  void PlaceBatch(std::shared_ptr<const RecordBatch> batch, std::size_t count);
 
   std::vector<Segment> ring_;  ///< circular; segments live at head_..+count
   std::size_t head_ = 0;

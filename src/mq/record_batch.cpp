@@ -56,18 +56,6 @@ std::optional<std::string_view> RecordView::FindHeader(
   return std::nullopt;
 }
 
-Headers RecordView::CopyHeaders() const {
-  CheckLive();
-  Headers out;
-  const RecordBatch::Entry& e = batch_->entries_[index_];
-  for (std::uint32_t i = 0; i < e.header_count; ++i) {
-    const RecordBatch::HeaderSlice& h = batch_->headers_[e.header_begin + i];
-    out.emplace(std::string(batch_->Text(h.key)),
-                std::string(batch_->Text(h.value)));
-  }
-  return out;
-}
-
 RecordBatchBuilder::RecordBatchBuilder(std::size_t reserve_bytes,
                                        std::size_t reserve_records)
     : reserve_bytes_(reserve_bytes), reserve_records_(reserve_records) {}

@@ -77,8 +77,6 @@ class RecordView {
   HeaderView header(std::size_t i) const;
   /// Linear scan for `key` (header counts are tiny); nullopt when absent.
   std::optional<std::string_view> FindHeader(std::string_view key) const;
-  /// Materializes the headers as an owning map (compat `Record` building).
-  Headers CopyHeaders() const;
 
  private:
   /// Aborts when the batch was (re-)Sealed after this view was minted: the
@@ -209,9 +207,9 @@ inline void RecordView::CheckLive() const {
 }
 
 /// Shared-owning view of a contiguous record range inside one batch — what
-/// `Fetch` hands across the broker lock. Holding the view keeps the batch
-/// (and therefore every `RecordView` into it) alive; the records themselves
-/// are never copied.
+/// `FetchBatch` hands across the broker lock. Holding the view keeps the
+/// batch (and therefore every `RecordView` into it) alive; the records
+/// themselves are never copied.
 class BatchView {
  public:
   BatchView() = default;

@@ -7,6 +7,7 @@
 
 #include "ingest/bulkload.h"
 #include "ingest/flume.h"
+#include "mq_drain.h"
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/sync.h"
@@ -194,18 +195,18 @@ TEST(ClusterSinkTest, IdenticalEventsKeepDistinctPendingRequests) {
   // consumed only one.
   const auto probe = cluster.Prepare(1, "readings", a.key, a.body);
   ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe->sequence, 2);
+  EXPECT_EQ(probe->first_sequence, 2);
 
   // Recovered: the batch retry delivers both events exactly once, each
   // under its own pinned sequence.
   ASSERT_TRUE(cluster.ReviveNode(view.replicas[1]).ok());
   ASSERT_TRUE(cluster.ReviveNode(view.replicas[2]).ok());
   ASSERT_TRUE(sink({a, b}).ok());
-  const auto records = cluster.Fetch("readings", 0, 0, 10);
+  const auto records = mq::Drain(cluster, "readings", 0, 0);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0].sequence, 0);
-  EXPECT_EQ((*records)[1].sequence, 1);
+  EXPECT_EQ((*records)[0].sequence(), 0);
+  EXPECT_EQ((*records)[1].sequence(), 1);
 }
 
 TEST(ClusterSinkTest, MixedBatchRetryDoesNotDuplicateAckedGroups) {
@@ -254,9 +255,9 @@ TEST(ClusterSinkTest, MixedBatchRetryDoesNotDuplicateAckedGroups) {
   // Every event landed exactly once despite three submissions of its batch.
   std::map<std::string, int> delivered;
   for (int p = 0; p < 2; ++p) {
-    const auto records = cluster.Fetch("readings", p, 0, 100);
+    const auto records = mq::Drain(cluster, "readings", p, 0);
     ASSERT_TRUE(records.ok());
-    for (const auto& rec : *records) ++delivered[rec.value];
+    for (const auto& rec : *records) ++delivered[std::string(rec.value())];
   }
   ASSERT_EQ(delivered.size(), batch.size());
   for (const Event& e : batch) {

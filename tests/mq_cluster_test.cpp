@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mq/broker_cluster.h"
+#include "mq_drain.h"
 #include "resilience/chaos.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -72,10 +73,10 @@ TEST(BrokerClusterTest, QuorumProduceAdvancesHighWaterMark) {
   const auto view = *cluster.View("t", 0);
   EXPECT_EQ(view.high_water_mark, 3);
   EXPECT_EQ(view.end_offset, 3);
-  const auto records = cluster.Fetch("t", 0, 0, 10);
+  const auto records = Drain(cluster, "t", 0, 0);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[1].value, "v1");
+  EXPECT_EQ((*records)[1].value(), "v1");
 }
 
 // -------------------------------------------------------------- Failover
@@ -99,7 +100,7 @@ TEST(BrokerClusterTest, LeaderKillFailsOverWithoutLosingAckedRecords) {
 
   // Every acked record survives on the new leader, and produce continues
   // against the two-member ISR (still at quorum).
-  const auto records = cluster.Fetch("t", 0, 0, 100);
+  const auto records = Drain(cluster, "t", 0, 0);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 10u);
   EXPECT_TRUE(cluster.ProduceTo("t", 0, "k", "v10").ok());
@@ -161,11 +162,90 @@ TEST(BrokerClusterTest, StaleReplicaCannotWinUncleanElection) {
   const auto healed = *cluster.View("t", 0);
   EXPECT_EQ(healed.leader, r0);
   ASSERT_TRUE(cluster.ProduceTo("t", 0, "k", "e").ok());
-  const auto records = cluster.Fetch("t", 0, 0, 10);
+  const auto records = Drain(cluster, "t", 0, 0);
   ASSERT_TRUE(records.ok());
   std::vector<std::string> values;
-  for (const Record& rec : *records) values.push_back(rec.value);
+  for (const RecordView& rec : *records) values.emplace_back(rec.value());
   EXPECT_EQ(values, (std::vector<std::string>{"a", "b", "e"}));
+}
+
+// ---------------------------------------------------------------- Resync
+
+// A sealed batch at `base` holding `keys`, producer 7's sequences from
+// `first_sequence` on; every record carries an "n" header equal to its key.
+std::shared_ptr<RecordBatch> Sealed(std::int64_t base,
+                                    std::int64_t first_sequence,
+                                    const std::vector<std::string>& keys) {
+  RecordBatchBuilder builder;
+  for (const std::string& key : keys) builder.Add(key, "v", {{"n", key}});
+  auto batch = builder.Build();
+  batch->Seal(base, /*timestamp=*/1, /*producer_id=*/7, first_sequence);
+  return batch;
+}
+
+// The resynced follower reads back the leader's offsets, keys and headers
+// from the same shared batches, and gives the leader's dedup verdict for
+// every sequence below `sequences` and for every two-sequence range.
+void ExpectResynced(const BrokerNode::Replica& leader,
+                    const BrokerNode::Replica& follower,
+                    std::int64_t sequences) {
+  const std::int64_t end = leader.log.end_offset();
+  ASSERT_EQ(follower.log.begin_offset(), leader.log.begin_offset());
+  ASSERT_EQ(follower.log.end_offset(), end);
+  for (std::int64_t off = leader.log.begin_offset(); off < end; ++off) {
+    const auto want = leader.log.FetchBatch(off, 1, end);
+    const auto got = follower.log.FetchBatch(off, 1, end);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(got->size(), 1u);
+    EXPECT_EQ(got->batch(), want->batch());  // shared, not copied
+    EXPECT_EQ((*got)[0].offset(), off);
+    EXPECT_EQ((*got)[0].key(), (*want)[0].key());
+    EXPECT_EQ((*got)[0].FindHeader("n"), (*want)[0].key());
+  }
+  for (std::int64_t seq = 0; seq < sequences; ++seq) {
+    for (const std::int64_t count : {1, 2}) {
+      const auto want = leader.sequences.CheckRange(7, seq, count);
+      const auto got = follower.sequences.CheckRange(7, seq, count);
+      EXPECT_EQ(got.verdict, want.verdict) << seq << "+" << count;
+      EXPECT_EQ(got.duplicate_offset, want.duplicate_offset) << seq;
+    }
+  }
+}
+
+TEST(ReplicaResyncTest, FollowerEndInsideLeaderSegmentSharesItWhole) {
+  BrokerNode::Replica leader, follower;
+  leader.log.AppendBatch(Sealed(0, 0, {"a0", "a1", "a2", "a3"}));
+  leader.log.AppendBatch(Sealed(4, 4, {"b0", "b1", "b2"}));
+  leader.sequences.ObserveRange(7, 0, 7, 0);
+  // The follower holds only the first two records of the leader's first
+  // segment: its end (2) falls inside the segment [0, 4).
+  ASSERT_TRUE(
+      follower.log.AppendReplicaBatch(leader.log.SegmentAt(0).batch(), 2)
+          .ok());
+  follower.sequences.ObserveRange(7, 0, 2, 0);
+
+  ASSERT_TRUE(follower.ResyncFrom(leader).ok());
+  EXPECT_EQ(follower.log.FetchBatch(0, 10, 7)->size(), 4u);  // one segment
+  ExpectResynced(leader, follower, 8);
+}
+
+TEST(ReplicaResyncTest, ShortenedLeaderTailSegmentIsSharedShort) {
+  BrokerNode::Replica leader, follower;
+  leader.log.AppendBatch(Sealed(0, 0, {"a0", "a1", "a2", "a3"}));
+  leader.log.AppendBatch(Sealed(4, 4, {"b0", "b1", "b2"}));
+  EXPECT_EQ(leader.log.TruncateTo(6), 1);  // the tail keeps b0, b1
+  leader.sequences.ObserveRange(7, 0, 6, 0);
+  ASSERT_TRUE(
+      follower.log.AppendReplicaBatch(leader.log.SegmentAt(0).batch(), 4)
+          .ok());
+  follower.sequences.ObserveRange(7, 0, 4, 0);
+
+  ASSERT_TRUE(follower.ResyncFrom(leader).ok());
+  EXPECT_EQ(follower.log.SegmentAt(4).size(), 2u);
+  ExpectResynced(leader, follower, 8);
+  // The dropped b2 stays fresh on both: its sequence was never replicated.
+  EXPECT_EQ(follower.sequences.Check(7, 6).verdict,
+            SequenceTable::Verdict::kFresh);
 }
 
 // ----------------------------------------------------------- Idempotence
@@ -179,7 +259,7 @@ TEST(BrokerClusterTest, PreparedRequestRetriesAreDeduplicated) {
 
   const auto request = cluster.Prepare(producer, "t", "k", "v");
   ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->sequence, 0);
+  EXPECT_EQ(request->first_sequence, 0);
   const auto first = cluster.Produce(*request);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->duplicate);
@@ -196,7 +276,7 @@ TEST(BrokerClusterTest, PreparedRequestRetriesAreDeduplicated) {
   const auto next = cluster.Prepare(producer, "t", "k", "v2");
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->partition, request->partition);
-  EXPECT_EQ(next->sequence, 1);
+  EXPECT_EQ(next->first_sequence, 1);
   EXPECT_EQ(cluster.Prepare(99, "t", "k", "v").status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -242,7 +322,7 @@ TEST(BrokerClusterTest, FailedLowSequenceRetryAfterLaterAppendIsNotDropped) {
   ASSERT_TRUE(cluster.ReviveNode(view.replicas[2]).ok());
   const auto late = cluster.Prepare(producer, "t", "k", "late");
   ASSERT_TRUE(late.ok());
-  EXPECT_GT(late->sequence, early->sequence);
+  EXPECT_GT(late->first_sequence, early->first_sequence);
   ASSERT_TRUE(cluster.Produce(*late).ok());
 
   // The retried lower sequence is an unfilled gap — fresh, and acked with
@@ -256,10 +336,10 @@ TEST(BrokerClusterTest, FailedLowSequenceRetryAfterLaterAppendIsNotDropped) {
   const auto dup = cluster.Produce(*early);
   ASSERT_TRUE(dup.ok());
   EXPECT_TRUE(dup->duplicate);
-  const auto records = cluster.Fetch("t", 0, 0, 10);
+  const auto records = Drain(cluster, "t", 0, 0);
   ASSERT_TRUE(records.ok());
   std::vector<std::string> values;
-  for (const Record& rec : *records) values.push_back(rec.value);
+  for (const RecordView& rec : *records) values.emplace_back(rec.value());
   EXPECT_EQ(values, (std::vector<std::string>{"late", "early"}));
 }
 
@@ -286,14 +366,10 @@ TEST(BrokerClusterTest, SequenceBelowTrackedWindowIsRejectedNotDropped) {
 
 TEST(SequenceTableTest, TracksGapsExactlyAndForgetsOnlyAtTheWindowBound) {
   SequenceTable table;
-  Record rec;
-  rec.producer_id = 7;
   // Sequence 0 is never appended; 1..kMaxTracked land around the gap.
   for (std::int64_t seq = 1; seq <= std::int64_t(SequenceTable::kMaxTracked);
        ++seq) {
-    rec.sequence = seq;
-    rec.offset = seq - 1;
-    table.Observe(rec);
+    table.ObserveRange(7, seq, 1, seq - 1);
   }
   // Within the window the gap stays retryable and appends stay duplicates.
   EXPECT_EQ(table.Check(7, 0).verdict, SequenceTable::Verdict::kFresh);
@@ -305,13 +381,11 @@ TEST(SequenceTableTest, TracksGapsExactlyAndForgetsOnlyAtTheWindowBound) {
             std::int64_t(SequenceTable::kMaxTracked) - 1);
   // One more append overflows the window: the abandoned gap's status is
   // forgotten and its retry is rejected explicitly, never falsely deduped.
-  rec.sequence = std::int64_t(SequenceTable::kMaxTracked) + 1;
-  rec.offset = std::int64_t(SequenceTable::kMaxTracked);
-  table.Observe(rec);
+  const std::int64_t next = std::int64_t(SequenceTable::kMaxTracked) + 1;
+  table.ObserveRange(7, next, 1, next - 1);
   EXPECT_EQ(table.Check(7, 0).verdict, SequenceTable::Verdict::kTooOld);
   EXPECT_EQ(table.Check(7, 1).verdict, SequenceTable::Verdict::kDuplicate);
-  EXPECT_EQ(table.Check(7, rec.sequence + 1).verdict,
-            SequenceTable::Verdict::kFresh);
+  EXPECT_EQ(table.Check(7, next + 1).verdict, SequenceTable::Verdict::kFresh);
 }
 
 // ---------------------------------------------------------- Backpressure
@@ -369,7 +443,7 @@ TEST(BrokerClusterTest, ConsumerResumesFromCommittedOffsetAfterFailover) {
   const auto assignment = cluster.JoinGroup("g", "t", "m");
   ASSERT_TRUE(assignment.ok());
   ASSERT_EQ(assignment->size(), 1u);
-  const auto batch = cluster.Fetch("t", 0, 0, 5);
+  const auto batch = Drain(cluster, "t", 0, 0, 5);
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(cluster.CommitOffset("g", "t", 0, 5).ok());
   EXPECT_EQ(cluster.Lag("g").value(), 5);
@@ -380,12 +454,12 @@ TEST(BrokerClusterTest, ConsumerResumesFromCommittedOffsetAfterFailover) {
   ASSERT_TRUE(cluster.KillNode(cluster.View("t", 0)->leader).ok());
   const std::int64_t committed = cluster.CommittedOffset("g", "t", 0);
   EXPECT_EQ(committed, 5);
-  const auto redelivered = cluster.Fetch("t", 0, committed, 100);
+  const auto redelivered = Drain(cluster, "t", 0, committed);
   ASSERT_TRUE(redelivered.ok());
   ASSERT_EQ(redelivered->size(), 5u);
-  EXPECT_EQ((*redelivered)[0].value, "v5");
+  EXPECT_EQ((*redelivered)[0].value(), "v5");
   ASSERT_TRUE(
-      cluster.CommitOffset("g", "t", 0, redelivered->back().offset + 1).ok());
+      cluster.CommitOffset("g", "t", 0, redelivered->back().offset() + 1).ok());
   EXPECT_EQ(cluster.Lag("g").value(), 0);
 
   // Commits stay validated on the cluster path too.
@@ -443,13 +517,12 @@ TEST(BrokerClusterChaosTest, NoAckedLossNoDuplicateDeliveryUnderNodeKills) {
   for (int p = 0; p < 2; ++p) {
     const auto info = cluster.GetPartitionInfo("frames", p);
     ASSERT_TRUE(info.ok());
-    std::int64_t offset = info->begin_offset;
-    while (offset < info->end_offset) {
-      const auto records = cluster.Fetch("frames", p, offset, 64);
-      ASSERT_TRUE(records.ok());
-      ASSERT_FALSE(records->empty());
-      for (const Record& rec : *records) ++delivered[rec.value];
-      offset = records->back().offset + 1;
+    const auto records = Drain(cluster, "frames", p, info->begin_offset);
+    ASSERT_TRUE(records.ok());
+    ASSERT_EQ(std::int64_t(records->size()),
+              info->end_offset - info->begin_offset);
+    for (const RecordView& rec : *records) {
+      ++delivered[std::string(rec.value())];
     }
   }
   for (const std::string& value : acked) {
@@ -631,20 +704,15 @@ TEST(SequenceTableTest, GapSurvivesAtExactlyTheWindowBound) {
   // kMaxTracked sparse entries in the window — the bound itself must not
   // evict (off-by-one here silently shrinks the retry window).
   SequenceTable table;
-  Record rec;
-  rec.producer_id = 9;
   for (std::int64_t seq = 1; seq <= std::int64_t(SequenceTable::kMaxTracked);
        ++seq) {
-    rec.sequence = seq;
-    rec.offset = seq - 1;
-    table.Observe(rec);
+    table.ObserveRange(9, seq, 1, seq - 1);
   }
   EXPECT_EQ(table.Check(9, 0).verdict, SequenceTable::Verdict::kFresh);
   EXPECT_EQ(table.Check(9, 1).verdict, SequenceTable::Verdict::kDuplicate);
   // One more append overflows: the gap's status falls off the window edge.
-  rec.sequence = std::int64_t(SequenceTable::kMaxTracked) + 1;
-  rec.offset = std::int64_t(SequenceTable::kMaxTracked);
-  table.Observe(rec);
+  const std::int64_t next = std::int64_t(SequenceTable::kMaxTracked) + 1;
+  table.ObserveRange(9, next, 1, next - 1);
   EXPECT_EQ(table.Check(9, 0).verdict, SequenceTable::Verdict::kTooOld);
   // Batched ranges touching the forgotten region are kTooOld as well —
   // never a partial verdict that could half-append.

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "mq/broker_cluster.h"
+#include "mq_drain.h"
 
 namespace metro::mq {
 namespace {
@@ -36,12 +37,12 @@ TEST(SingleBrokerTest, ProduceFetchRoundTrip) {
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->partition, 0);
   EXPECT_EQ(ack->offset, 0);
-  const auto records = broker.Fetch("t", 0, 0, 10);
+  const auto records = broker.FetchBatch("t", 0, 0, 10);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0].key, "k");
-  EXPECT_EQ((*records)[0].value, "v");
-  EXPECT_EQ((*records)[0].timestamp, 1000);
+  EXPECT_EQ((*records)[0].key(), "k");
+  EXPECT_EQ((*records)[0].value(), "v");
+  EXPECT_EQ((*records)[0].timestamp(), 1000);
 }
 
 TEST(SingleBrokerTest, OffsetsMonotonic) {
@@ -83,11 +84,11 @@ TEST(SingleBrokerTest, FetchBeyondEndEmptyOrError) {
   ASSERT_TRUE(broker.CreateTopic("t", 1).ok());
   ASSERT_TRUE(broker.ProduceTo("t", 0, "", "v").ok());
   // At end: empty (a consumer polling an idle partition).
-  const auto at_end = broker.Fetch("t", 0, 1, 10);
+  const auto at_end = broker.FetchBatch("t", 0, 1, 10);
   ASSERT_TRUE(at_end.ok());
   EXPECT_TRUE(at_end->empty());
   // Past end: error.
-  EXPECT_EQ(broker.Fetch("t", 0, 5, 10).status().code(),
+  EXPECT_EQ(broker.FetchBatch("t", 0, 5, 10).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -98,8 +99,8 @@ TEST(SingleBrokerTest, FetchRespectsMaxRecords) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(broker.ProduceTo("t", 0, "", "v").ok());
   }
-  EXPECT_EQ(broker.Fetch("t", 0, 0, 3)->size(), 3u);
-  EXPECT_EQ(broker.Fetch("t", 0, 7, 100)->size(), 3u);
+  EXPECT_EQ(Drain(broker, "t", 0, 0, 3)->size(), 3u);
+  EXPECT_EQ(Drain(broker, "t", 0, 7, 100)->size(), 3u);
 }
 
 TEST(SingleBrokerTest, RetentionDropsOldRecords) {
@@ -112,12 +113,12 @@ TEST(SingleBrokerTest, RetentionDropsOldRecords) {
   const auto dropped = broker.EnforceRetention(5 * kSecond);
   EXPECT_EQ(dropped, 1);
   // The old offset is now below the retention floor.
-  EXPECT_EQ(broker.Fetch("t", 0, 0, 10).status().code(),
+  EXPECT_EQ(broker.FetchBatch("t", 0, 0, 10).status().code(),
             StatusCode::kOutOfRange);
-  const auto records = broker.Fetch("t", 0, 1, 10);
+  const auto records = broker.FetchBatch("t", 0, 1, 10);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
-  EXPECT_EQ((*records)[0].value, "new");
+  EXPECT_EQ((*records)[0].value(), "new");
 }
 
 TEST(ConsumerGroupTest, SingleMemberGetsAllPartitions) {
@@ -196,7 +197,7 @@ TEST(ConsumerGroupTest, CommitOffsetValidation) {
 TEST(ConsumerGroupTest, RetentionOvertakesCommittedOffset) {
   // A slow consumer whose committed offset fell below the retention floor:
   // the fetch reports kOutOfRange and the documented recovery (see
-  // BrokerCluster::Fetch) is to reset to the partition's begin offset,
+  // BrokerCluster::FetchBatch) is to reset to the partition's begin offset,
   // skipping the truncated records but never rereading or missing a
   // surviving one.
   SimClock clock;
@@ -215,7 +216,7 @@ TEST(ConsumerGroupTest, RetentionOvertakesCommittedOffset) {
 
   const std::int64_t committed = broker.CommittedOffset("g", "t", 0);
   EXPECT_EQ(committed, 2);
-  EXPECT_EQ(broker.Fetch("t", 0, committed, 10).status().code(),
+  EXPECT_EQ(broker.FetchBatch("t", 0, committed, 10).status().code(),
             StatusCode::kOutOfRange);
 
   const auto info = broker.GetPartitionInfo("t", 0);
@@ -223,11 +224,11 @@ TEST(ConsumerGroupTest, RetentionOvertakesCommittedOffset) {
   EXPECT_EQ(info->begin_offset, 4);
   ASSERT_TRUE(broker.CommitOffset("g", "t", 0, info->begin_offset).ok());
   const auto records =
-      broker.Fetch("t", 0, broker.CommittedOffset("g", "t", 0), 10);
+      Drain(broker, "t", 0, broker.CommittedOffset("g", "t", 0));
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
-  EXPECT_EQ((*records)[0].value, "new0");
-  EXPECT_EQ((*records)[1].value, "new1");
+  EXPECT_EQ((*records)[0].value(), "new0");
+  EXPECT_EQ((*records)[1].value(), "new1");
 }
 
 TEST(ConsumerGroupTest, EndToEndConsumeLoop) {
@@ -244,12 +245,12 @@ TEST(ConsumerGroupTest, EndToEndConsumeLoop) {
   for (const int p : *assignment) {
     while (true) {
       const std::int64_t committed = broker.CommittedOffset("g", "t", p);
-      const auto records = broker.Fetch("t", p, committed, 7);
+      const auto records = Drain(broker, "t", p, committed, 7);
       ASSERT_TRUE(records.ok());
       if (records->empty()) break;
       consumed += int(records->size());
       ASSERT_TRUE(
-          broker.CommitOffset("g", "t", p, records->back().offset + 1).ok());
+          broker.CommitOffset("g", "t", p, records->back().offset() + 1).ok());
     }
   }
   EXPECT_EQ(consumed, 20);
@@ -274,7 +275,7 @@ TEST(ConsumerGroupTest, MemberDeathMidPollRedeliversUncommitted) {
   // The owner consumes and commits the first 3 records, then fetches the
   // next batch and crashes before committing it.
   ASSERT_TRUE(broker.CommitOffset("g", "t", 0, 3).ok());
-  const auto in_flight = broker.Fetch("t", 0, 3, 5);
+  const auto in_flight = Drain(broker, "t", 0, 3, 5);
   ASSERT_TRUE(in_flight.ok());
   ASSERT_EQ(in_flight->size(), 5u);
   ASSERT_TRUE(broker.LeaveGroup("g", m1_owns ? "m1" : "m2").ok());
@@ -287,21 +288,20 @@ TEST(ConsumerGroupTest, MemberDeathMidPollRedeliversUncommitted) {
   // redelivered verbatim.
   const std::int64_t committed = broker.CommittedOffset("g", "t", 0);
   EXPECT_EQ(committed, 3);
-  const auto redelivered = broker.Fetch("t", 0, committed, 5);
+  const auto redelivered = Drain(broker, "t", 0, committed, 5);
   ASSERT_TRUE(redelivered.ok());
   ASSERT_EQ(redelivered->size(), in_flight->size());
   for (std::size_t i = 0; i < redelivered->size(); ++i) {
-    EXPECT_EQ((*redelivered)[i].offset, (*in_flight)[i].offset);
-    EXPECT_EQ((*redelivered)[i].value, (*in_flight)[i].value);
+    EXPECT_EQ((*redelivered)[i].offset(), (*in_flight)[i].offset());
+    EXPECT_EQ((*redelivered)[i].value(), (*in_flight)[i].value());
   }
   // Finishing the log from the committed offset yields all 8 records with
   // offsets 3..7 seen twice in total across the two polls — at least once.
   ASSERT_TRUE(
-      broker.CommitOffset("g", "t", 0, redelivered->back().offset + 1).ok());
-  const auto rest =
-      broker.Fetch("t", 0, broker.CommittedOffset("g", "t", 0), 10);
+      broker.CommitOffset("g", "t", 0, redelivered->back().offset() + 1).ok());
+  const auto rest = Drain(broker, "t", 0, broker.CommittedOffset("g", "t", 0));
   ASSERT_TRUE(rest.ok());
-  EXPECT_EQ(rest->empty(), redelivered->back().offset == 7);
+  EXPECT_EQ(rest->empty(), redelivered->back().offset() == 7);
 }
 
 TEST(SingleBrokerTest, PartitionFaultInjectionRoundTrip) {
@@ -318,7 +318,7 @@ TEST(SingleBrokerTest, PartitionFaultInjectionRoundTrip) {
   EXPECT_EQ(broker.LeaderOf("t", 0).value(), -1);
   EXPECT_EQ(broker.ProduceTo("t", 0, "k", "x").status().code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(broker.Fetch("t", 0, 0, 10).status().code(),
+  EXPECT_EQ(broker.FetchBatch("t", 0, 0, 10).status().code(),
             StatusCode::kUnavailable);
   // The other partition still serves.
   EXPECT_TRUE(broker.ProduceTo("t", 1, "k", "y").ok());
@@ -331,10 +331,10 @@ TEST(SingleBrokerTest, PartitionFaultInjectionRoundTrip) {
   EXPECT_GE(broker.metrics().GetCounter("mq.roundrobin_skips").value(), 1);
 
   ASSERT_TRUE(broker.ReviveNode(leader).ok());
-  const auto records = broker.Fetch("t", 0, 0, 10);
+  const auto records = broker.FetchBatch("t", 0, 0, 10);
   ASSERT_TRUE(records.ok());  // stored records survived the outage
   ASSERT_FALSE(records->empty());
-  EXPECT_EQ((*records)[0].value, "before");
+  EXPECT_EQ((*records)[0].value(), "before");
 
   for (const int bad : {-1, broker.num_nodes()}) {
     EXPECT_EQ(broker.KillNode(bad).code(), StatusCode::kInvalidArgument);
@@ -351,7 +351,7 @@ TEST(SingleBrokerTest, UnknownTopicErrors) {
   BrokerCluster broker(clock, kSingleBroker);
   EXPECT_EQ(broker.Produce("nope", "k", "v").status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(broker.Fetch("nope", 0, 0, 1).status().code(),
+  EXPECT_EQ(broker.FetchBatch("nope", 0, 0, 1).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(broker.JoinGroup("g", "nope", "m").status().code(),
             StatusCode::kNotFound);
@@ -363,7 +363,7 @@ TEST(SingleBrokerTest, PartitionOutOfRange) {
   ASSERT_TRUE(broker.CreateTopic("t", 2).ok());
   EXPECT_EQ(broker.ProduceTo("t", 5, "", "v").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(broker.Fetch("t", -1, 0, 1).status().code(),
+  EXPECT_EQ(broker.FetchBatch("t", -1, 0, 1).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -393,9 +393,6 @@ TEST(PartitionLogTest, FetchAtReadableLimitIsEmptyOkNotError) {
   ASSERT_TRUE(at_hwm.ok());
   EXPECT_TRUE(at_hwm->empty());
   EXPECT_EQ(at_hwm->next_offset(), 3);
-  const auto mat = log.Fetch(3, 10, /*limit=*/3);
-  ASSERT_TRUE(mat.ok());
-  EXPECT_TRUE(mat->empty());
 }
 
 TEST(PartitionLogTest, FetchAtEndWithLowerLimitIsEmptyOk) {
@@ -411,8 +408,6 @@ TEST(PartitionLogTest, FetchAtEndWithLowerLimitIsEmptyOk) {
   // One past the end IS out of range — the offset does not exist.
   EXPECT_EQ(log.FetchBatch(log.end_offset() + 1, 10, 2).status().code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Fetch(log.end_offset() + 1, 10, 2).status().code(),
-            StatusCode::kOutOfRange);
 }
 
 TEST(PartitionLogTest, FetchAtRetentionFloorOkBelowItOutOfRange) {
@@ -422,19 +417,13 @@ TEST(PartitionLogTest, FetchAtRetentionFloorOkBelowItOutOfRange) {
   }
   EXPECT_EQ(log.EnforceRetention(/*cutoff=*/50), 3);
   EXPECT_EQ(log.begin_offset(), 3);
-  // Exactly at the floor: readable (one single-record segment per view
-  // call; the materializing Fetch crosses segments).
+  // Exactly at the floor: readable (one single-record segment per call).
   const auto at_floor = log.FetchBatch(3, 10, log.end_offset());
   ASSERT_TRUE(at_floor.ok());
   ASSERT_EQ(at_floor->size(), 1u);
   EXPECT_EQ((*at_floor)[0].value(), "3");
-  const auto floor_all = log.Fetch(3, 10, log.end_offset());
-  ASSERT_TRUE(floor_all.ok());
-  EXPECT_EQ(floor_all->size(), 3u);
   // Below the floor: retired offsets, explicit error.
   EXPECT_EQ(log.FetchBatch(2, 10, log.end_offset()).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Fetch(2, 10, log.end_offset()).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -468,12 +457,6 @@ TEST(SingleBrokerTest, BatchedProduceFetchRoundTrip) {
   EXPECT_EQ(*(*view)[0].FindHeader("source"), "cam-7");
   EXPECT_EQ((*view)[2].offset(), 2);
   EXPECT_EQ(view->next_offset(), 3);
-  // The materializing path sees the same records.
-  const auto records = broker.Fetch("t", 0, 0, 10);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 3u);
-  EXPECT_EQ((*records)[1].value, "v1");
-  EXPECT_EQ((*records)[0].headers.at("source"), "cam-7");
 
   RecordBatchBuilder empty;
   EXPECT_EQ(broker.PrepareBatch(0, "t", 0, empty).status().code(),
@@ -503,10 +486,6 @@ TEST(PartitionLogTest, FetchBatchStopsAtSegmentBoundary) {
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail->size(), 1u);
   EXPECT_EQ((*tail)[0].value(), "3");
-  // The materializing Fetch crosses the boundary in one call.
-  const auto all = log.Fetch(0, 10, log.end_offset());
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 3u);
 }
 
 }  // namespace

@@ -178,9 +178,10 @@ void RunViewEscape(const Program& prog, const Config& cfg,
 void RunInvalidation(const Program& prog, const Config& cfg,
                      std::vector<Finding>* out);
 
-// Pass 6: unchecked-status. Flags call sites resolving to util::Status /
-// Result returners whose value is discarded; (void)-cast opt-outs must carry
-// a [status_exceptions] entry.
+// Pass 6: unchecked-status. Flags `(void)` casts discarding the value of a
+// call that resolves to util::Status / Result returners unless a
+// [status_exceptions] entry carries a justification. Bare discards are left
+// to [[nodiscard]] under -Werror=unused-result.
 void RunUncheckedStatus(const Program& prog, const Config& cfg,
                         std::vector<Finding>* out);
 
