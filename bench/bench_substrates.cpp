@@ -1,6 +1,7 @@
 // Substrate micro-benchmarks (Sec. II-C2's integration claims): DFS block
 // I/O, broker produce/fetch, LSM store reads/writes/scans, document
-// store queries, dataflow shuffle, scheduler placement, and NLP primitives.
+// store queries, dataflow shuffle, scheduler placement, NLP primitives, and
+// the contended cost of the `metro::Mutex` every module locks through.
 // These quantify the building blocks underneath the figure benches.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "store/wide_column.h"
 #include "text/text.h"
 #include "util/rng.h"
+#include "util/sync.h"
 
 namespace {
 
@@ -300,6 +302,31 @@ void BM_NaiveBayesPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NaiveBayesPredict);
+
+// ---------------------------------------------------------------- Sync
+
+// One Mutex shared by every benchmark thread. The critical section bumps a
+// guarded counter and rewrites one guarded cache line, about the shape of a
+// broker partition append's bookkeeping. At Threads(1) this is the
+// uncontended cost; items/s is acquisitions across all threads.
+struct ContendedCounter {
+  Mutex counter_mu;
+  std::uint64_t count METRO_GUARDED_BY(counter_mu) = 0;
+  alignas(64) std::uint64_t line[8] METRO_GUARDED_BY(counter_mu) = {};
+};
+ContendedCounter g_contended;
+
+void BM_MutexContended(benchmark::State& state) {
+  for (auto _ : state) {
+    MutexLock lock(g_contended.counter_mu);
+    const std::uint64_t n = ++g_contended.count;
+    for (auto& word : g_contended.line) word = n;
+    benchmark::DoNotOptimize(g_contended.line);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MutexContended)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
 
 }  // namespace
 

@@ -162,7 +162,7 @@ cmake -B "${PREFIX}-asan" -S . -DMETRO_SANITIZE=address >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-asan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test
+    mq_cluster_test util_test
 else
   cmake --build "${PREFIX}-asan" -j "${JOBS}"
 fi
@@ -174,7 +174,7 @@ cmake -B "${PREFIX}-ubsan" -S . -DMETRO_SANITIZE=undefined >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test
+    mq_cluster_test util_test
 else
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
 fi

@@ -11,8 +11,10 @@
 // discipline: a field read outside its mutex, a helper called without its
 // lock, or a double acquire is a build error, not a latent race for TSan to
 // maybe catch at runtime. On compilers without the attributes (GCC) every
-// macro expands to nothing and the wrappers are zero-cost shims over the
-// std:: primitives, so the annotated tree builds everywhere.
+// macro expands to nothing, so the annotated tree builds everywhere. The
+// wrappers are thin shims over the std:: primitives with one policy of their
+// own: a contended `Mutex` acquisition spins a fixed number of `try_lock`
+// rounds before it parks in the kernel (see `Mutex`).
 //
 // The vocabulary mirrors Clang's attribute set (and Abseil's macro layer):
 //
@@ -170,9 +172,31 @@ inline void OnRelease(const void* mu) {
 
 }  // namespace lockcheck
 
-/// Annotated exclusive mutex. A zero-cost wrapper over std::mutex that
-/// carries the `capability` attribute so `METRO_GUARDED_BY(mu_)` fields and
+/// Spin-wait hint: lets a sibling hyperthread run and eases the memory bus
+/// while a spinner waits for a lock holder. A no-op where no hint exists.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Annotated exclusive mutex. A wrapper over std::mutex that carries the
+/// `capability` attribute so `METRO_GUARDED_BY(mu_)` fields and
 /// `METRO_REQUIRES(mu_)` helpers are checkable at compile time.
+///
+/// Spin, then park: `Lock`/`lock` try `try_lock` up to `kSpinRounds` times,
+/// with a `CpuRelax` between tries, before falling back to the blocking
+/// std::mutex lock. The tree's critical sections are short (a broker
+/// partition append is ~1-2 us), so a waiter that spins usually gets the
+/// lock without paying a futex sleep and wake. The bound is a fixed
+/// constant, not a knob: spin counts from 50 to 1000 performed alike on
+/// the one 4-vCPU Xeon they were measured on, so there was nothing to tune.
+/// The bound counts rounds, not time; a round's wall time depends on the
+/// CPU's `pause` latency. It caps how many rounds a spinner wastes when
+/// threads outnumber CPUs and the holder is descheduled. `TryLock` stays a
+/// single attempt.
 ///
 /// Every long-lived mutex declares its place in the global lock hierarchy:
 /// `Mutex mu_{lockrank::kStoreLsm, "store.lsm"};` (util/lock_ranks.h). The
@@ -191,7 +215,7 @@ class METRO_CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() METRO_ACQUIRE() {
-    mu_.lock();
+    SpinThenLock();
     NoteAcquire();
   }
   void Unlock() METRO_RELEASE() {
@@ -207,7 +231,7 @@ class METRO_CAPABILITY("mutex") Mutex {
   // BasicLockable spelling (for std::condition_variable_any and generic
   // code); same semantics, same annotations.
   void lock() METRO_ACQUIRE() {
-    mu_.lock();
+    SpinThenLock();
     NoteAcquire();
   }
   void unlock() METRO_RELEASE() {
@@ -226,6 +250,17 @@ class METRO_CAPABILITY("mutex") Mutex {
   const char* name() const { return name_; }
 
  private:
+  /// `try_lock` rounds a contended acquisition spins before it parks.
+  static constexpr int kSpinRounds = 200;
+
+  void SpinThenLock() {
+    for (int i = 0; i < kSpinRounds; ++i) {
+      if (mu_.try_lock()) return;
+      CpuRelax();
+    }
+    mu_.lock();
+  }
+
 #if METRO_LOCK_RANK_CHECK
   void NoteAcquire() { lockcheck::OnAcquire(this, rank_, name_); }
   void NoteRelease() { lockcheck::OnRelease(this); }

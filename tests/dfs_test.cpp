@@ -151,7 +151,7 @@ TEST(DfsTest, UnreadableBlockNamesEveryFailingReplica) {
   }
   const auto read = cluster.Read("/f");
   ASSERT_EQ(read.status().code(), StatusCode::kUnavailable);
-  const std::string& msg = read.status().message();
+  const std::string msg = read.status().message();
   for (int i = 0; i < 3; ++i) {
     EXPECT_NE(msg.find("node " + std::to_string(i)), std::string::npos) << msg;
   }

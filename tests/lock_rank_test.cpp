@@ -19,6 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "util/lock_ranks.h"
 #include "util/sync.h"
 
@@ -145,6 +149,64 @@ TEST(LockRank, UnrankedLocksAreNeverChecked) {
   MutexLock a(ranked);
   MutexLock b(scratch);
   SUCCEED();
+}
+
+// Runs `acquire` while another thread holds `mu`. The holder keeps it for
+// 10 ms after `acquire` starts, far longer than Mutex's spin bound, so the
+// acquisition spins, parks and only then succeeds.
+template <typename Acquire>
+void AcquireAfterContention(Mutex& mu, Acquire acquire) {
+  std::atomic<bool> held{false};
+  std::atomic<bool> waiting{false};
+  std::thread holder([&] {
+    MutexLock lock(mu);
+    held.store(true, std::memory_order_release);
+    while (!waiting.load(std::memory_order_acquire)) std::this_thread::yield();
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+    while (std::chrono::steady_clock::now() < until) std::this_thread::yield();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  waiting.store(true, std::memory_order_release);
+  acquire();
+  holder.join();
+}
+
+TEST(LockRank, ContendedAcquisitionPushesOneHeldEntry) {
+  Mutex mu{lockrank::kMqPartition, "test.contended"};
+  const int before = lockcheck::Held().size;
+  int while_held = -1;
+  lockcheck::HeldLock top{};
+  AcquireAfterContention(mu, [&] {
+    MutexLock lock(mu);
+    while_held = lockcheck::Held().size;
+    if (while_held > 0) top = lockcheck::Held().entries[while_held - 1];
+  });
+  // Spinning and parking happen before the hook: one acquisition, one
+  // entry, however many try_lock rounds it took.
+  if (lockcheck::kCompiledIn) {
+    EXPECT_EQ(while_held, before + 1);
+    EXPECT_EQ(top.mu, &mu);
+    EXPECT_EQ(top.rank, lockrank::kMqPartition);
+  } else {
+    EXPECT_EQ(while_held, before);
+  }
+  EXPECT_EQ(lockcheck::Held().size, before);
+}
+
+TEST(LockRankDeathTest, InversionAfterContendedAcquisitionAborts) {
+  if (!lockcheck::kCompiledIn) GTEST_SKIP() << "checker compiled out";
+  if (!kRealInversionsSafe) GTEST_SKIP() << "TSan flags seeded inversions";
+  Mutex lo{lockrank::kMqCluster, "test.lo"};
+  Mutex hi{lockrank::kUtilQueue, "test.hi"};
+  EXPECT_DEATH(
+      {
+        AcquireAfterContention(hi, [&] {
+          MutexLock b(hi);  // spun, parked, then acquired
+          MutexLock a(lo);  // rank drops while hi is held
+        });
+      },
+      "lock-rank inversion: acquiring \"test.lo\"");
 }
 
 TEST(LockRankDeathTest, MutexInversionAborts) {

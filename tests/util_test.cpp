@@ -1,11 +1,12 @@
 // Unit tests for the util foundation: Status/Result, Rng, clocks, queues,
-// thread pool, metrics, and byte serialization.
+// thread pool, the spin-then-park mutex, metrics, and byte serialization.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "util/queue.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace metro {
@@ -342,6 +344,136 @@ TEST(ThreadPoolTest, SurvivesThrowingTasks) {
   EXPECT_EQ(ran.load(), 40);
   EXPECT_EQ(pool.task_exceptions(), 11);
   EXPECT_EQ(metrics.GetCounter("threadpool.task_exceptions").value(), 11);
+}
+
+// ---------------------------------------------------------------- Mutex
+
+// A counter and a cache line of payload behind one Mutex. Every increment
+// also rewrites the line, so a lost update or a torn critical section shows
+// up as a count or a line that disagrees with the number of acquisitions.
+struct Contended {
+  Mutex counter_mu;
+  std::int64_t count METRO_GUARDED_BY(counter_mu) = 0;
+  std::int64_t line[8] METRO_GUARDED_BY(counter_mu) = {};
+};
+
+// `threads` threads, released together, each take the lock `per_thread`
+// times. With few threads per CPU waiters mostly win while spinning; with
+// more threads than CPUs, holders get descheduled and waiters park.
+void RunContendedIncrements(int threads, int per_thread) {
+  Contended c;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < per_thread; ++i) {
+        MutexLock lock(c.counter_mu);
+        ++c.count;
+        for (auto& word : c.line) word = c.count;
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& w : workers) w.join();
+  MutexLock lock(c.counter_mu);
+  const std::int64_t total = std::int64_t(threads) * per_thread;
+  EXPECT_EQ(c.count, total);
+  for (auto word : c.line) EXPECT_EQ(word, total);
+}
+
+TEST(MutexTest, ContendedIncrementsAreExactAtFourThreads) {
+  RunContendedIncrements(4, 20000);
+}
+
+TEST(MutexTest, ContendedIncrementsAreExactWithThreadsOverCpus) {
+  const int cpus = int(std::max(1u, std::thread::hardware_concurrency()));
+  RunContendedIncrements(2 * cpus, 10000);
+}
+
+TEST(MutexTest, TryLockFailsAtOnceWhileHeld) {
+  // The holder does not release until the main thread says so, so a TryLock
+  // that blocked or waited for the holder would hang this test.
+  Mutex mu;
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    MutexLock lock(mu);
+    held.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  int acquired_while_held = 0;
+  for (int i = 0; i < 100; ++i) {
+    if (mu.TryLock()) {
+      ++acquired_while_held;
+      mu.Unlock();
+    }
+  }
+  release.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_EQ(acquired_while_held, 0);
+  bool acquired_when_free = false;
+  if (mu.TryLock()) {
+    acquired_when_free = true;
+    mu.Unlock();
+  }
+  EXPECT_TRUE(acquired_when_free);
+}
+
+TEST(MutexTest, CondVarPingPongHandsOffUnderContention) {
+  // Two players alternate turns through WaitUntil while two bystanders
+  // hammer the same mutex, so every re-acquisition inside the wait races
+  // with spinners.
+  constexpr int kRounds = 2000;
+  struct Table {
+    Mutex table_mu;
+    CondVar cv;
+    int turn METRO_GUARDED_BY(table_mu) = 0;
+    int moves METRO_GUARDED_BY(table_mu) = 0;
+    bool timed_out METRO_GUARDED_BY(table_mu) = false;
+    std::int64_t noise METRO_GUARDED_BY(table_mu) = 0;
+  } t;
+  std::atomic<bool> done{false};
+
+  auto player = [&](int me) {
+    for (int r = 0; r < kRounds; ++r) {
+      MutexLock lock(t.table_mu);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (t.turn != me && !t.timed_out) {
+        if (!t.cv.WaitUntil(t.table_mu, deadline) && t.turn != me) {
+          t.timed_out = true;
+        }
+      }
+      if (t.timed_out) break;
+      ++t.moves;
+      t.turn = 1 - me;
+      t.cv.NotifyAll();
+    }
+  };
+  std::vector<std::thread> bystanders;
+  for (int b = 0; b < 2; ++b) {
+    bystanders.emplace_back([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        MutexLock lock(t.table_mu);
+        ++t.noise;
+      }
+    });
+  }
+  std::thread ping(player, 0);
+  std::thread pong(player, 1);
+  ping.join();
+  pong.join();
+  done.store(true, std::memory_order_relaxed);
+  for (auto& b : bystanders) b.join();
+
+  MutexLock lock(t.table_mu);
+  EXPECT_FALSE(t.timed_out);
+  EXPECT_EQ(t.moves, 2 * kRounds);
+  EXPECT_EQ(t.turn, 0);
 }
 
 // ---------------------------------------------------------------- Metrics
