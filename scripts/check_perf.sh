@@ -1,23 +1,27 @@
 #!/usr/bin/env bash
 # Performance gate for the planned inference engine and the batched MQ
-# produce path. Builds Release, proves bit-exactness first (the parity
-# suite is the contract that makes the perf numbers meaningful), then runs
-# the Fig. 5 / Fig. 7 benches in --json mode and reports the
-# eager-vs-planned ratios from BENCH_infer.json, and finally runs the MQ
-# failover bench and gates on the batched-produce speedup from
-# BENCH_mq.json.
+# produce path. Builds Release, checks the kernels and the planner first
+# (tensor_test's reference kernels and inference_parity_test's goldens and
+# planner parity are what make the perf numbers meaningful), then runs the
+# Fig. 5 / Fig. 7 benches in --json mode and reports the eager-vs-planned
+# ratios from BENCH_infer.json, and finally runs the MQ failover bench and
+# gates on the batched-produce speedup from BENCH_mq.json.
 #
 # Exits non-zero when:
-#   - the build or the inference parity suite fails, or
+#   - the build, the kernel tests or the inference parity suite fail, or
 #   - either inference bench fails to produce its BENCH_infer.json section, or
 #   - the MQ bench fails its exactly-once audit / misses BENCH_mq.json, or
 #   - batched produce is < 2x single-record records/s at 8 partitions, or
 #   - the store read-storm bench fails its ingest sanity floor / misses
 #     BENCH_store.json.
 #
-# The latency/alloc ratios are printed for trend-watching but only warn by
-# default (shared CI machines are noisy); set METRO_PERF_STRICT=1 to also
-# fail when Fig. 5 local-exit speedup < 2x or alloc reduction < 4x.
+# The Fig. 5 local-exit numbers are printed for trend-watching but only warn
+# by default (shared CI machines are noisy). Set METRO_PERF_STRICT=1 to also
+# fail unless planned latency <= 1/2 and planned heap allocs/call <= 1/4 of
+# the committed pre-change eager baseline (bench/baselines/fig5_local_exit.json,
+# written by scripts/record_fig5_baseline.sh), and the in-run alloc reduction
+# is >= 4x. The baseline is only comparable on the host that recorded it: a
+# different nproc or CPU model fails the strict gate.
 #
 # Usage: scripts/check_perf.sh [build-dir]   (default: build-perf)
 
@@ -27,15 +31,17 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build-perf}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 JSON="${PREFIX}/BENCH_infer.json"
+BASELINE="bench/baselines/fig5_local_exit.json"
 
 echo "==> build: Release (${PREFIX})"
 cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "${PREFIX}" -j "${JOBS}" --target \
-  inference_parity_test bench_fig5_earlyexit_detect bench_fig7_behavior \
+  tensor_test inference_parity_test bench_fig5_earlyexit_detect bench_fig7_behavior \
   bench_mq_failover bench_store_readstorm
 
-echo "==> parity: planned inference must be bit-exact with eager"
-ctest --test-dir "${PREFIX}" --output-on-failure -R inference_parity_test
+echo "==> kernels + planner: reference kernels, goldens, planner parity"
+ctest --test-dir "${PREFIX}" --output-on-failure \
+  -R '^(tensor_test|inference_parity_test)$'
 
 echo "==> bench: fig5 early-exit detector (--json)"
 rm -f "${JSON}"
@@ -49,17 +55,35 @@ grep -q '"fig5_earlyexit_detect"' "${JSON}" ||
 grep -q '"fig7_behavior"' "${JSON}" ||
   { echo "check_perf: fig7 section missing from ${JSON}" >&2; exit 1; }
 
-# Pull the headline ratios out of the (machine-written, one-key-per-line)
-# JSON without requiring jq.
+# Pull the numbers out of the (machine-written, one-object-per-line) JSON
+# without requiring jq.
 ratio() { sed -n "s/.*\"$1\": \([0-9.eE+-]*\).*/\1/p" "${JSON}" | head -1; }
+# "key": value of the first `"section": {... "key": value` in a file.
+field() { sed -n "s/.*\"$2\": {[^}]*\"$3\": \([0-9.eE+-]*\).*/\1/p" "$1" | head -1; }
 SPEEDUP="$(ratio latency_speedup)"
 ALLOC_CUT="$(ratio alloc_reduction)"
-echo "==> fig5 local-exit: planned is ${SPEEDUP}x faster, ${ALLOC_CUT}x fewer heap allocs (target: >= 2x / >= 4x)"
+PLANNED_MS="$(field "${JSON}" planned latency_ms)"
+PLANNED_ALLOCS="$(field "${JSON}" planned heap_allocs_per_call)"
+BASE_MS="$(field "${BASELINE}" eager latency_ms)"
+BASE_ALLOCS="$(field "${BASELINE}" eager heap_allocs_per_call)"
+echo "==> fig5 local-exit in-run: planned is ${SPEEDUP}x faster, ${ALLOC_CUT}x fewer heap allocs than eager"
+echo "==> fig5 local-exit vs baseline: planned ${PLANNED_MS} ms / ${PLANNED_ALLOCS} allocs per call against eager ${BASE_MS} ms / ${BASE_ALLOCS} (target: <= 1/2 / <= 1/4)"
 
 if [[ "${METRO_PERF_STRICT:-0}" == "1" ]]; then
-  awk -v s="${SPEEDUP}" -v a="${ALLOC_CUT}" \
-    'BEGIN { exit !(s >= 2.0 && a >= 4.0) }' ||
-    { echo "check_perf: FAIL (below 2x latency / 4x alloc targets)" >&2; exit 1; }
+  base_nproc="$(sed -n 's/.*"nproc": \([0-9]*\).*/\1/p' "${BASELINE}")"
+  base_cpu="$(sed -n 's/.*"cpu_model": "\(.*\)".*/\1/p' "${BASELINE}")"
+  host_nproc="$(nproc)"
+  host_cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
+  if [[ "${base_nproc}" != "${host_nproc}" || "${base_cpu}" != "${host_cpu}" ]]; then
+    echo "check_perf: FAIL (${BASELINE} was recorded on ${base_nproc} x '${base_cpu}'," \
+      "this host is ${host_nproc} x '${host_cpu}'; record a baseline here with" \
+      "scripts/record_fig5_baseline.sh at the commit to compare against)" >&2
+    exit 1
+  fi
+  awk -v p="${PLANNED_MS}" -v b="${BASE_MS}" -v pa="${PLANNED_ALLOCS}" \
+    -v ba="${BASE_ALLOCS}" -v a="${ALLOC_CUT}" \
+    'BEGIN { exit !(p <= b / 2 && pa <= ba / 4 && a >= 4.0) }' ||
+    { echo "check_perf: FAIL (fig5 planned above 1/2 baseline latency / 1/4 baseline allocs, or in-run alloc reduction < 4x)" >&2; exit 1; }
 fi
 
 # Batched MQ produce: the bench itself is the exactly-once audit (non-zero

@@ -1,13 +1,23 @@
-// Bit-exactness parity suite for the planned inference engine.
+// Planner and kernel checks for planned inference.
 //
-// The eager path `Forward(x, /*training=*/false)` is the oracle: every
-// planned session / *Into kernel below must reproduce it bit-for-bit
-// (EXPECT_EQ on floats, not near). Also covers the arena lifecycle —
-// steady-state runs must not grow the workspace — and transparent
-// replanning across batch sizes.
+// Two kinds of check live here:
+//  - Planner parity: a session must reproduce running the same layers one
+//    by one (`Forward(x, /*training=*/false)`, which gives every layer its
+//    own output buffer) bit for bit, across ping-pong slot reuse, in-place
+//    steps, transparent replanning and arenas shared at a split model's cut
+//    point. Steady-state runs must not grow the workspace.
+//  - Golden outputs: fixed-seed zoo models with uniform parameters and
+//    inputs must produce committed output shapes and FNV-1a hashes of their
+//    float bit patterns, through `Forward(x, false)` and through the
+//    sessions alike. The goldens pin the kernels' arithmetic; the naive
+//    reference kernels in tensor_test.cpp pin each kernel branch.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "apps/vehicle_app.h"
@@ -17,7 +27,6 @@
 #include "tensor/workspace.h"
 #include "util/thread_pool.h"
 #include "zoo/behavior.h"
-#include "zoo/cca.h"
 #include "zoo/detector.h"
 #include "zoo/fusion.h"
 #include "zoo/inception.h"
@@ -283,36 +292,6 @@ TEST(InferenceParityTest, FusionEncodeDecodeMatchEager) {
   EXPECT_EQ(session.ReconstructionError(a, b), eager_err);
 }
 
-TEST(InferenceParityTest, CcaProjectIntoMatchesEager) {
-  Rng rng(16);
-  const int n = 24, p = 6, q = 4, k = 3;
-  Tensor x = RandomInput({n, p}, rng);
-  Tensor y = RandomInput({n, q}, rng);
-  // Correlate y with x a little so CCA has structure.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < q; ++j) {
-      y[std::size_t(i) * q + std::size_t(j)] +=
-          0.5f * x[std::size_t(i) * p + std::size_t(j % p)];
-    }
-  }
-  auto fit = zoo::FitCca(x, y, k);
-  ASSERT_TRUE(fit.ok());
-  const zoo::CcaModel& model = fit.value();
-
-  const Tensor eager_px = zoo::CcaProjectX(model, x);
-  const Tensor eager_py = zoo::CcaProjectY(model, y);
-
-  Workspace scratch;
-  Tensor px({n, k}), py({n, k});
-  zoo::CcaProjectXInto(model, TensorView::OfConst(x), TensorView(px),
-                       scratch);
-  zoo::CcaProjectYInto(model, TensorView::OfConst(y), TensorView(py),
-                       scratch);
-  ExpectBitExact(eager_px, px);
-  ExpectBitExact(eager_py, py);
-  EXPECT_EQ(scratch.live_floats(), 0u);  // scratch rewound on exit
-}
-
 TEST(InferenceParityTest, SharedArenaSessionsDoNotClobberCutPoint) {
   Rng rng(17);
   zoo::DetectorConfig config;
@@ -334,6 +313,150 @@ TEST(InferenceParityTest, SharedArenaSessionsDoNotClobberCutPoint) {
   ExpectBitExact(stem, stem_v);
   ExpectBitExact(tiny, tiny_v);
   ExpectBitExact(full, full_v);
+}
+
+// ------------------------------------------------------------------ goldens
+
+// 64-bit FNV-1a over the floats' bit patterns: any change to any bit of any
+// output (including the sign of a zero) changes the hash.
+std::uint64_t Fnv1a(std::span<const float> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : values) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct Golden {
+  nn::Shape shape;
+  std::uint64_t fnv1a;
+};
+
+void ExpectGolden(const Golden& golden, const nn::Shape& shape,
+                  std::span<const float> values) {
+  EXPECT_EQ(shape, golden.shape);
+  EXPECT_EQ(Fnv1a(values), golden.fnv1a)
+      << std::hex << std::showbase << "actual fnv1a " << Fnv1a(values);
+}
+
+void ExpectGolden(const Golden& golden, const Tensor& t) {
+  ExpectGolden(golden, t.shape(), t.data());
+}
+
+void ExpectGolden(const Golden& golden, const TensorView& v) {
+  ExpectGolden(golden, v.shape(), v.data());
+}
+
+// Overwrites every parameter with U(-0.5, 0.5) and every BatchNorm buffer
+// pair (running mean, running var) with U(-0.5, 0.5) and U(0.5, 1.5), so the
+// goldens depend on no libm call in the initializers.
+void FillUniform(const std::vector<nn::Param*>& params,
+                 const std::vector<Tensor*>& buffers, Rng& rng) {
+  for (nn::Param* p : params) {
+    for (float& v : p->value.data()) v = rng.UniformFloat(-0.5f, 0.5f);
+  }
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    const bool var = i % 2 == 1;
+    for (float& v : buffers[i]->data()) {
+      v = var ? rng.UniformFloat(0.5f, 1.5f) : rng.UniformFloat(-0.5f, 0.5f);
+    }
+  }
+}
+
+TEST(InferenceGoldenTest, ResNetBlockAllShortcuts) {
+  const Golden goldens[] = {
+      {{2, 4, 4, 6}, 0x3d7787389628e8d5ULL},  // kConv
+      {{2, 8, 8, 6}, 0xa095d868baed9943ULL},  // kIdentity
+      {{2, 4, 4, 6}, 0xd4217c1bd4a397e4ULL},  // kMaxPool
+  };
+  for (auto kind : {zoo::ShortcutKind::kConv, zoo::ShortcutKind::kIdentity,
+                    zoo::ShortcutKind::kMaxPool}) {
+    SCOPED_TRACE("shortcut " + std::to_string(static_cast<int>(kind)));
+    Rng rng(200 + static_cast<int>(kind));
+    const int cin = kind == zoo::ShortcutKind::kIdentity ? 6 : 4;
+    const int stride = kind == zoo::ShortcutKind::kIdentity ? 1 : 2;
+    zoo::ResNetBlock block(cin, 6, stride, kind, rng);
+    FillUniform(block.Params(), block.Buffers(), rng);
+    const Tensor x = RandomInput({2, 8, 8, cin}, rng);
+    const Golden& golden = goldens[static_cast<int>(kind)];
+
+    ExpectGolden(golden, block.Forward(x, false));
+    Workspace arena;
+    nn::InferenceSession session(std::vector<nn::Layer*>{&block}, x.shape(),
+                                 arena);
+    ExpectGolden(golden, session.Run(TensorView::OfConst(x)));
+  }
+}
+
+TEST(InferenceGoldenTest, InceptionBlock) {
+  const Golden golden{{2, 6, 6, 24}, 0xd1e22649c3dd2dcbULL};
+  Rng rng(210);
+  zoo::InceptionBlock block(3, zoo::InceptionConfig{}, rng);
+  FillUniform(block.Params(), {}, rng);
+  const Tensor x = RandomInput({2, 6, 6, 3}, rng);
+
+  ExpectGolden(golden, block.Forward(x, false));
+  Workspace arena;
+  nn::InferenceSession session(std::vector<nn::Layer*>{&block}, x.shape(),
+                               arena);
+  ExpectGolden(golden, session.Run(TensorView::OfConst(x)));
+}
+
+TEST(InferenceGoldenTest, DetectorHalves) {
+  const Golden stem_golden{{2, 8, 8, 12}, 0x2e686477106bd4dbULL};
+  const Golden tiny_golden{{2, 4, 4, 13}, 0x4fce6dd05980bb38ULL};
+  const Golden full_golden{{2, 4, 4, 13}, 0x4c63abf17a8334a9ULL};
+  Rng rng(220);
+  zoo::DetectorConfig config;
+  zoo::SplitDetector det(config, rng);
+  FillUniform(det.Params(), det.Buffers(), rng);
+  const Tensor images =
+      RandomInput({2, config.image_size, config.image_size, config.channels},
+                  rng);
+
+  const Tensor stem = det.Stem(images, false);
+  ExpectGolden(stem_golden, stem);
+  ExpectGolden(tiny_golden, det.TinyHead(stem, false));
+  ExpectGolden(full_golden, det.FullHead(stem, false));
+
+  Workspace arena;
+  zoo::DetectorSession session(det, /*batch=*/2, arena);
+  const TensorView stem_v = session.Stem(TensorView::OfConst(images));
+  ExpectGolden(stem_golden, stem_v);
+  ExpectGolden(tiny_golden, session.TinyHead(stem_v));
+  ExpectGolden(full_golden, session.FullHead(stem_v));
+}
+
+TEST(InferenceGoldenTest, FusionEncodeDecode) {
+  const Golden code_golden{{3, 12}, 0x74f5412c173d9e15ULL};
+  const Golden recon_a_golden{{3, 16}, 0x9fa7d2c80bd3fadbULL};
+  const Golden recon_b_golden{{3, 8}, 0x5c03fd4c2aa32021ULL};
+  Rng rng(230);
+  zoo::FusionConfig config;
+  zoo::MultiModalAutoencoder model(config, rng);
+  FillUniform(model.Params(), {}, rng);
+  const Tensor a = RandomInput({3, config.dim_a}, rng);
+  const Tensor b = RandomInput({3, config.dim_b}, rng);
+
+  const Tensor code = model.Encode(a, b, false);
+  ExpectGolden(code_golden, code);
+  const auto recon = model.Decode(code, false);
+  ExpectGolden(recon_a_golden, recon.a);
+  ExpectGolden(recon_b_golden, recon.b);
+
+  Workspace arena;
+  zoo::FusionSession session(model, 3, arena);
+  const Tensor session_code =
+      session.Encode(TensorView::OfConst(a), TensorView::OfConst(b));
+  ExpectGolden(code_golden, session_code);
+  const auto session_recon = session.Decode(TensorView::OfConst(session_code));
+  ExpectGolden(recon_a_golden, session_recon.a);
+  ExpectGolden(recon_b_golden, session_recon.b);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Unit tests for the tensor math kernels, including numerical gradient
-// checks of the convolution/pooling backward passes.
+// Unit tests for the tensor math kernels: every forward kernel branch is
+// checked bit for bit against a naive reference written here, and the
+// convolution/pooling backward passes get numerical gradient checks.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace metro::tensor {
 namespace {
@@ -94,13 +97,111 @@ TEST(MatMulTest, TransposeVariantsAgree) {
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], c3[i], 1e-4f);
 }
 
+// Runs Conv2dForwardInto into a freshly allocated output.
+Tensor Conv(const Tensor& input, const Tensor& weights, const Tensor& bias,
+            int stride, int pad, ThreadPool* pool = nullptr) {
+  const int oh = (input.dim(1) + 2 * pad - weights.dim(0)) / stride + 1;
+  const int ow = (input.dim(2) + 2 * pad - weights.dim(1)) / stride + 1;
+  Tensor out({input.dim(0), oh, ow, weights.dim(3)});
+  TensorView out_view(out);
+  Conv2dForwardInto(TensorView::OfConst(input), weights, bias, stride, pad,
+                    out_view, pool);
+  return out;
+}
+
+// Direct convolution kept independent of ops.cpp: each output starts from
+// its bias, then adds every in-bounds tap in (ky, kx, ic) order. That is the
+// accumulation order every Conv2dForwardInto branch promises, so the kernels
+// must match it bit for bit. Zero inputs are not skipped here; skipping one
+// can only flip the sign of a zero sum, which operator== ignores.
+Tensor ReferenceConv(const Tensor& input, const Tensor& weights,
+                     const Tensor& bias, int stride, int pad) {
+  const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
+            cin = input.dim(3);
+  const int kh = weights.dim(0), kw = weights.dim(1), cout = weights.dim(3);
+  const int oh = (h + 2 * pad - kh) / stride + 1;
+  const int ow = (w + 2 * pad - kw) / stride + 1;
+  Tensor out({n, oh, ow, cout});
+  for (int b = 0; b < n; ++b) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        for (int oc = 0; oc < cout; ++oc) {
+          float acc = bias.empty() ? 0.0f : bias[std::size_t(oc)];
+          for (int ky = 0; ky < kh; ++ky) {
+            const int iy = oy * stride + ky - pad;
+            if (iy < 0 || iy >= h) continue;
+            for (int kx = 0; kx < kw; ++kx) {
+              const int ix = ox * stride + kx - pad;
+              if (ix < 0 || ix >= w) continue;
+              for (int ic = 0; ic < cin; ++ic) {
+                acc += input.at(b, iy, ix, ic) *
+                       weights[((std::size_t(ky) * kw + kx) * cin + ic) * cout +
+                               std::size_t(oc)];
+              }
+            }
+          }
+          out.at(b, oy, ox, oc) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Uniform values in [-1, 1) with roughly every third element an exact zero,
+// so the kernels' zero-skip branches run.
+Tensor UniformWithZeros(const Shape& shape, Rng& rng) {
+  Tensor t(shape);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = rng.Bernoulli(0.33) ? 0.0f : rng.UniformFloat(-1.0f, 1.0f);
+  }
+  return t;
+}
+
+void ExpectSameFloats(const Tensor& expected, const Tensor& actual) {
+  ASSERT_EQ(expected.shape(), actual.shape());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i], actual[i]) << "float mismatch at index " << i;
+  }
+}
+
+// Every PickConvRowFn branch against the reference: a compile-time width
+// (8), the blocked stack accumulator (20), and the plain ConvRowRange
+// fallback for widths above kConvAccChannels (130).
+TEST(ConvTest, EveryKernelBranchMatchesReference) {
+  struct Geometry {
+    int k, stride, pad;
+  };
+  ThreadPool pool(3);
+  Rng rng(21);
+  for (const int cout : {8, 20, 130}) {
+    for (const Geometry g : {Geometry{3, 1, 1}, Geometry{3, 2, 1},
+                             Geometry{3, 1, 0}, Geometry{3, 2, 0},
+                             Geometry{1, 1, 0}, Geometry{1, 2, 0}}) {
+      SCOPED_TRACE("cout " + std::to_string(cout) + " k " +
+                   std::to_string(g.k) + " stride " + std::to_string(g.stride) +
+                   " pad " + std::to_string(g.pad));
+      const Tensor input = UniformWithZeros({2, 7, 9, 3}, rng);
+      const Tensor weights = UniformWithZeros({g.k, g.k, 3, cout}, rng);
+      const Tensor bias = UniformWithZeros({cout}, rng);
+      const Tensor expected =
+          ReferenceConv(input, weights, bias, g.stride, g.pad);
+      ExpectSameFloats(expected, Conv(input, weights, bias, g.stride, g.pad));
+      ExpectSameFloats(expected,
+                       Conv(input, weights, bias, g.stride, g.pad, &pool));
+      ExpectSameFloats(ReferenceConv(input, weights, Tensor(), g.stride, g.pad),
+                       Conv(input, weights, Tensor(), g.stride, g.pad, &pool));
+    }
+  }
+}
+
 TEST(ConvTest, IdentityKernelPreservesInput) {
   // 1x1 kernel with weight 1 reproduces the input.
   Tensor input({1, 3, 3, 1});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
   Tensor w({1, 1, 1, 1});
   w[0] = 1.0f;
-  Tensor out = Conv2dForward(input, w, Tensor({1}), 1, 0);
+  Tensor out = Conv(input, w, Tensor({1}), 1, 0);
   ASSERT_EQ(out.shape(), input.shape());
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], input[i]);
 }
@@ -109,7 +210,7 @@ TEST(ConvTest, KnownSum3x3) {
   // All-ones 3x3 kernel over all-ones 3x3 input, pad 1: center sees 9.
   Tensor input({1, 3, 3, 1}, 1.0f);
   Tensor w({3, 3, 1, 1}, 1.0f);
-  Tensor out = Conv2dForward(input, w, Tensor(), 1, 1);
+  Tensor out = Conv(input, w, Tensor(), 1, 1);
   EXPECT_EQ(out.at(0, 1, 1, 0), 9.0f);
   EXPECT_EQ(out.at(0, 0, 0, 0), 4.0f);  // corner sees 2x2
   EXPECT_EQ(out.at(0, 0, 1, 0), 6.0f);  // edge sees 2x3
@@ -119,7 +220,7 @@ TEST(ConvTest, StrideHalvesOutput) {
   Tensor input({2, 8, 8, 3});
   Rng rng(3);
   Tensor w = Tensor::RandomNormal({3, 3, 3, 4}, 0.1f, rng);
-  Tensor out = Conv2dForward(input, w, Tensor({4}), 2, 1);
+  Tensor out = Conv(input, w, Tensor({4}), 2, 1);
   EXPECT_EQ(out.shape(), (Shape{2, 4, 4, 4}));
 }
 
@@ -131,11 +232,11 @@ void CheckConvGradients(int n, int h, int w, int cin, int cout, int k,
   Tensor input = Tensor::RandomNormal({n, h, w, cin}, 1.0f, rng);
   Tensor weights = Tensor::RandomNormal({k, k, cin, cout}, 0.5f, rng);
   Tensor bias = Tensor::RandomNormal({cout}, 0.5f, rng);
-  Tensor out = Conv2dForward(input, weights, bias, stride, pad);
+  Tensor out = Conv(input, weights, bias, stride, pad);
   Tensor probe = Tensor::RandomNormal(out.shape(), 1.0f, rng);
 
   auto loss = [&](const Tensor& in, const Tensor& wt, const Tensor& b) {
-    Tensor o = Conv2dForward(in, wt, b, stride, pad);
+    Tensor o = Conv(in, wt, b, stride, pad);
     double acc = 0;
     for (std::size_t i = 0; i < o.size(); ++i) acc += double(o[i]) * probe[i];
     return acc;
@@ -172,6 +273,45 @@ TEST(ConvTest, GradientCheckStride1) { CheckConvGradients(2, 5, 5, 2, 3, 3, 1, 1
 TEST(ConvTest, GradientCheckStride2) { CheckConvGradients(1, 6, 6, 3, 2, 3, 2, 1); }
 TEST(ConvTest, GradientCheck1x1) { CheckConvGradients(2, 4, 4, 3, 4, 1, 1, 0); }
 
+// Naive i-k-j product with no zero skip (skipping only flips zero signs).
+Tensor ReferenceMatMul(const Tensor& a, const Tensor& b) {
+  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c({m, n});
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      for (int j = 0; j < n; ++j) c.at(i, j) += a.at(i, p) * b.at(p, j);
+    }
+  }
+  return c;
+}
+
+TEST(MatMulTest, IntoKernelsMatchReference) {
+  ThreadPool pool(3);
+  Rng rng(22);
+  for (const int m : {1, 5, 64}) {
+    SCOPED_TRACE("rows " + std::to_string(m));
+    const Tensor a = UniformWithZeros({m, 17}, rng);
+    const Tensor w = UniformWithZeros({17, 11}, rng);
+    const Tensor bias = UniformWithZeros({11}, rng);
+    const Tensor expected = ReferenceMatMul(a, w);
+    Tensor dense_expected = expected;
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < 11; ++j) dense_expected.at(i, j) += bias[std::size_t(j)];
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      Tensor c({m, 11});
+      TensorView c_view(c);
+      MatMulInto(TensorView::OfConst(a), w, c_view, p);
+      ExpectSameFloats(expected, c);
+      Tensor y({m, 11});
+      TensorView y_view(y);
+      DenseForwardInto(TensorView::OfConst(a), w, bias, y_view, p);
+      ExpectSameFloats(dense_expected, y);
+    }
+    ExpectSameFloats(expected, MatMul(a, w));
+  }
+}
+
 TEST(MaxPoolTest, ForwardPicksMax) {
   Tensor input({1, 4, 4, 1});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
@@ -198,7 +338,9 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
 TEST(GlobalAvgPoolTest, ForwardAndBackward) {
   Tensor input({1, 2, 2, 2});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
-  Tensor out = GlobalAvgPoolForward(input);
+  Tensor out({1, 2});
+  TensorView out_view(out);
+  GlobalAvgPoolForwardInto(TensorView::OfConst(input), out_view);
   EXPECT_EQ(out.shape(), (Shape{1, 2}));
   EXPECT_FLOAT_EQ(out.at(0, 0), (0 + 2 + 4 + 6) / 4.0f);
   EXPECT_FLOAT_EQ(out.at(0, 1), (1 + 3 + 5 + 7) / 4.0f);
@@ -206,9 +348,18 @@ TEST(GlobalAvgPoolTest, ForwardAndBackward) {
   for (const float v : grad.data()) EXPECT_FLOAT_EQ(v, 0.25f);
 }
 
+// Applies an elementwise *Into kernel into a fresh output tensor.
+template <typename Kernel>
+Tensor Elementwise(const Tensor& x, Kernel kernel) {
+  Tensor y(x.shape());
+  TensorView y_view(y);
+  kernel(TensorView::OfConst(x), y_view);
+  return y;
+}
+
 TEST(ActivationTest, ReluAndBackward) {
   Tensor x = Tensor::FromVector({-1, 0, 2});
-  Tensor y = ReluForward(x);
+  Tensor y = Elementwise(x, ReluInto);
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[2], 2.0f);
   Tensor g = ReluBackward(x, Tensor({3}, 1.0f));
@@ -218,14 +369,16 @@ TEST(ActivationTest, ReluAndBackward) {
 
 TEST(ActivationTest, LeakyRelu) {
   Tensor x = Tensor::FromVector({-10, 10});
-  Tensor y = LeakyReluForward(x, 0.1f);
+  Tensor y = Elementwise(x, [](const TensorView& in, const TensorView& out) {
+    LeakyReluInto(in, out, 0.1f);
+  });
   EXPECT_FLOAT_EQ(y[0], -1.0f);
   EXPECT_FLOAT_EQ(y[1], 10.0f);
 }
 
 TEST(ActivationTest, SigmoidRange) {
   Tensor x = Tensor::FromVector({-100, 0, 100});
-  Tensor y = SigmoidForward(x);
+  Tensor y = Elementwise(x, SigmoidInto);
   EXPECT_NEAR(y[0], 0.0f, 1e-6f);
   EXPECT_FLOAT_EQ(y[1], 0.5f);
   EXPECT_NEAR(y[2], 1.0f, 1e-6f);
@@ -233,7 +386,7 @@ TEST(ActivationTest, SigmoidRange) {
 
 TEST(ActivationTest, TanhGradientAtZero) {
   Tensor x = Tensor::FromVector({0.0f});
-  Tensor y = TanhForward(x);
+  Tensor y = Elementwise(x, TanhInto);
   Tensor g = TanhBackward(y, Tensor({1}, 1.0f));
   EXPECT_FLOAT_EQ(g[0], 1.0f);  // 1 - tanh(0)^2
 }

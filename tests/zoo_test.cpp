@@ -1,10 +1,15 @@
 // Tests for the paper's model architectures: the Fig. 8 ResNet block (all
-// three shortcut variants), the Fig. 5 split detector, the Fig. 7 split
-// ResNet+LSTM behavior net, multimodal fusion, CCA, and DQN.
+// three shortcut variants), the inception module, the Fig. 5 split
+// detector, the Fig. 7 split ResNet+LSTM behavior net, multimodal fusion,
+// CCA, and DQN.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "datagen/video.h"
 #include "nn/optimizer.h"
@@ -13,6 +18,7 @@
 #include "zoo/detector.h"
 #include "zoo/dqn.h"
 #include "zoo/fusion.h"
+#include "zoo/inception.h"
 #include "zoo/resnet_block.h"
 
 namespace metro::zoo {
@@ -92,6 +98,92 @@ TEST(ResNetBlockTest, GradientCheckConvShortcut) {
   }
 }
 
+// Dali-style gradient check (`gradient_same` under `EXPERIMENT_REPEAT`):
+// for L = sum(Forward(x, true) * probe), Backward's dL/dx and parameter
+// gradients must match central differences at sampled coordinates of the
+// input and of every parameter. Training-mode forward is what runs, so any
+// BatchNorm inside normalizes with batch statistics throughout.
+//
+// ReLU and max-pool make L piecewise smooth. Where the two one-sided
+// differences disagree, the step straddles a kink and the central
+// difference is no derivative, so the check moves on to the next coordinate.
+void ExpectGradientSame(nn::Layer& layer, Tensor x, Rng& rng, double tol) {
+  const Tensor y = layer.Forward(x, true);
+  Tensor probe(y.shape());
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    probe[i] = rng.UniformFloat(-1.0f, 1.0f);
+  }
+  for (nn::Param* p : layer.Params()) p->ZeroGrad();
+  const Tensor grad_in = layer.Backward(probe);
+
+  const auto loss = [&] {
+    const Tensor o = layer.Forward(x, true);
+    double acc = 0;
+    for (std::size_t i = 0; i < o.size(); ++i) acc += double(o[i]) * probe[i];
+    return acc;
+  };
+  const auto bound = [&](double v) { return tol * std::max(1.0, std::abs(v)); };
+  // Checks d loss / d values[idx], or the nearest smooth coordinate after it.
+  const auto check = [&](std::span<float> values, std::span<const float> grad,
+                         std::size_t idx, const std::string& what) {
+    const float eps = 1e-3f;
+    for (int tries = 0; tries < 8; ++tries, idx = (idx + 1) % values.size()) {
+      const float saved = values[idx];
+      const double mid = loss();
+      values[idx] = saved + eps;
+      const double hi = loss();
+      values[idx] = saved - eps;
+      const double lo = loss();
+      values[idx] = saved;
+      const double forward = (hi - mid) / eps, backward = (mid - lo) / eps;
+      const double central = (hi - lo) / (2 * eps);
+      if (std::abs(forward - backward) > bound(central)) continue;  // a kink
+      EXPECT_NEAR(grad[idx], central, bound(central)) << what << " @" << idx;
+      return;
+    }
+    ADD_FAILURE() << what << ": no smooth coordinate near @" << idx;
+  };
+  const auto samples = [](std::size_t size) {
+    return std::vector<std::size_t>{0, size / 3, 2 * size / 3, size - 1};
+  };
+  for (const std::size_t idx : samples(x.size())) {
+    check(x.data(), grad_in.data(), idx, "input");
+  }
+  const std::vector<nn::Param*> params = layer.Params();
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    for (const std::size_t idx : samples(params[p]->value.size())) {
+      check(params[p]->value.data(), params[p]->grad.data(), idx,
+            "param " + std::to_string(p) + " (" + params[p]->name + ")");
+    }
+  }
+}
+
+// Dali's EXPERIMENT_REPEAT: every gradient check runs over this many seeds.
+constexpr int kExperimentRepeats = 3;
+
+TEST(ResNetBlockTest, GradientCheckIdentityShortcut) {
+  for (int seed = 1; seed <= kExperimentRepeats; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(std::uint64_t(600 + seed));
+    ResNetBlock block(4, 4, 1, ShortcutKind::kIdentity, rng);
+    Tensor x({2, 5, 5, 4});
+    for (float& v : x.data()) v = rng.UniformFloat(-1.0f, 1.0f);
+    ExpectGradientSame(block, x, rng, 5e-2);
+  }
+}
+
+TEST(ResNetBlockTest, GradientCheckMaxPoolShortcut) {
+  for (int seed = 1; seed <= kExperimentRepeats; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(std::uint64_t(700 + seed));
+    // cout > cin, so the zero-padded channels are checked too.
+    ResNetBlock block(3, 5, 2, ShortcutKind::kMaxPool, rng);
+    Tensor x({2, 6, 6, 3});
+    for (float& v : x.data()) v = rng.UniformFloat(-1.0f, 1.0f);
+    ExpectGradientSame(block, x, rng, 5e-2);
+  }
+}
+
 TEST(ResNetBlockTest, TrainsAsClassifierBackbone) {
   // One block + GAP + dense head on a trivial two-class image task:
   // class = bright top half vs bright bottom half.
@@ -137,6 +229,19 @@ TEST(ResNetBlockTest, TrainsAsClassifierBackbone) {
       head.Forward(gap.Forward(block.Forward(x, false), false), false),
       labels);
   EXPECT_GT(double(ce.correct) / 64.0, 0.9);
+}
+
+// ---------------------------------------------------------------- Inception
+
+TEST(InceptionBlockTest, GradientCheck) {
+  for (int seed = 1; seed <= kExperimentRepeats; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(std::uint64_t(800 + seed));
+    InceptionBlock block(3, InceptionConfig{}, rng);
+    Tensor x({2, 5, 5, 3});
+    for (float& v : x.data()) v = rng.UniformFloat(-1.0f, 1.0f);
+    ExpectGradientSame(block, x, rng, 5e-2);
+  }
 }
 
 // ---------------------------------------------------------------- Detector
