@@ -137,7 +137,8 @@ int RunJsonMode(const std::string& path) {
       {1, config.image_size, config.image_size, config.channels});
   constexpr int kIters = 300;
 
-  // Eager oracle path: per-layer heap-allocated activations.
+  // Eager path: Layer::Forward, one heap-allocated activation per layer
+  // (the same ForwardInto kernels the session runs).
   const auto eager = bench_json::Measure(20, kIters, [&] {
     nn::Tensor stem = det.Stem(batch, false);
     nn::Tensor tiny = det.TinyHead(stem, false);

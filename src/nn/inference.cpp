@@ -127,7 +127,7 @@ TensorView InferenceSession::Run(const TensorView& input) {
     replanned = true;
   }
 
-  InferenceContext ctx{arena_, pool_};
+  InferenceContext ctx{*arena_, pool_};
   // Walk pointers between the input and the prebuilt step views; copying a
   // TensorView copies its Shape (a heap vector), so the loop avoids it.
   const TensorView* cur = &input;

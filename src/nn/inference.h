@@ -2,8 +2,8 @@
 
 // Planned inference execution engine.
 //
-// Training executes eagerly (Layer::Forward heap-allocates outputs and caches
-// backward state); inference should not pay for either. An InferencePlan
+// Layer::Forward heap-allocates every layer's output (and, in training,
+// caches backward state); planned inference pays for neither. An InferencePlan
 // walks a layer stack once, runs shape inference via Layer::OutputShape, and
 // assigns every activation to one of two ping-pong arena slots, collapsing
 // elementwise layers to in-place execution and reshapes/identities to free
@@ -16,9 +16,11 @@
 // their local and server halves to the same arena so the cut-point
 // activation stays live while the second half runs (slot storage is
 // allocated per session at construction; run-time scratch is rewound after
-// every layer). The eager path `Forward(x, /*training=*/false)` remains the
-// bit-exactness oracle: a session's output is bit-identical to it (asserted
-// by tests/inference_parity_test.cpp).
+// every layer). Each layer has one inference implementation, ForwardInto,
+// which `Forward(x, /*training=*/false)` also runs, so a session's output is
+// bit-identical to running the layers one by one. The parity suite
+// (tests/inference_parity_test.cpp) checks the planner that way and pins
+// the kernels with golden output hashes.
 //
 // Thread model: Run() must be called by one thread at a time per session
 // (sessions sharing a Workspace must also share that one caller thread);
@@ -114,7 +116,7 @@ class InferenceSession {
   /// allocation-free (the replan branch delegates to the cold Replan()).
   TensorView Run(const TensorView& input) METRO_LIFETIME_BOUND;
 
-  /// Convenience wrapper matching the eager API: copies the result out.
+  /// Convenience wrapper matching Layer::Forward: copies the result out.
   Tensor Run(const Tensor& input);
 
   const InferencePlan& plan() const { return plan_; }

@@ -4,19 +4,24 @@
 
 namespace metro::nn {
 
-using tensor::MatMul;
 using tensor::MatMulTransposeA;
 using tensor::MatMulTransposeB;
 
 // ---------------------------------------------------------------- Layer
 
+Tensor Layer::Forward(const Tensor& x, bool training) {
+  if (training) return ForwardTrain(x);
+  Tensor y(OutputShape(x.shape()));
+  tensor::Workspace scratch;
+  InferenceContext ctx{scratch};
+  ForwardInto(TensorView::OfConst(x), TensorView(y), ctx);
+  return y;
+}
+
+METRO_NOALLOC
 void Layer::ForwardInto(const TensorView& x, const TensorView& out,
                         InferenceContext& /*ctx*/) {
-  // Fallback for subclasses without a planned kernel: run the eager
-  // inference path on an owning copy and materialize into the view.
-  Tensor y = Forward(x.ToTensor(), /*training=*/false);
-  assert(y.size() == out.size());
-  out.CopyFrom(y.data());
+  out.CopyFrom(x.data());
 }
 
 // ---------------------------------------------------------------- Dense
@@ -27,17 +32,10 @@ Dense::Dense(int in_features, int out_features, Rng& rng)
       w_("w", Tensor::HeNormal({in_features, out_features}, in_features, rng)),
       b_("b", Tensor({out_features})) {}
 
-Tensor Dense::Forward(const Tensor& x, bool training) {
+Tensor Dense::ForwardTrain(const Tensor& x) {
   assert(x.rank() == 2 && x.dim(1) == in_);
-  if (training) cached_x_ = x;
-  Tensor y = MatMul(x, w_.value);
-  auto yd = y.data();
-  const auto bd = b_.value.data();
-  const int n = y.dim(0);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < out_; ++j) yd[std::size_t(i) * out_ + j] += bd[j];
-  }
-  return y;
+  cached_x_ = x;
+  return Forward(x, /*training=*/false);
 }
 
 METRO_NOALLOC
@@ -85,10 +83,10 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
                                kernel * kernel * in_channels, rng)),
       b_("b", Tensor({out_channels})) {}
 
-Tensor Conv2d::Forward(const Tensor& x, bool training) {
+Tensor Conv2d::ForwardTrain(const Tensor& x) {
   assert(x.rank() == 4 && x.dim(3) == cin_);
-  if (training) cached_x_ = x;
-  return tensor::Conv2dForward(x, w_.value, b_.value, stride_, pad_);
+  cached_x_ = x;
+  return Forward(x, /*training=*/false);
 }
 
 METRO_NOALLOC
@@ -125,14 +123,7 @@ Shape Conv2d::OutputShape(const Shape& input_shape) const {
 
 // ---------------------------------------------------------------- MaxPool2d
 
-Tensor MaxPool2d::Forward(const Tensor& x, bool training) {
-  if (!training) {
-    // Inference needs no argmax routing for backward — skip the bookkeeping.
-    Tensor out(OutputShape(x.shape()));
-    TensorView out_view(out);
-    tensor::MaxPool2dForwardInto(TensorView::OfConst(x), k_, stride_, out_view);
-    return out;
-  }
+Tensor MaxPool2d::ForwardTrain(const Tensor& x) {
   cached_in_shape_ = x.shape();
   cached_ = tensor::MaxPool2dForward(x, k_, stride_);
   return cached_.output;
@@ -166,9 +157,9 @@ Shape MaxPool2d::OutputShape(const Shape& input_shape) const {
 
 // ---------------------------------------------------------------- GlobalAvgPool
 
-Tensor GlobalAvgPool::Forward(const Tensor& x, bool training) {
-  if (training) cached_in_shape_ = x.shape();
-  return tensor::GlobalAvgPoolForward(x);
+Tensor GlobalAvgPool::ForwardTrain(const Tensor& x) {
+  cached_in_shape_ = x.shape();
+  return Forward(x, /*training=*/false);
 }
 
 METRO_NOALLOC
@@ -191,8 +182,8 @@ Shape GlobalAvgPool::OutputShape(const Shape& input_shape) const {
 
 // ---------------------------------------------------------------- Flatten
 
-Tensor Flatten::Forward(const Tensor& x, bool training) {
-  if (training) cached_in_shape_ = x.shape();
+Tensor Flatten::ForwardTrain(const Tensor& x) {
+  cached_in_shape_ = x.shape();
   return x.Reshape(OutputShape(x.shape()));
 }
 
@@ -208,26 +199,11 @@ Shape Flatten::OutputShape(const Shape& input_shape) const {
 
 // ---------------------------------------------------------------- Activation
 
-Tensor Activation::Forward(const Tensor& x, bool training) {
-  switch (kind_) {
-    case ActKind::kRelu:
-      if (training) cached_ = x;
-      return tensor::ReluForward(x);
-    case ActKind::kLeakyRelu:
-      if (training) cached_ = x;
-      return tensor::LeakyReluForward(x, alpha_);
-    case ActKind::kSigmoid: {
-      Tensor y = tensor::SigmoidForward(x);
-      if (training) cached_ = y;
-      return y;
-    }
-    case ActKind::kTanh: {
-      Tensor y = tensor::TanhForward(x);
-      if (training) cached_ = y;
-      return y;
-    }
-  }
-  return x;
+Tensor Activation::ForwardTrain(const Tensor& x) {
+  Tensor y = Forward(x, /*training=*/false);
+  const bool relu = kind_ == ActKind::kRelu || kind_ == ActKind::kLeakyRelu;
+  cached_ = relu ? x : y;
+  return y;
 }
 
 METRO_NOALLOC
@@ -284,7 +260,7 @@ BatchNorm::BatchNorm(int channels, float momentum, float eps)
       running_mean_({channels}),
       running_var_({channels}, 1.0f) {}
 
-Tensor BatchNorm::Forward(const Tensor& x, bool training) {
+Tensor BatchNorm::ForwardTrain(const Tensor& x) {
   assert(x.rank() >= 2 && x.dim(x.rank() - 1) == c_);
   const std::size_t rows = x.size() / std::size_t(c_);
   Tensor y(x.shape());
@@ -292,19 +268,6 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   auto yd = y.data();
   const auto g = gamma_.value.data();
   const auto b = beta_.value.data();
-
-  if (!training) {
-    // Shares the folded scale/shift formulation with the planned path
-    // (BatchNormInferenceInto), keeping eager and planned bit-identical.
-    std::vector<float> scale(static_cast<std::size_t>(c_));
-    std::vector<float> shift(static_cast<std::size_t>(c_));
-    tensor::BatchNormFoldScaleShift(g, b, running_mean_.data(),
-                                    running_var_.data(), eps_, scale, shift);
-    TensorView y_view(y);
-    tensor::BatchNormInferenceInto(TensorView::OfConst(x), scale, shift,
-                                   y_view);
-    return y;
-  }
 
   batch_mean_.assign(std::size_t(c_), 0.0f);
   batch_inv_std_.assign(std::size_t(c_), 0.0f);
@@ -348,25 +311,8 @@ METRO_NOALLOC
 void BatchNorm::ForwardInto(const TensorView& x, const TensorView& out,
                             InferenceContext& ctx) {
   assert(x.rank() >= 2 && x.dim(x.rank() - 1) == c_);
-  if (!ctx.scratch) {
-    ForwardIntoNoScratch(x, out);  // cold path: heap-backed scale/shift
-    return;
-  }
-  const std::span<float> scale = ctx.scratch->Alloc(std::size_t(c_));
-  const std::span<float> shift = ctx.scratch->Alloc(std::size_t(c_));
-  tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
-                                  running_mean_.data(), running_var_.data(),
-                                  eps_, scale, shift);
-  tensor::BatchNormInferenceInto(x, scale, shift, out);
-}
-
-void BatchNorm::ForwardIntoNoScratch(const TensorView& x,
-                                     const TensorView& out) {
-  std::vector<float> fallback(std::size_t(c_) * 2);
-  const std::span<float> scale =
-      std::span<float>(fallback).first(std::size_t(c_));
-  const std::span<float> shift =
-      std::span<float>(fallback).last(std::size_t(c_));
+  const std::span<float> scale = ctx.scratch.Alloc(std::size_t(c_));
+  const std::span<float> shift = ctx.scratch.Alloc(std::size_t(c_));
   tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
                                   running_mean_.data(), running_var_.data(),
                                   eps_, scale, shift);
@@ -417,8 +363,8 @@ std::size_t BatchNorm::ForwardMacs(const Shape& input_shape) const {
 
 // ---------------------------------------------------------------- Dropout
 
-Tensor Dropout::Forward(const Tensor& x, bool training) {
-  if (!training || rate_ <= 0.0f) {
+Tensor Dropout::ForwardTrain(const Tensor& x) {
+  if (rate_ <= 0.0f) {
     mask_.clear();
     return x;
   }

@@ -20,12 +20,12 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::TensorView;
 
-/// Execution resources for the planned inference path (nn/inference.h).
+/// Execution resources for ForwardInto.
 struct InferenceContext {
-  /// Per-run scratch arena; the session rewinds it after every layer, so a
-  /// layer may Alloc freely for intermediates. May be null for the default
-  /// (eager-materializing) path.
-  tensor::Workspace* scratch = nullptr;
+  /// Scratch arena for a layer's intermediates; the caller rewinds it after
+  /// the layer returns (an InferenceSession after every layer), so a layer
+  /// may Alloc freely.
+  tensor::Workspace& scratch;
   /// Optional kernel parallelism (conv/matmul row fan-out). May be null.
   ThreadPool* pool = nullptr;
 };
@@ -54,22 +54,25 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output; `training` selects batch-vs-running stats in
-  /// BatchNorm and enables Dropout.
-  virtual Tensor Forward(const Tensor& x, bool training) = 0;
+  /// Computes the layer output. With `training` it runs ForwardTrain, which
+  /// caches what Backward needs (BatchNorm uses batch statistics, Dropout
+  /// drops). Without it, the output is allocated and filled by ForwardInto
+  /// over a call-local scratch Workspace, so inference has one
+  /// implementation per layer.
+  Tensor Forward(const Tensor& x, bool training);
 
   /// Propagates `grad_out` (dL/dy) to dL/dx, accumulating parameter grads.
   ///
-  /// Only defined after a `Forward(x, /*training=*/true)` call: the inference
-  /// paths (`Forward(x, false)` and `ForwardInto`) hold zero backward state.
+  /// Only defined after a `Forward(x, /*training=*/true)` call: inference
+  /// (`Forward(x, false)` and `ForwardInto`) holds zero backward state.
   virtual Tensor Backward(const Tensor& grad_out) = 0;
 
-  /// Inference-only forward into a preallocated view (the planned execution
-  /// path — see nn/inference.h). Never caches backward state and never
-  /// allocates in overriding layers (scratch comes from `ctx`). `out` aliases
-  /// `x` when `placement()` is kInPlace; for kAlias layers this is never
-  /// called. The default implementation materializes the eager
-  /// `Forward(x, false)` result — correct for any subclass, just slow.
+  /// Inference forward into a preallocated view: the layer's one inference
+  /// implementation, run by `Forward(x, false)` and by planned sessions
+  /// (nn/inference.h). Never caches backward state and never allocates
+  /// (scratch comes from `ctx`). `out` aliases `x` when `placement()` is
+  /// kInPlace. The default is the identity copy that kAlias layers compute
+  /// (planned sessions relabel the view instead of calling it).
   virtual void ForwardInto(const TensorView& x, const TensorView& out,
                            InferenceContext& ctx);
 
@@ -94,6 +97,12 @@ class Layer {
 
   /// Output shape for a given input shape (batch dimension preserved).
   virtual Shape OutputShape(const Shape& input_shape) const = 0;
+
+ protected:
+  /// Training forward: computes the output and caches backward state.
+  /// Layers whose training output equals their inference output cache and
+  /// then return `Forward(x, false)`.
+  virtual Tensor ForwardTrain(const Tensor& x) = 0;
 };
 
 /// Fully connected layer: y = xW + b over (N, D) inputs.
@@ -101,7 +110,6 @@ class Dense final : public Layer {
  public:
   Dense(int in_features, int out_features, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -111,6 +119,8 @@ class Dense final : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   int in_, out_;
   Param w_, b_;
   Tensor cached_x_;
@@ -122,7 +132,6 @@ class Conv2d final : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -135,6 +144,8 @@ class Conv2d final : public Layer {
   int pad() const { return pad_; }
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   int cin_, cout_, k_, stride_, pad_;
   Param w_, b_;
   Tensor cached_x_;
@@ -145,7 +156,6 @@ class MaxPool2d final : public Layer {
  public:
   MaxPool2d(int k, int stride) : k_(k), stride_(stride) {}
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -154,6 +164,8 @@ class MaxPool2d final : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   int k_, stride_;
   Shape cached_in_shape_;
   tensor::MaxPoolResult cached_;
@@ -162,7 +174,6 @@ class MaxPool2d final : public Layer {
 /// Global average pooling: NHWC -> (N, C).
 class GlobalAvgPool final : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -171,13 +182,14 @@ class GlobalAvgPool final : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   Shape cached_in_shape_;
 };
 
 /// Reshapes NHWC to (N, H*W*C).
 class Flatten final : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   InferencePlacement placement() const override {
     return InferencePlacement::kAlias;
@@ -187,6 +199,8 @@ class Flatten final : public Layer {
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   Shape cached_in_shape_;
 };
 
@@ -198,7 +212,6 @@ class Activation final : public Layer {
   explicit Activation(ActKind kind, float alpha = 0.1f)
       : kind_(kind), alpha_(alpha) {}
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -212,6 +225,8 @@ class Activation final : public Layer {
   }
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   ActKind kind_;
   float alpha_;
   Tensor cached_;  // input for (leaky)relu, output for sigmoid/tanh
@@ -225,7 +240,6 @@ class BatchNorm final : public Layer {
  public:
   explicit BatchNorm(int channels, float momentum = 0.9f, float eps = 1e-5f);
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
@@ -246,9 +260,7 @@ class BatchNorm final : public Layer {
   std::span<const float> running_var() const { return running_var_.data(); }
 
  private:
-  /// Eager-materializing fallback when no scratch arena is bound (heap
-  /// scale/shift) — kept out of the METRO_NOALLOC hot path.
-  void ForwardIntoNoScratch(const TensorView& x, const TensorView& out);
+  Tensor ForwardTrain(const Tensor& x) override;
 
   int c_;
   float momentum_, eps_;
@@ -265,7 +277,6 @@ class Dropout final : public Layer {
  public:
   Dropout(float rate, Rng& rng) : rate_(rate), rng_(&rng) {}
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   InferencePlacement placement() const override {
     // Identity at inference: the planned path skips it entirely.
@@ -278,6 +289,8 @@ class Dropout final : public Layer {
   }
 
  private:
+  Tensor ForwardTrain(const Tensor& x) override;
+
   float rate_;
   Rng* rng_;
   std::vector<float> mask_;

@@ -21,10 +21,10 @@ struct ConvDims {
 // Computes output rows [row_begin, row_end), where a "row" is one (batch,
 // output-y) pair. All indexing is raw pointers with precomputed strides —
 // no per-element Tensor::at() — and the bias span is hoisted out of the
-// pixel loop. Shared by the eager Conv2dForward and the planned
-// Conv2dForwardInto so the two stay bit-identical; each output element is
-// written by exactly one row, so ParallelFor over rows is race-free and
-// order-preserving.
+// pixel loop. The plain row kernel: Conv2dForwardInto runs it for output
+// widths above kConvAccChannels, which no stack accumulator covers. Each
+// output element is written by exactly one row, so ParallelFor over rows is
+// race-free and order-preserving.
 METRO_NOALLOC
 void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
                   const ConvDims& d, float* out_d, std::int64_t row_begin,
@@ -64,16 +64,16 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
   }
 }
 
-// Planned-path kernel: identical tap order (and therefore bit-identical
+// Fixed-width kernel: identical tap order (and therefore bit-identical
 // float results) to ConvRowRange, but each output pixel accumulates into a
 // stack block the compiler can keep in SIMD registers, and the channel loop
 // trip count is a template constant so it fully unrolls and SLP-vectorizes.
 // In ConvRowRange the output pointer may alias the input as far as the
 // compiler knows, so every tap is a load-modify-store through memory; here
-// the accumulator is provably local, taps become pure FMAs, and the pixel
-// is stored once. Bit-exactness with the eager kernel holds because each
-// output element still receives the same additions in the same (ky, kx, ic)
-// order — only the schedule around them changes.
+// the accumulator is provably local, taps become pure multiply-adds, and
+// the pixel is stored once. Results match the plain kernel bit for bit
+// because each output element still receives the same additions in the
+// same (ky, kx, ic) order — only the schedule around them changes.
 constexpr int kConvAccChannels = 128;
 
 template <int kCout>
@@ -136,7 +136,7 @@ void ConvRowRangeFixed(const float* in_d, const float* w_d,
     // Interior pixels run in pairs so each weight row load feeds two
     // accumulators. Each output still receives its additions in the same
     // (ky, kx, ic) order as the single-pixel path, so results stay
-    // bit-exact with the eager kernel.
+    // bit-exact with the plain kernel.
     const auto pixel_pair = [&](int ox) {
       if (bias_d) {
         for (int oc = 0; oc < kCout; ++oc) acc[oc] = bias_d[oc];
@@ -261,21 +261,6 @@ ConvDims MakeConvDims(const Shape& in_shape, const Tensor& weights, int stride,
 }
 
 }  // namespace
-
-Tensor Conv2dForward(const Tensor& input, const Tensor& weights,
-                     const Tensor& bias, int stride, int pad) {
-  assert(input.rank() == 4 && weights.rank() == 4);
-  assert(weights.dim(2) == input.dim(3));
-  assert(bias.empty() || int(bias.size()) == weights.dim(3));
-  const ConvDims d = MakeConvDims(input.shape(), weights, stride, pad);
-  assert(d.oh > 0 && d.ow > 0);
-
-  Tensor out({d.n, d.oh, d.ow, d.cout});
-  ConvRowRange(input.data().data(), weights.data().data(),
-               bias.empty() ? nullptr : bias.data().data(), d,
-               out.data().data(), 0, std::int64_t(d.n) * d.oh);
-  return out;
-}
 
 METRO_NOALLOC
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
@@ -414,26 +399,6 @@ Tensor MaxPool2dBackward(const Shape& input_shape, const MaxPoolResult& fwd,
   return grad_in;
 }
 
-Tensor GlobalAvgPoolForward(const Tensor& input) {
-  assert(input.rank() == 4);
-  const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
-            c = input.dim(3);
-  Tensor out({n, c});
-  const float inv = 1.0f / float(h * w);
-  const auto in_d = input.data();
-  auto out_d = out.data();
-  for (int b = 0; b < n; ++b) {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const float* px = &in_d[((std::size_t(b) * h + y) * w + x) * c];
-        float* orow = &out_d[std::size_t(b) * c];
-        for (int ch = 0; ch < c; ++ch) orow[ch] += px[ch] * inv;
-      }
-    }
-  }
-  return out;
-}
-
 Tensor GlobalAvgPoolBackward(const Shape& input_shape, const Tensor& grad_out) {
   assert(input_shape.size() == 4);
   const int n = input_shape[0], h = input_shape[1], w = input_shape[2],
@@ -454,12 +419,6 @@ Tensor GlobalAvgPoolBackward(const Shape& input_shape, const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor ReluForward(const Tensor& x) {
-  Tensor y = x;
-  for (auto& v : y.data()) v = std::max(v, 0.0f);
-  return y;
-}
-
 Tensor ReluBackward(const Tensor& x, const Tensor& grad_out) {
   assert(x.size() == grad_out.size());
   Tensor g = grad_out;
@@ -469,14 +428,6 @@ Tensor ReluBackward(const Tensor& x, const Tensor& grad_out) {
     if (xd[i] <= 0.0f) gd[i] = 0.0f;
   }
   return g;
-}
-
-Tensor LeakyReluForward(const Tensor& x, float alpha) {
-  Tensor y = x;
-  for (auto& v : y.data()) {
-    if (v < 0.0f) v *= alpha;
-  }
-  return y;
 }
 
 Tensor LeakyReluBackward(const Tensor& x, const Tensor& grad_out, float alpha) {
@@ -490,12 +441,6 @@ Tensor LeakyReluBackward(const Tensor& x, const Tensor& grad_out, float alpha) {
   return g;
 }
 
-Tensor SigmoidForward(const Tensor& x) {
-  Tensor y = x;
-  for (auto& v : y.data()) v = 1.0f / (1.0f + std::exp(-v));
-  return y;
-}
-
 Tensor SigmoidBackward(const Tensor& y, const Tensor& grad_out) {
   assert(y.size() == grad_out.size());
   Tensor g = grad_out;
@@ -503,12 +448,6 @@ Tensor SigmoidBackward(const Tensor& y, const Tensor& grad_out) {
   const auto yd = y.data();
   for (std::size_t i = 0; i < gd.size(); ++i) gd[i] *= yd[i] * (1.0f - yd[i]);
   return g;
-}
-
-Tensor TanhForward(const Tensor& x) {
-  Tensor y = x;
-  for (auto& v : y.data()) v = std::tanh(v);
-  return y;
 }
 
 Tensor TanhBackward(const Tensor& y, const Tensor& grad_out) {
@@ -578,7 +517,7 @@ float MaxProb(std::span<const float> probs) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned-inference kernels.
+// Forward kernels.
 
 METRO_NOALLOC
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
@@ -634,6 +573,27 @@ void GlobalAvgPoolForwardInto(const TensorView& input, const TensorView& out) {
   }
 }
 
+namespace {
+
+// Rows [row_begin, row_end) of C(MxN) = A(MxK) * B(KxN), in i-k-j order:
+// unit-stride inner loop over both b and c.
+METRO_NOALLOC
+void MatMulRows(const float* ad, const float* bd, float* cd, int k, int n,
+                std::int64_t row_begin, std::int64_t row_end) {
+  for (std::int64_t i = row_begin; i < row_end; ++i) {
+    float* crow = &cd[std::size_t(i) * n];
+    std::memset(crow, 0, std::size_t(n) * sizeof(float));
+    for (int p = 0; p < k; ++p) {
+      const float av = ad[std::size_t(i) * k + p];
+      if (av == 0.0f) continue;
+      const float* brow = &bd[std::size_t(p) * n];
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+}  // namespace
+
 METRO_NOALLOC
 void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,
                 ThreadPool* pool) {
@@ -646,18 +606,19 @@ void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,
   const std::int64_t grain =
       std::max<std::int64_t>(1, 65536 / std::max(std::int64_t(k) * n, std::int64_t(1)));
   ParallelFor(pool, 0, m, grain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      float* crow = &cd[std::size_t(i) * n];
-      std::memset(crow, 0, std::size_t(n) * sizeof(float));
-      // Same i-k-j order (and zero-skip) as the eager MatMul.
-      for (int p = 0; p < k; ++p) {
-        const float av = ad[std::size_t(i) * k + p];
-        if (av == 0.0f) continue;
-        const float* brow = &bd[std::size_t(p) * n];
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
+    MatMulRows(ad, bd, cd, k, n, lo, hi);
   });
+}
+
+// Runs MatMulInto's row kernel directly: wrapping the tensors in views would
+// copy both shapes, two heap allocations per call on the LSTM's per-step
+// path.
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0));
+  Tensor c({a.dim(0), b.dim(1)});
+  MatMulRows(a.data().data(), b.data().data(), c.data().data(), a.dim(1),
+             b.dim(1), 0, a.dim(0));
+  return c;
 }
 
 METRO_NOALLOC

@@ -4,7 +4,9 @@
 //
 // Forward and backward passes for convolution, pooling, activations, and the
 // softmax/cross-entropy head. Stateful layers (parameters, batch-norm running
-// stats) live in nn/; these are the math underneath them.
+// stats) live in nn/; these are the math underneath them. Each forward
+// operation has one kernel, the *Into variant below, which training and
+// inference both run.
 
 #include <utility>
 #include <vector>
@@ -25,15 +27,7 @@ struct ConvGrads {
   Tensor bias;     ///< dL/db, shape [Cout]
 };
 
-/// 2-D convolution.
-///
-/// `input` is NHWC, `weights` is [KH, KW, Cin, Cout], `bias` is [Cout] (may be
-/// empty for no bias). Zero padding of `pad` pixels on each side; output size
-/// is (H + 2p - KH)/stride + 1.
-Tensor Conv2dForward(const Tensor& input, const Tensor& weights,
-                     const Tensor& bias, int stride, int pad);
-
-/// Backward pass matching Conv2dForward.
+/// Backward pass matching Conv2dForwardInto.
 ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,
                          const Tensor& grad_out, int stride, int pad);
 
@@ -44,26 +38,23 @@ struct MaxPoolResult {
   std::vector<std::size_t> argmax;  ///< flat input index per output element
 };
 
-/// Max pooling with square window `k` and stride `stride` (no padding).
+/// Max pooling with square window `k` and stride `stride` (no padding),
+/// recording the argmax routing that training's backward pass needs.
 MaxPoolResult MaxPool2dForward(const Tensor& input, int k, int stride);
 
 /// Routes each output gradient to the input element that won the max.
 Tensor MaxPool2dBackward(const Shape& input_shape, const MaxPoolResult& fwd,
                          const Tensor& grad_out);
 
-/// Mean over H and W: NHWC -> (N, C).
-Tensor GlobalAvgPoolForward(const Tensor& input);
+/// Backward pass matching GlobalAvgPoolForwardInto.
 Tensor GlobalAvgPoolBackward(const Shape& input_shape, const Tensor& grad_out);
 
-// Elementwise activations. Backward takes the *forward input* (x) except for
-// sigmoid/tanh which take the forward output (y) — the cheaper formulation.
-Tensor ReluForward(const Tensor& x);
+// Elementwise activation backward passes. They take the *forward input* (x)
+// except for sigmoid/tanh, which take the forward output (y) — the cheaper
+// formulation.
 Tensor ReluBackward(const Tensor& x, const Tensor& grad_out);
-Tensor LeakyReluForward(const Tensor& x, float alpha);
 Tensor LeakyReluBackward(const Tensor& x, const Tensor& grad_out, float alpha);
-Tensor SigmoidForward(const Tensor& x);
 Tensor SigmoidBackward(const Tensor& y, const Tensor& grad_out);
-Tensor TanhForward(const Tensor& x);
 Tensor TanhBackward(const Tensor& y, const Tensor& grad_out);
 
 /// Row-wise softmax of a (N, C) tensor (numerically stabilized).
@@ -89,17 +80,22 @@ float Entropy(std::span<const float> probs);
 float MaxProb(std::span<const float> probs);
 
 // ---------------------------------------------------------------------------
-// Planned-inference kernels (see nn/inference.h).
+// Forward kernels.
 //
-// The *Into variants write into caller-provided views (typically
-// arena-backed, see workspace.h) and never allocate. Each is bit-exact with
-// its eager counterpart above: the per-element accumulation order is
-// identical, and ParallelFor only changes which thread computes a given
-// output row, never the arithmetic inside it. The in-place variants allow
-// `out` to alias `x`.
+// The *Into kernels write into caller-provided views (arena-backed in
+// planned sessions, see workspace.h and nn/inference.h) and never allocate.
+// ParallelFor only changes which thread computes a given output row, never
+// the arithmetic inside it, so results do not depend on `pool`. The
+// in-place variants allow `out` to alias `x`.
 
-/// Conv2dForward into `out` (shape must match the conv output shape),
-/// parallelized over batch × output rows when `pool` is given.
+/// 2-D convolution into `out`, parallelized over batch × output rows when
+/// `pool` is given.
+///
+/// `input` is NHWC, `weights` is [KH, KW, Cin, Cout], `bias` is [Cout] (may be
+/// empty for no bias). Zero padding of `pad` pixels on each side; `out` must
+/// have shape (N, (H + 2p - KH)/stride + 1, (W + 2p - KW)/stride + 1, Cout).
+/// Each output starts from its bias and adds the in-bounds taps in
+/// (ky, kx, ic) order, whichever row kernel runs.
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
                        const TensorView& out, ThreadPool* pool = nullptr);
@@ -109,11 +105,16 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
                           const TensorView& out);
 
+/// Mean over H and W: NHWC -> (N, C).
 void GlobalAvgPoolForwardInto(const TensorView& input, const TensorView& out);
 
-/// C = A(MxK) * B(KxN), parallel over rows of A.
+/// C = A(MxK) * B(KxN), parallel over rows of A (i-k-j order).
 void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,
                 ThreadPool* pool = nullptr);
+
+/// Allocating MatMulInto (same kernel); shapes are validated with
+/// assertions.
+Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// y = xW + b (Dense forward) — MatMulInto plus in-place row bias add.
 void DenseForwardInto(const TensorView& x, const Tensor& w, const Tensor& b,
@@ -126,8 +127,7 @@ void SigmoidInto(const TensorView& x, const TensorView& out);
 void TanhInto(const TensorView& x, const TensorView& out);
 
 /// Folds BatchNorm inference statistics into per-channel affine factors:
-/// y = x * scale[ch] + shift[ch]. Shared by the eager inference branch and
-/// the planned path so both produce bit-identical outputs.
+/// y = x * scale[ch] + shift[ch].
 void BatchNormFoldScaleShift(std::span<const float> gamma,
                              std::span<const float> beta,
                              std::span<const float> mean,

@@ -105,26 +105,6 @@ float Tensor::Rms() const {
   return float(std::sqrt(acc / double(data_.size())));
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0));
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  const auto ad = a.data();
-  const auto bd = b.data();
-  auto cd = c.data();
-  // i-k-j loop order: unit-stride inner loop over both b and c.
-  for (int i = 0; i < m; ++i) {
-    for (int p = 0; p < k; ++p) {
-      const float av = ad[std::size_t(i) * k + p];
-      if (av == 0.0f) continue;
-      const std::size_t brow = std::size_t(p) * n;
-      const std::size_t crow = std::size_t(i) * n;
-      for (int j = 0; j < n; ++j) cd[crow + j] += av * bd[brow + j];
-    }
-  }
-  return c;
-}
-
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1));
   const int m = a.dim(0), k = a.dim(1), n = b.dim(0);

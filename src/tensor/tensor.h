@@ -113,9 +113,6 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// C = A(MxK) * B(KxN); shapes are validated with assertions.
-Tensor MatMul(const Tensor& a, const Tensor& b);
-
 /// C = A(MxK) * B^T where B is (NxK).
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 

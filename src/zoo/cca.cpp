@@ -186,42 +186,4 @@ Tensor CcaProjectY(const CcaModel& model, const Tensor& y) {
   return Project(y, model.mean_y, model.wy);
 }
 
-namespace {
-
-METRO_NOALLOC
-void ProjectInto(const tensor::TensorView& x, const std::vector<float>& mean,
-                 const Tensor& w, const tensor::TensorView& out,
-                 tensor::Workspace& scratch, ThreadPool* pool) {
-  const int n = x.dim(0), d = x.dim(1);
-  assert(std::size_t(d) == mean.size());
-  const tensor::Workspace::Mark mark = scratch.Position();
-  tensor::TensorView xc = scratch.AllocView(x.shape());
-  // Same arithmetic as CenterRows: copy, then subtract column means.
-  const float* xd = x.data().data();
-  float* cd = xc.data().data();
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) {
-      cd[std::size_t(i) * d + j] = xd[std::size_t(i) * d + j] - mean[std::size_t(j)];
-    }
-  }
-  tensor::MatMulInto(xc, w, out, pool);
-  scratch.Rewind(mark);
-}
-
-}  // namespace
-
-METRO_NOALLOC
-void CcaProjectXInto(const CcaModel& model, const tensor::TensorView& x,
-                     const tensor::TensorView& out, tensor::Workspace& scratch,
-                     ThreadPool* pool) {
-  ProjectInto(x, model.mean_x, model.wx, out, scratch, pool);
-}
-
-METRO_NOALLOC
-void CcaProjectYInto(const CcaModel& model, const tensor::TensorView& y,
-                     const tensor::TensorView& out, tensor::Workspace& scratch,
-                     ThreadPool* pool) {
-  ProjectInto(y, model.mean_y, model.wy, out, scratch, pool);
-}
-
 }  // namespace metro::zoo

@@ -10,12 +10,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
-#include "tensor/workspace.h"
 #include "util/status.h"
-
-namespace metro {
-class ThreadPool;
-}
 
 namespace metro::zoo {
 
@@ -39,16 +34,6 @@ Result<CcaModel> FitCca(const Tensor& x, const Tensor& y, int k,
 Tensor CcaProjectX(const CcaModel& model, const Tensor& x);
 /// Projects new rows of view Y (n, q) -> (n, k) canonical space.
 Tensor CcaProjectY(const CcaModel& model, const Tensor& y);
-
-/// Batched allocation-free projections: rows are centered into `scratch`
-/// (rewound before returning) and multiplied straight into `out` (n, k) via
-/// tensor::MatMulInto. Bit-exact with CcaProjectX / CcaProjectY.
-void CcaProjectXInto(const CcaModel& model, const tensor::TensorView& x,
-                     const tensor::TensorView& out, tensor::Workspace& scratch,
-                     ThreadPool* pool = nullptr);
-void CcaProjectYInto(const CcaModel& model, const tensor::TensorView& y,
-                     const tensor::TensorView& out, tensor::Workspace& scratch,
-                     ThreadPool* pool = nullptr);
 
 // --- Small symmetric linear-algebra helpers (exposed for tests) ---
 

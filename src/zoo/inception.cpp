@@ -71,7 +71,7 @@ Tensor UnpadSpatial(const Tensor& g, int pad) {
 }
 
 /// Interleaves channel-wise parts into `out` — same values in the same
-/// positions as the eager ConcatChannels.
+/// positions as ConcatChannels.
 void ConcatChannelsInto(const std::vector<TensorView>& parts,
                         const TensorView& out) {
   const int total_c = out.dim(3);
@@ -158,19 +158,16 @@ InceptionBlock::InceptionBlock(int in_channels, const InceptionConfig& config,
       act3b_(ActKind::kRelu),
       act4_(ActKind::kRelu) {}
 
-Tensor InceptionBlock::Forward(const Tensor& x, bool training) {
-  if (training) cached_in_shape_ = x.shape();
-  Tensor y1 = act1_.Forward(b1_.Forward(x, training), training);
+Tensor InceptionBlock::ForwardTrain(const Tensor& x) {
+  Tensor y1 = act1_.Forward(b1_.Forward(x, true), true);
   Tensor y2 = act2b_.Forward(
-      b2_.Forward(act2a_.Forward(b2_reduce_.Forward(x, training), training),
-                  training),
-      training);
+      b2_.Forward(act2a_.Forward(b2_reduce_.Forward(x, true), true), true),
+      true);
   Tensor y3 = act3b_.Forward(
-      b3_.Forward(act3a_.Forward(b3_reduce_.Forward(x, training), training),
-                  training),
-      training);
-  Tensor pooled = b4_pool_.Forward(PadSpatial(x, 1), training);
-  Tensor y4 = act4_.Forward(b4_.Forward(pooled, training), training);
+      b3_.Forward(act3a_.Forward(b3_reduce_.Forward(x, true), true), true),
+      true);
+  Tensor pooled = b4_pool_.Forward(PadSpatial(x, 1), true);
+  Tensor y4 = act4_.Forward(b4_.Forward(pooled, true), true);
   return ConcatChannels({&y1, &y2, &y3, &y4});
 }
 
@@ -178,41 +175,37 @@ METRO_NOALLOC
 void InceptionBlock::ForwardInto(const nn::TensorView& x,
                                  const nn::TensorView& out,
                                  nn::InferenceContext& ctx) {
-  if (!ctx.scratch) {
-    Layer::ForwardInto(x, out, ctx);
-    return;
-  }
   // Each branch computes into block-local scratch (activations run in
-  // place), then the four results interleave into `out`. The session rewinds
+  // place), then the four results interleave into `out`. The caller rewinds
   // the scratch after this layer returns.
   const Shape& in = x.shape();
-  TensorView y1 = ctx.scratch->AllocView(b1_.OutputShape(in));
+  TensorView y1 = ctx.scratch.AllocView(b1_.OutputShape(in));
   b1_.ForwardInto(x, y1, ctx);
   tensor::ReluInto(y1, y1);
 
-  TensorView r2 = ctx.scratch->AllocView(b2_reduce_.OutputShape(in));
+  TensorView r2 = ctx.scratch.AllocView(b2_reduce_.OutputShape(in));
   b2_reduce_.ForwardInto(x, r2, ctx);
   tensor::ReluInto(r2, r2);
-  TensorView y2 = ctx.scratch->AllocView(b2_.OutputShape(r2.shape()));
+  TensorView y2 = ctx.scratch.AllocView(b2_.OutputShape(r2.shape()));
   b2_.ForwardInto(r2, y2, ctx);
   tensor::ReluInto(y2, y2);
 
-  TensorView r3 = ctx.scratch->AllocView(b3_reduce_.OutputShape(in));
+  TensorView r3 = ctx.scratch.AllocView(b3_reduce_.OutputShape(in));
   b3_reduce_.ForwardInto(x, r3, ctx);
   tensor::ReluInto(r3, r3);
-  TensorView y3 = ctx.scratch->AllocView(b3_.OutputShape(r3.shape()));
+  TensorView y3 = ctx.scratch.AllocView(b3_.OutputShape(r3.shape()));
   b3_.ForwardInto(r3, y3, ctx);
   tensor::ReluInto(y3, y3);
 
   Shape padded_shape = in;
   padded_shape[1] += 2;
   padded_shape[2] += 2;
-  TensorView padded = ctx.scratch->AllocView(padded_shape);
+  TensorView padded = ctx.scratch.AllocView(padded_shape);
   PadSpatialInto(x, 1, padded);
   TensorView pooled =
-      ctx.scratch->AllocView(b4_pool_.OutputShape(padded_shape));
+      ctx.scratch.AllocView(b4_pool_.OutputShape(padded_shape));
   b4_pool_.ForwardInto(padded, pooled, ctx);
-  TensorView y4 = ctx.scratch->AllocView(b4_.OutputShape(pooled.shape()));
+  TensorView y4 = ctx.scratch.AllocView(b4_.OutputShape(pooled.shape()));
   b4_.ForwardInto(pooled, y4, ctx);
   tensor::ReluInto(y4, y4);
 

@@ -34,7 +34,6 @@ class InceptionBlock final : public nn::Layer {
  public:
   InceptionBlock(int in_channels, const InceptionConfig& config, Rng& rng);
 
-  nn::Tensor Forward(const nn::Tensor& x, bool training) override;
   nn::Tensor Backward(const nn::Tensor& grad_out) override;
   void ForwardInto(const nn::TensorView& x, const nn::TensorView& out,
                    nn::InferenceContext& ctx) override;
@@ -46,6 +45,8 @@ class InceptionBlock final : public nn::Layer {
   const InceptionConfig& config() const { return config_; }
 
  private:
+  nn::Tensor ForwardTrain(const nn::Tensor& x) override;
+
   int cin_;
   InceptionConfig config_;
 
@@ -56,7 +57,6 @@ class InceptionBlock final : public nn::Layer {
   nn::Conv2d b4_;               // -> 1x1
 
   nn::Activation act1_, act2a_, act2b_, act3a_, act3b_, act4_;
-  nn::Shape cached_in_shape_;
 };
 
 /// Concatenates NHWC tensors along the channel axis (equal N/H/W).

@@ -13,7 +13,9 @@ ResNetBlock::ResNetBlock(int in_channels, int out_channels, int stride,
       conv1_(in_channels, out_channels, 3, stride, 1, rng),
       bn1_(out_channels),
       conv2_(out_channels, out_channels, 3, 1, 1, rng),
-      bn2_(out_channels) {
+      bn2_(out_channels),
+      relu1_(nn::ActKind::kRelu),
+      relu2_(nn::ActKind::kRelu) {
   switch (shortcut_) {
     case ShortcutKind::kConv:
       conv_sc_ = std::make_unique<nn::Conv2d>(in_channels, out_channels, 1,
@@ -33,14 +35,14 @@ ResNetBlock::ResNetBlock(int in_channels, int out_channels, int stride,
   }
 }
 
-Tensor ResNetBlock::ShortcutForward(const Tensor& x, bool training) {
+Tensor ResNetBlock::ShortcutForward(const Tensor& x) {
   switch (shortcut_) {
     case ShortcutKind::kConv:
-      return conv_sc_->Forward(x, training);
+      return conv_sc_->Forward(x, /*training=*/true);
     case ShortcutKind::kIdentity:
       return x;
     case ShortcutKind::kMaxPool: {
-      Tensor pooled = pool_sc_ ? pool_sc_->Forward(x, training) : x;
+      Tensor pooled = pool_sc_ ? pool_sc_->Forward(x, /*training=*/true) : x;
       if (cout_ == cin_) return pooled;
       // Zero-pad the channel dimension up to cout_.
       Tensor padded({pooled.dim(0), pooled.dim(1), pooled.dim(2), cout_});
@@ -81,18 +83,15 @@ Tensor ResNetBlock::ShortcutBackward(const Tensor& grad) {
   return grad;
 }
 
-Tensor ResNetBlock::Forward(const Tensor& x, bool training) {
-  if (training) cached_in_shape_ = x.shape();
-  Tensor main = bn1_.Forward(conv1_.Forward(x, training), training);
-  if (training) cached_main_preact_ = main;
-  main = tensor::ReluForward(main);
-  main = bn2_.Forward(conv2_.Forward(main, training), training);
+Tensor ResNetBlock::ForwardTrain(const Tensor& x) {
+  Tensor main = bn1_.Forward(conv1_.Forward(x, true), true);
+  main = relu1_.Forward(main, true);
+  main = bn2_.Forward(conv2_.Forward(main, true), true);
 
-  Tensor sc = ShortcutForward(x, training);
+  Tensor sc = ShortcutForward(x);
   assert(sc.shape() == main.shape());
   main += sc;
-  if (training) cached_preact_ = main;
-  return tensor::ReluForward(main);
+  return relu2_.Forward(main, true);
 }
 
 METRO_NOALLOC
@@ -100,24 +99,20 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
                               const nn::TensorView& out,
                               nn::InferenceContext& ctx) {
   using tensor::TensorView;
-  if (!ctx.scratch) {
-    Layer::ForwardInto(x, out, ctx);
-    return;
-  }
   // Main path: conv1 -> bn1 -> relu runs in block-local scratch; conv2 writes
   // straight into `out` (distinct from `x` by the engine's ping-pong rule),
   // then bn2 / the residual add / the final relu execute in place on `out`.
   const Shape mid_shape = conv1_.OutputShape(x.shape());
-  TensorView mid = ctx.scratch->AllocView(mid_shape);
+  TensorView mid = ctx.scratch.AllocView(mid_shape);
   conv1_.ForwardInto(x, mid, ctx);
   bn1_.ForwardInto(mid, mid, ctx);
-  tensor::ReluInto(mid, mid);
+  relu1_.ForwardInto(mid, mid, ctx);
   conv2_.ForwardInto(mid, out, ctx);
   bn2_.ForwardInto(out, out, ctx);
 
   switch (shortcut_) {
     case ShortcutKind::kConv: {
-      TensorView sc = ctx.scratch->AllocView(out.shape());
+      TensorView sc = ctx.scratch.AllocView(out.shape());
       conv_sc_->ForwardInto(x, sc, ctx);
       tensor::AddInto(out, sc, out);
       break;
@@ -128,7 +123,7 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
     case ShortcutKind::kMaxPool: {
       TensorView pooled = x;
       if (pool_sc_) {
-        pooled = ctx.scratch->AllocView(pool_sc_->OutputShape(x.shape()));
+        pooled = ctx.scratch.AllocView(pool_sc_->OutputShape(x.shape()));
         pool_sc_->ForwardInto(x, pooled, ctx);
       }
       if (cout_ == cin_) {
@@ -142,22 +137,22 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
           float* opx = &od[p * std::size_t(cout_)];
           const float* ppx = &pd[p * std::size_t(cin_)];
           for (int ch = 0; ch < cin_; ++ch) opx[ch] += ppx[ch];
-          // Eager adds the zero padding too; keep the identical += 0.0f so
-          // signed zeros normalize the same way (bit-exactness contract).
+          // The training forward adds the zero padding too; the same
+          // += 0.0f normalizes signed zeros identically in both.
           for (int ch = cin_; ch < cout_; ++ch) opx[ch] += 0.0f;
         }
       }
       break;
     }
   }
-  tensor::ReluInto(out, out);
+  relu2_.ForwardInto(out, out, ctx);
 }
 
 Tensor ResNetBlock::Backward(const Tensor& grad_out) {
-  Tensor g = tensor::ReluBackward(cached_preact_, grad_out);
+  Tensor g = relu2_.Backward(grad_out);
   // Branch 1: main path.
   Tensor gm = conv2_.Backward(bn2_.Backward(g));
-  gm = tensor::ReluBackward(cached_main_preact_, gm);
+  gm = relu1_.Backward(gm);
   Tensor gx = conv1_.Backward(bn1_.Backward(gm));
   // Branch 2: shortcut.
   gx += ShortcutBackward(g);

@@ -32,7 +32,6 @@ class ResNetBlock final : public Layer {
   ResNetBlock(int in_channels, int out_channels, int stride,
               ShortcutKind shortcut, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training) override;
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const nn::TensorView& x, const nn::TensorView& out,
                    nn::InferenceContext& ctx) override;
@@ -45,7 +44,8 @@ class ResNetBlock final : public Layer {
   ShortcutKind shortcut_kind() const { return shortcut_; }
 
  private:
-  Tensor ShortcutForward(const Tensor& x, bool training);
+  Tensor ForwardTrain(const Tensor& x) override;
+  Tensor ShortcutForward(const Tensor& x);
   Tensor ShortcutBackward(const Tensor& grad);
 
   int cin_, cout_, stride_;
@@ -55,12 +55,10 @@ class ResNetBlock final : public Layer {
   nn::BatchNorm bn1_;
   nn::Conv2d conv2_;
   nn::BatchNorm bn2_;
+  nn::Activation relu1_;  // after bn1
+  nn::Activation relu2_;  // after the residual add
   std::unique_ptr<nn::Conv2d> conv_sc_;      // kConv only
   std::unique_ptr<nn::MaxPool2d> pool_sc_;   // kMaxPool with stride > 1
-
-  Tensor cached_preact_;       // main + shortcut, before the final ReLU
-  Tensor cached_main_preact_;  // bn1 output, before the intermediate ReLU
-  Shape cached_in_shape_;
 };
 
 }  // namespace metro::zoo

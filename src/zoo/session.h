@@ -17,8 +17,9 @@
 // on the collector's clock. Fog simulations keep their own sim-clock
 // collector; inference spans are wall-clock and belong to a separate one.
 //
-// Every session output is bit-exact with the eager `Forward(x, false)` path
-// of its model (enforced by tests/inference_parity_test.cpp).
+// Every session output is bit-identical to its model's `Forward(x, false)`,
+// which runs the same ForwardInto kernels one layer at a time (checked by
+// tests/inference_parity_test.cpp).
 
 #include <span>
 #include <vector>

@@ -296,7 +296,9 @@ TEST(MatMulTest, IntoKernelsMatchReference) {
     const Tensor expected = ReferenceMatMul(a, w);
     Tensor dense_expected = expected;
     for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < 11; ++j) dense_expected.at(i, j) += bias[std::size_t(j)];
+      for (int j = 0; j < 11; ++j) {
+        dense_expected.at(i, j) += bias[std::size_t(j)];
+      }
     }
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
       Tensor c({m, 11});
