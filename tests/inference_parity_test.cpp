@@ -23,6 +23,7 @@
 #include "apps/vehicle_app.h"
 #include "datagen/video.h"
 #include "nn/inference.h"
+#include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "tensor/workspace.h"
 #include "util/thread_pool.h"
@@ -430,6 +431,76 @@ TEST(InferenceGoldenTest, DetectorHalves) {
   ExpectGolden(stem_golden, stem_v);
   ExpectGolden(tiny_golden, session.TinyHead(stem_v));
   ExpectGolden(full_golden, session.FullHead(stem_v));
+}
+
+// The Fig. 7 halves at one clip and at three, where the recurrent tail
+// reads the clip-major (N*T, F) features with a stride of T rows.
+TEST(InferenceGoldenTest, BehaviorHalves) {
+  struct Case {
+    int n_clips;
+    Golden block1, local, server;
+  };
+  const Case cases[] = {
+      {1,
+       {{6, 8, 8, 8}, 0x9dfa9c198573730aULL},
+       {{1, 5}, 0x664645d0fd313d3dULL},
+       {{1, 5}, 0x291208b13e17fa50ULL}},
+      {3,
+       {{18, 8, 8, 8}, 0x71ac7adb0843264bULL},
+       {{3, 5}, 0xcc219dac079b2f77ULL},
+       {{3, 5}, 0x80eaa469e433c9a8ULL}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n_clips " + std::to_string(c.n_clips));
+    Rng rng(240);
+    zoo::BehaviorConfig config;
+    zoo::SplitBehaviorNet net(config, rng);
+    FillUniform(net.Params(), net.Buffers(), rng);
+    const Tensor frames =
+        RandomInput({c.n_clips * config.clip_length, config.frame_size,
+                     config.frame_size, config.channels},
+                    rng);
+
+    const Tensor block1 = net.Block1(frames, false);
+    ExpectGolden(c.block1, block1);
+    ExpectGolden(c.local, net.LocalLogits(frames, c.n_clips, false));
+    ExpectGolden(c.server, net.ServerLogits(block1, c.n_clips, false));
+
+    Workspace arena;
+    zoo::BehaviorSession session(net, c.n_clips, arena);
+    const auto pass = session.RunLocal(TensorView::OfConst(frames), c.n_clips);
+    ExpectGolden(c.block1, pass.block1_out);
+    ExpectGolden(c.local, pass.logits);
+    ExpectGolden(c.server, session.ServerLogits(pass.block1_out, c.n_clips));
+  }
+}
+
+// Joint two-exit training over a three-clip batch: the float bits of the
+// first five losses pin the BPTT gradients and the optimizer steps.
+TEST(InferenceGoldenTest, BehaviorTrainStepLosses) {
+  const std::uint32_t golden_bits[] = {0x404aa258u, 0x404dcba6u, 0x405c5d58u,
+                                       0x4059e15eu, 0x406b15ccu};
+  Rng rng(250);
+  zoo::BehaviorConfig config;
+  zoo::SplitBehaviorNet net(config, rng);
+  FillUniform(net.Params(), net.Buffers(), rng);
+  nn::Adam opt(2e-3f);
+  for (int step = 0; step < 5; ++step) {
+    std::vector<zoo::Clip> batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.push_back(zoo::Clip{
+          RandomInput({config.clip_length, config.frame_size,
+                       config.frame_size, config.channels},
+                      rng),
+          (step + i) % config.num_classes});
+    }
+    const float loss = net.TrainStep(batch, opt);
+    std::uint32_t bits;
+    std::memcpy(&bits, &loss, sizeof bits);
+    EXPECT_EQ(bits, golden_bits[step])
+        << "step " << step << std::hex << std::showbase << ": actual bits "
+        << bits << " (loss " << loss << ")";
+  }
 }
 
 TEST(InferenceGoldenTest, FusionEncodeDecode) {

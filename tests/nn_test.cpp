@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "nn/layer.h"
 #include "nn/lstm.h"
@@ -258,6 +260,66 @@ TEST(LstmTest, GradientCheckThroughTime) {
     const double lo = loss();
     wx->value[idx] = saved;
     EXPECT_NEAR(analytic, (hi - lo) / (2 * eps), 5e-2);
+  }
+}
+
+// Multi-step BPTT against central differences, in the style of Dali's
+// `gradient_same`: at batch 2 and T 4, over three seeds, every input
+// coordinate of every step and a spread of wx, wh and b coordinates.
+TEST(LstmTest, BpttGradientsMatchNumericAcrossSeeds) {
+  const int batch = 2, t_len = 4, in = 3, hidden = 5;
+  for (std::uint64_t seed : {31u, 32u, 33u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Lstm lstm(in, hidden, rng);
+    std::vector<Tensor> xs;
+    for (int t = 0; t < t_len; ++t) {
+      xs.push_back(Tensor::RandomNormal({batch, in}, 1.0f, rng));
+    }
+    const Tensor probe = Tensor::RandomNormal({batch, hidden}, 1.0f, rng);
+    std::vector<Tensor> grad_h(std::size_t(t_len), Tensor({batch, hidden}));
+    grad_h.back() = probe;
+
+    for (Param* p : lstm.Params()) p->ZeroGrad();
+    lstm.Forward(xs, true);
+    const std::vector<Tensor> grad_x = lstm.Backward(grad_h);
+    ASSERT_EQ(grad_x.size(), std::size_t(t_len));
+
+    // L = <h_T, probe>, evaluated in double over the float forward.
+    auto loss = [&] {
+      const Tensor h = lstm.Forward(xs, false).back();
+      double acc = 0;
+      for (std::size_t i = 0; i < h.size(); ++i) acc += double(h[i]) * probe[i];
+      return acc;
+    };
+    auto numeric = [&](float& v) {
+      const float eps = 1e-2f, saved = v;
+      v = saved + eps;
+      const double hi = loss();
+      v = saved - eps;
+      const double lo = loss();
+      v = saved;
+      return (hi - lo) / (2.0 * double(eps));
+    };
+    auto expect_close = [](double analytic, double num) {
+      EXPECT_NEAR(analytic, num, 2e-3 + 2e-2 * std::fabs(num));
+    };
+
+    for (int t = 0; t < t_len; ++t) {
+      for (std::size_t i = 0; i < xs[std::size_t(t)].size(); ++i) {
+        SCOPED_TRACE("dx step " + std::to_string(t) + " idx " +
+                     std::to_string(i));
+        expect_close(grad_x[std::size_t(t)][i],
+                     numeric(xs[std::size_t(t)][i]));
+      }
+    }
+    for (Param* p : lstm.Params()) {
+      const std::size_t n = p->value.size();
+      for (std::size_t i : {std::size_t(0), n / 3, n / 2, n - 1}) {
+        SCOPED_TRACE(p->name + " idx " + std::to_string(i));
+        expect_close(p->grad[i], numeric(p->value[i]));
+      }
+    }
   }
 }
 
