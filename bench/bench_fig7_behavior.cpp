@@ -155,7 +155,7 @@ int RunJsonMode(const std::string& path) {
   });
   const auto local_planned = bench_json::Measure(10, kIters, [&] {
     auto pass =
-        app.session().RunLocal(tensor::TensorView::OfConst(clip.frames), 1);
+        app.session().RunLocal(tensor::TensorView::OfConst(clip.frames));
     benchmark::DoNotOptimize(pass.entropy.front());
   });
 
@@ -165,9 +165,9 @@ int RunJsonMode(const std::string& path) {
     benchmark::DoNotOptimize(probs.data());
   });
   auto planned_pass =
-      app.session().RunLocal(tensor::TensorView::OfConst(clip.frames), 1);
+      app.session().RunLocal(tensor::TensorView::OfConst(clip.frames));
   const auto server_planned = bench_json::Measure(10, kIters, [&] {
-    auto logits = app.session().ServerLogits(planned_pass.block1_out, 1);
+    auto logits = app.session().ServerLogits(planned_pass.block1_out);
     benchmark::DoNotOptimize(logits.data());
   });
 

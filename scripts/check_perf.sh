@@ -3,13 +3,17 @@
 # produce path. Builds Release, checks the kernels and the planner first
 # (tensor_test's reference kernels and inference_parity_test's goldens and
 # planner parity are what make the perf numbers meaningful), then runs the
-# Fig. 5 / Fig. 7 benches in --json mode and reports the eager-vs-planned
-# ratios from BENCH_infer.json, and finally runs the MQ failover bench and
-# gates on the batched-produce speedup from BENCH_mq.json.
+# Fig. 5 / Fig. 7 benches in --json mode, reports the eager-vs-planned
+# ratios from BENCH_infer.json and gates the Fig. 7 planned halves' heap
+# allocations, and finally runs the MQ failover bench and gates on the
+# batched-produce speedup from BENCH_mq.json.
 #
 # Exits non-zero when:
 #   - the build, the kernel tests or the inference parity suite fail, or
 #   - either inference bench fails to produce its BENCH_infer.json section, or
+#   - either planned Fig. 7 half (local_planned, server_planned) makes more
+#     than 10 heap allocations per call — a hard gate, because the counts
+#     are deterministic (same code, same count on any host), or
 #   - the MQ bench fails its exactly-once audit / misses BENCH_mq.json, or
 #   - batched produce is < 2x single-record records/s at 8 partitions, or
 #   - the store read-storm bench fails its ingest sanity floor / misses
@@ -68,6 +72,13 @@ BASE_MS="$(field "${BASELINE}" eager latency_ms)"
 BASE_ALLOCS="$(field "${BASELINE}" eager heap_allocs_per_call)"
 echo "==> fig5 local-exit in-run: planned is ${SPEEDUP}x faster, ${ALLOC_CUT}x fewer heap allocs than eager"
 echo "==> fig5 local-exit vs baseline: planned ${PLANNED_MS} ms / ${PLANNED_ALLOCS} allocs per call against eager ${BASE_MS} ms / ${BASE_ALLOCS} (target: <= 1/2 / <= 1/4)"
+
+FIG7_LOCAL_ALLOCS="$(field "${JSON}" local_planned heap_allocs_per_call)"
+FIG7_SERVER_ALLOCS="$(field "${JSON}" server_planned heap_allocs_per_call)"
+echo "==> fig7 planned halves: local ${FIG7_LOCAL_ALLOCS} / server ${FIG7_SERVER_ALLOCS} heap allocs per call (target: <= 10 each)"
+awk -v l="${FIG7_LOCAL_ALLOCS}" -v s="${FIG7_SERVER_ALLOCS}" \
+  'BEGIN { exit !(l != "" && s != "" && l <= 10 && s <= 10) }' ||
+  { echo "check_perf: FAIL (a planned fig7 half makes > 10 heap allocs per call)" >&2; exit 1; }
 
 if [[ "${METRO_PERF_STRICT:-0}" == "1" ]]; then
   base_nproc="$(sed -n 's/.*"nproc": \([0-9]*\).*/\1/p' "${BASELINE}")"

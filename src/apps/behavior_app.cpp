@@ -40,12 +40,10 @@ BehaviorEvaluation BehaviorRecognitionApp::Evaluate(int num_clips,
     const zoo::Clip clip = generator_.Generate();
     // Ungated paths, for the accuracy floor/ceiling — planned sessions; the
     // block-1 cut-point features stay arena-resident between the halves.
-    auto local =
-        session_.RunLocal(tensor::TensorView::OfConst(clip.frames), 1);
-    const int e1_label =
-        int(local.logits.ArgMax());
+    auto local = session_.RunLocal(tensor::TensorView::OfConst(clip.frames));
+    const int e1_label = int(local.logits.ArgMax());
     if (e1_label == clip.label) ++e1_hits;
-    const nn::Tensor server_logits = session_.ServerLogits(local.block1_out, 1);
+    const nn::Tensor server_logits = session_.ServerLogits(local.block1_out);
     const nn::Tensor server_probs = tensor::Softmax(server_logits);
     const int e2_label = int(server_probs.ArgMax());
     if (e2_label == clip.label) ++e2_hits;

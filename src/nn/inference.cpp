@@ -156,11 +156,8 @@ TensorView InferenceSession::Run(const TensorView& input) {
     }
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.runs;
-    if (replanned) ++stats_.replans;
-  }
+  runs_.fetch_add(1, std::memory_order_relaxed);
+  if (replanned) replans_.fetch_add(1, std::memory_order_relaxed);
   return *cur;
 }
 
@@ -169,8 +166,8 @@ Tensor InferenceSession::Run(const Tensor& input) {
 }
 
 InferenceSession::Stats InferenceSession::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  return {runs_.load(std::memory_order_relaxed),
+          replans_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace metro::nn

@@ -172,10 +172,6 @@ Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
   return tensor::GlobalAvgPoolBackward(cached_in_shape_, grad_out);
 }
 
-std::size_t GlobalAvgPool::ForwardMacs(const Shape& input_shape) const {
-  return tensor::NumElements(input_shape);
-}
-
 Shape GlobalAvgPool::OutputShape(const Shape& input_shape) const {
   return {input_shape[0], input_shape[3]};
 }

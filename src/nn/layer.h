@@ -178,7 +178,9 @@ class GlobalAvgPool final : public Layer {
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
   std::string name() const override { return "gap"; }
-  std::size_t ForwardMacs(const Shape& input_shape) const override;
+  /// An unweighted mean: like the activations it counts no MACs, so the
+  /// Fig. 7 per-stage budgets cover the weighted layers only.
+  std::size_t ForwardMacs(const Shape&) const override { return 0; }
   Shape OutputShape(const Shape& input_shape) const override;
 
  private:

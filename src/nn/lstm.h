@@ -2,8 +2,8 @@
 
 // LSTM layer with truncated-BPTT training.
 //
-// The temporal-analysis module of Sec. III-B: consumes a sequence of feature
-// vectors (one per video frame) and produces hidden states whose last element
+// The temporal-analysis module of Sec. III-B: consumes a clip of feature
+// vectors (one per video frame) and produces the last hidden state, which
 // feeds the behavior classifier of Fig. 7.
 
 #include <vector>
@@ -12,42 +12,47 @@
 
 namespace metro::nn {
 
-/// Single-direction LSTM over a sequence of (N, input) tensors.
+/// Single-direction LSTM over clips of a fixed length T.
 ///
-/// Gate order in the packed weight matrices is [i, f, g, o]; forget-gate bias
-/// is initialized to +1 (the standard trick for gradient flow).
-class Lstm {
+/// The input is clip-major `(N*T, input)`: row `n*T + t` is step t of clip n,
+/// the layout a per-frame feature extractor (global average pool) produces
+/// for stacked clips. The output is the hidden state after the last step,
+/// `(N, hidden)`; initial h/c are zero. Gate order in the packed weight
+/// matrices is [i, f, g, o]; forget-gate bias is initialized to +1 (the
+/// standard trick for gradient flow).
+class Lstm final : public Layer {
  public:
-  Lstm(int input_size, int hidden_size, Rng& rng);
+  Lstm(int input_size, int hidden_size, int steps, Rng& rng);
 
-  int input_size() const { return input_; }
-  int hidden_size() const { return hidden_; }
-
-  /// Runs the cell across `xs` (time-major: T tensors of shape (N, input)).
-  /// Returns the hidden state at every step. Initial h/c are zero.
-  std::vector<Tensor> Forward(const std::vector<Tensor>& xs, bool training);
-
-  /// Backpropagates through time. `grad_h[t]` is dL/dh_t (commonly zero for
-  /// all but the last step); returns dL/dx_t per step.
-  std::vector<Tensor> Backward(const std::vector<Tensor>& grad_h);
-
-  std::vector<Param*> Params() { return {&wx_, &wh_, &b_}; }
-
-  /// MACs for a T-step forward at batch size n.
-  std::size_t ForwardMacs(int steps, int batch) const;
+  /// Backpropagates dL/dh_T through time; returns dL/dx as (N*T, input).
+  Tensor Backward(const Tensor& grad_h) override;
+  void ForwardInto(const TensorView& x, const TensorView& out,
+                   InferenceContext& ctx) override;
+  std::vector<Param*> Params() override { return {&wx_, &wh_, &b_}; }
+  std::string name() const override;
+  std::size_t ForwardMacs(const Shape& input_shape) const override;
+  Shape OutputShape(const Shape& input_shape) const override;
 
  private:
-  struct StepCache {
-    Tensor x, h_prev, c_prev;
-    Tensor i, f, g, o;  // post-activation gates, each (N, H)
-    Tensor c, tanh_c;
-  };
+  Tensor ForwardTrain(const Tensor& x) override;
 
-  int input_, hidden_;
+  /// One time step over n clips, the layer's only cell update. `zx` is
+  /// x_t*Wx of clip 0, the next clip's row `zx_stride` floats on. Writes the
+  /// post-activation gates to `gates` (n, 4H) and the new state to c_out and
+  /// h_out, which may alias c_prev and h_prev.
+  void CellStep(const float* zx, std::size_t zx_stride, const float* h_prev,
+                const float* c_prev, int n, float* gates, float* c_out,
+                float* h_out) const;
+
+  int input_, hidden_, steps_;
   Param wx_;  // (input, 4H)
   Param wh_;  // (hidden, 4H)
   Param b_;   // (4H)
-  std::vector<StepCache> cache_;
+
+  // BPTT cache of the last ForwardTrain: the input, and per step the gates
+  // (N, 4H) plus the states h_t, c_t (N, H) for t = 0..T.
+  Tensor cached_x_;
+  std::vector<Tensor> gates_, h_, c_;
 };
 
 }  // namespace metro::nn

@@ -12,7 +12,7 @@ namespace metro::nn {
 /// A straight-line stack of layers.
 ///
 /// Building block for the zoo models; the split architectures of Figs. 5 and 7
-/// are expressed as two Sequential halves joined by an exit gate.
+/// are expressed as Sequential halves joined by an exit gate.
 class Sequential {
  public:
   Sequential() = default;

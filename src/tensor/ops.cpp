@@ -573,10 +573,7 @@ void GlobalAvgPoolForwardInto(const TensorView& input, const TensorView& out) {
   }
 }
 
-namespace {
-
-// Rows [row_begin, row_end) of C(MxN) = A(MxK) * B(KxN), in i-k-j order:
-// unit-stride inner loop over both b and c.
+// i-k-j order: unit-stride inner loop over both b and c.
 METRO_NOALLOC
 void MatMulRows(const float* ad, const float* bd, float* cd, int k, int n,
                 std::int64_t row_begin, std::int64_t row_end) {
@@ -591,8 +588,6 @@ void MatMulRows(const float* ad, const float* bd, float* cd, int k, int n,
     }
   }
 }
-
-}  // namespace
 
 METRO_NOALLOC
 void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,
@@ -611,8 +606,7 @@ void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,
 }
 
 // Runs MatMulInto's row kernel directly: wrapping the tensors in views would
-// copy both shapes, two heap allocations per call on the LSTM's per-step
-// path.
+// copy both shapes, two heap allocations per call.
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0));
   Tensor c({a.dim(0), b.dim(1)});

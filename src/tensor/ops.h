@@ -8,6 +8,7 @@
 // operation has one kernel, the *Into variant below, which training and
 // inference both run.
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -107,6 +108,12 @@ void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
 
 /// Mean over H and W: NHWC -> (N, C).
 void GlobalAvgPoolForwardInto(const TensorView& input, const TensorView& out);
+
+/// Rows [row_begin, row_end) of C(MxN) = A(MxK) * B(KxN) over raw row-major
+/// storage: the row kernel of MatMulInto and MatMul. Each row of C depends
+/// on its own row of A alone, so any row split gives the same bits.
+void MatMulRows(const float* a, const float* b, float* c, int k, int n,
+                std::int64_t row_begin, std::int64_t row_end);
 
 /// C = A(MxK) * B(KxN), parallel over rows of A (i-k-j order).
 void MatMulInto(const TensorView& a, const Tensor& b, const TensorView& c,

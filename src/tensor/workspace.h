@@ -117,11 +117,10 @@ class TensorView {
   }
 
   /// Owning copy (for handing results past the arena's lifetime).
-  Tensor ToTensor() const {
-    Tensor t(shape_);
-    std::copy(data_.begin(), data_.end(), t.data().begin());
-    return t;
-  }
+  Tensor ToTensor() const& { return CopyInto(Tensor(shape_)); }
+  /// Same, but an expiring view (a session's returned half) hands its shape
+  /// over instead of copying it.
+  Tensor ToTensor() && { return CopyInto(Tensor(std::move(shape_))); }
 
   /// Copies `src` into this view (sizes must match; shapes may differ).
   /// Rejected on read-only (OfConst) views.
@@ -138,6 +137,11 @@ class TensorView {
 
  private:
   friend class Workspace;
+
+  Tensor CopyInto(Tensor t) const {
+    std::copy(data_.begin(), data_.end(), t.data().begin());
+    return t;
+  }
 
   /// Aborts when the owning arena has rewound past this view. No-op when the
   /// checker is compiled out, for views not minted by a Workspace, and while
@@ -183,9 +187,11 @@ class Workspace {
   std::span<float> Alloc(std::size_t n) METRO_LIFETIME_BOUND;
 
   /// Alloc shaped as a view. Storage is NOT zeroed — kernels writing into
-  /// views must fully initialize them.
-  TensorView AllocView(const Shape& shape) METRO_LIFETIME_BOUND {
-    TensorView v(shape, Alloc(NumElements(shape)));
+  /// views must fully initialize them. `shape` is moved into the view, so a
+  /// temporary shape costs no copy.
+  TensorView AllocView(Shape shape) METRO_LIFETIME_BOUND {
+    const std::span<float> data = Alloc(NumElements(shape));
+    TensorView v(std::move(shape), data);
 #if METRO_VIEW_CHECK
     v.vc_ws_ = this;
     v.vc_end_ = VcOffset();

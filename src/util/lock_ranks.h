@@ -56,10 +56,9 @@ inline constexpr int kDfsCluster = 50;   // Cluster::mu_
 inline constexpr int kDfsDataNode = 52;  // DataNode::mu_
 inline constexpr int kSchedRm = 56;      // ResourceManager::mu_
 
-// dataflow / nn / graph — leaf-ish compute-side locks.
-inline constexpr int kDataflowDataset = 60;   // Dataset::Node::mu
-inline constexpr int kNnInferenceStats = 62;  // InferenceSession::stats_mu_
-inline constexpr int kGraphOutbox = 66;       // pregel outbox_mu[] stripes
+// dataflow / graph — leaf-ish compute-side locks.
+inline constexpr int kDataflowDataset = 60;  // Dataset::Node::mu
+inline constexpr int kGraphOutbox = 66;      // pregel outbox_mu[] stripes
 
 // obs — trace collection.
 inline constexpr int kObsTrace = 70;  // SpanCollector::mu_

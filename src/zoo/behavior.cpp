@@ -2,79 +2,41 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+
+#include "nn/lstm.h"
 
 namespace metro::zoo {
 
 SplitBehaviorNet::SplitBehaviorNet(const BehaviorConfig& config, Rng& rng)
-    : config_(config),
-      block1_(config.channels, config.block1_channels, 2, config.shortcut, rng),
-      lstm1_(config.block1_channels, config.lstm1_hidden, rng),
-      fc1_(config.lstm1_hidden, config.num_classes, rng),
-      block2_(config.block1_channels, config.block2_channels, 2,
-              config.shortcut, rng),
-      block3_(config.block2_channels, config.block3_channels, 2,
-              config.shortcut, rng),
-      lstm2_(config.block3_channels, config.lstm2_hidden, rng),
-      fc2_(config.lstm2_hidden, config.num_classes, rng) {
+    : config_(config) {
+  const int t_len = config.clip_length;
+  block1_.Emplace<ResNetBlock>(config.channels, config.block1_channels, 2,
+                               config.shortcut, rng);
+  local_tail_.Emplace<nn::GlobalAvgPool>()
+      .Emplace<nn::Lstm>(config.block1_channels, config.lstm1_hidden, t_len,
+                         rng)
+      .Emplace<nn::Dense>(config.lstm1_hidden, config.num_classes, rng);
+  server_
+      .Emplace<ResNetBlock>(config.block1_channels, config.block2_channels, 2,
+                            config.shortcut, rng)
+      .Emplace<ResNetBlock>(config.block2_channels, config.block3_channels, 2,
+                            config.shortcut, rng)
+      .Emplace<nn::GlobalAvgPool>()
+      .Emplace<nn::Lstm>(config.block3_channels, config.lstm2_hidden, t_len,
+                         rng)
+      .Emplace<nn::Dense>(config.lstm2_hidden, config.num_classes, rng);
   block1_out_shape_ = block1_.OutputShape(
       {1, config.frame_size, config.frame_size, config.channels});
 }
 
-std::vector<nn::Tensor> SplitBehaviorNet::ToSequence(const nn::Tensor& flat,
-                                                     int n_clips) const {
-  const int t_len = config_.clip_length;
-  assert(flat.rank() == 2 && flat.dim(0) == n_clips * t_len);
-  const int features = flat.dim(1);
-  std::vector<nn::Tensor> steps;
-  steps.reserve(std::size_t(t_len));
-  for (int t = 0; t < t_len; ++t) {
-    nn::Tensor step({n_clips, features});
-    for (int c = 0; c < n_clips; ++c) {
-      const std::size_t src = std::size_t(c * t_len + t) * features;
-      const std::size_t dst = std::size_t(c) * features;
-      for (int f = 0; f < features; ++f) step[dst + f] = flat[src + f];
-    }
-    steps.push_back(std::move(step));
-  }
-  return steps;
-}
-
-nn::Tensor SplitBehaviorNet::FromSequence(
-    const std::vector<nn::Tensor>& steps) const {
-  const int t_len = config_.clip_length;
-  assert(int(steps.size()) == t_len);
-  const int n_clips = steps.front().dim(0);
-  const int features = steps.front().dim(1);
-  nn::Tensor flat({n_clips * t_len, features});
-  for (int t = 0; t < t_len; ++t) {
-    for (int c = 0; c < n_clips; ++c) {
-      const std::size_t dst = std::size_t(c * t_len + t) * features;
-      const std::size_t src = std::size_t(c) * features;
-      for (int f = 0; f < features; ++f) flat[dst + f] = steps[std::size_t(t)][src + f];
-    }
-  }
-  return flat;
-}
-
-nn::Tensor SplitBehaviorNet::Block1(const nn::Tensor& frames, bool training) {
-  return block1_.Forward(frames, training);
-}
-
-nn::Tensor SplitBehaviorNet::LocalLogits(const nn::Tensor& frames, int n_clips,
+nn::Tensor SplitBehaviorNet::LocalLogits(const nn::Tensor& frames,
                                          bool training) {
-  nn::Tensor b1 = block1_.Forward(frames, training);
-  nn::Tensor f1 = gap1_.Forward(b1, training);
-  auto outs = lstm1_.Forward(ToSequence(f1, n_clips), training);
-  return fc1_.Forward(outs.back(), training);
+  return local_tail_.Forward(block1_.Forward(frames, training), training);
 }
 
 nn::Tensor SplitBehaviorNet::ServerLogits(const nn::Tensor& block1_out,
-                                          int n_clips, bool training) {
-  nn::Tensor b3 = block3_.Forward(block2_.Forward(block1_out, training), training);
-  nn::Tensor f2 = gap2_.Forward(b3, training);
-  auto outs = lstm2_.Forward(ToSequence(f2, n_clips), training);
-  return fc2_.Forward(outs.back(), training);
+                                          bool training) {
+  return server_.Forward(block1_out, training);
 }
 
 float SplitBehaviorNet::TrainStep(const std::vector<Clip>& batch,
@@ -98,38 +60,14 @@ float SplitBehaviorNet::TrainStep(const std::vector<Clip>& batch,
     labels[std::size_t(c)] = clip.label;
   }
 
-  // --- Forward, both exits share block 1.
-  nn::Tensor b1 = block1_.Forward(frames, true);
-
-  nn::Tensor f1 = gap1_.Forward(b1, true);
-  auto outs1 = lstm1_.Forward(ToSequence(f1, n), true);
-  nn::Tensor logits1 = fc1_.Forward(outs1.back(), true);
-  auto ce1 = tensor::CrossEntropyLoss(logits1, labels);
-
-  nn::Tensor b2 = block2_.Forward(b1, true);
-  nn::Tensor b3 = block3_.Forward(b2, true);
-  nn::Tensor f2 = gap2_.Forward(b3, true);
-  auto outs2 = lstm2_.Forward(ToSequence(f2, n), true);
-  nn::Tensor logits2 = fc2_.Forward(outs2.back(), true);
-  auto ce2 = tensor::CrossEntropyLoss(logits2, labels);
-
-  // --- Backward: exit 1.
-  nn::Tensor grad_h1 = fc1_.Backward(ce1.grad);
-  std::vector<nn::Tensor> grad_steps1(std::size_t(t_len),
-                                      nn::Tensor({n, config_.lstm1_hidden}));
-  grad_steps1.back() = grad_h1;
-  auto grad_x1 = lstm1_.Backward(grad_steps1);
-  nn::Tensor grad_b1 = gap1_.Backward(FromSequence(grad_x1));
-
-  // --- Backward: exit 2, accumulate into the shared block-1 gradient.
-  nn::Tensor grad_h2 = fc2_.Backward(ce2.grad);
-  std::vector<nn::Tensor> grad_steps2(std::size_t(t_len),
-                                      nn::Tensor({n, config_.lstm2_hidden}));
-  grad_steps2.back() = grad_h2;
-  auto grad_x2 = lstm2_.Backward(grad_steps2);
-  nn::Tensor grad_b3 = gap2_.Backward(FromSequence(grad_x2));
-  grad_b1 += block2_.Backward(block3_.Backward(grad_b3));
-
+  // Both exits share block 1; its gradient is the sum of theirs.
+  const nn::Tensor b1 = block1_.Forward(frames, true);
+  const auto ce1 =
+      tensor::CrossEntropyLoss(local_tail_.Forward(b1, true), labels);
+  const auto ce2 =
+      tensor::CrossEntropyLoss(server_.Forward(b1, true), labels);
+  nn::Tensor grad_b1 = local_tail_.Backward(ce1.grad);
+  grad_b1 += server_.Backward(ce2.grad);
   block1_.Backward(grad_b1);
 
   auto params = Params();
@@ -141,16 +79,14 @@ float SplitBehaviorNet::TrainStep(const std::vector<Clip>& batch,
 SplitBehaviorNet::LocalPass SplitBehaviorNet::RunLocal(const Clip& clip) {
   LocalPass pass;
   pass.block1_out = block1_.Forward(clip.frames, false);
-  nn::Tensor f1 = gap1_.Forward(pass.block1_out, false);
-  auto outs = lstm1_.Forward(ToSequence(f1, 1), false);
-  pass.logits = fc1_.Forward(outs.back(), false);
+  pass.logits = local_tail_.Forward(pass.block1_out, false);
   nn::Tensor probs = tensor::Softmax(pass.logits);
   pass.entropy = tensor::Entropy(probs.data());
   return pass;
 }
 
 std::vector<float> SplitBehaviorNet::RunServer(const nn::Tensor& block1_out) {
-  nn::Tensor logits = ServerLogits(block1_out, 1, false);
+  nn::Tensor logits = ServerLogits(block1_out, false);
   nn::Tensor probs = tensor::Softmax(logits);
   return {probs.data().begin(), probs.data().end()};
 }
@@ -177,23 +113,16 @@ BehaviorPrediction SplitBehaviorNet::Predict(const Clip& clip,
 
 std::vector<nn::Param*> SplitBehaviorNet::Params() {
   std::vector<nn::Param*> params;
-  auto add = [&params](std::vector<nn::Param*> ps) {
-    params.insert(params.end(), ps.begin(), ps.end());
-  };
-  add(block1_.Params());
-  add(lstm1_.Params());
-  add(fc1_.Params());
-  add(block2_.Params());
-  add(block3_.Params());
-  add(lstm2_.Params());
-  add(fc2_.Params());
+  for (nn::Sequential* half : {&block1_, &local_tail_, &server_}) {
+    for (nn::Param* p : half->Params()) params.push_back(p);
+  }
   return params;
 }
 
 std::vector<nn::Tensor*> SplitBehaviorNet::Buffers() {
   std::vector<nn::Tensor*> buffers;
-  for (zoo::ResNetBlock* block : {&block1_, &block2_, &block3_}) {
-    for (auto* b : block->Buffers()) buffers.push_back(b);
+  for (nn::Sequential* half : {&block1_, &local_tail_, &server_}) {
+    for (nn::Tensor* b : half->Buffers()) buffers.push_back(b);
   }
   return buffers;
 }
@@ -204,25 +133,16 @@ std::size_t SplitBehaviorNet::FeatureMapBytes() const {
 }
 
 std::size_t SplitBehaviorNet::LocalMacs() const {
-  const int t_len = config_.clip_length;
-  nn::Shape in = {t_len, config_.frame_size, config_.frame_size,
-                  config_.channels};
-  std::size_t macs = block1_.ForwardMacs(in);
-  macs += lstm1_.ForwardMacs(t_len, 1);
-  macs += fc1_.ForwardMacs({1, config_.lstm1_hidden});
-  return macs;
+  const nn::Shape frames = {config_.clip_length, config_.frame_size,
+                            config_.frame_size, config_.channels};
+  return block1_.ForwardMacs(frames) +
+         local_tail_.ForwardMacs(block1_.OutputShape(frames));
 }
 
 std::size_t SplitBehaviorNet::ServerMacs() const {
-  const int t_len = config_.clip_length;
   nn::Shape b1 = block1_out_shape_;
-  b1[0] = t_len;
-  std::size_t macs = block2_.ForwardMacs(b1);
-  const nn::Shape b2 = block2_.OutputShape(b1);
-  macs += block3_.ForwardMacs(b2);
-  macs += lstm2_.ForwardMacs(t_len, 1);
-  macs += fc2_.ForwardMacs({1, config_.lstm2_hidden});
-  return macs;
+  b1[0] = config_.clip_length;
+  return server_.ForwardMacs(b1);
 }
 
 }  // namespace metro::zoo

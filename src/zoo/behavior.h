@@ -8,11 +8,10 @@
 // 2-3 -> LSTM 2 -> FC2 -> Output 2. Per Fig. 8, every residual block uses a
 // convolutional shortcut. Both exits train jointly on labeled clips.
 
-#include <memory>
 #include <vector>
 
-#include "nn/lstm.h"
 #include "nn/optimizer.h"
+#include "nn/sequential.h"
 #include "zoo/resnet_block.h"
 
 namespace metro::zoo {
@@ -48,25 +47,20 @@ struct BehaviorPrediction {
   std::vector<float> probs;
 };
 
-/// The Fig. 7 split CNN+LSTM model.
+/// The Fig. 7 split CNN+LSTM model, held as three Sequential halves that
+/// train and run inference through the same layers.
 class SplitBehaviorNet {
  public:
   SplitBehaviorNet(const BehaviorConfig& config, Rng& rng);
 
   const BehaviorConfig& config() const { return config_; }
 
-  /// Local path on a batch of clips (N clips, each T frames):
-  /// returns exit-1 logits (N, classes). `frames` is (N*T, H, W, C),
-  /// time-major within each clip.
-  nn::Tensor LocalLogits(const nn::Tensor& frames, int n_clips, bool training);
+  /// Local path on a batch of clips: returns exit-1 logits (N, classes).
+  /// `frames` is (N*T, H, W, C), clip-major (each clip's T frames in order).
+  nn::Tensor LocalLogits(const nn::Tensor& frames, bool training);
 
   /// Server path continuing from the block-1 feature map (N*T, h, w, c1).
-  nn::Tensor ServerLogits(const nn::Tensor& block1_out, int n_clips,
-                          bool training);
-
-  /// Block-1 feature map for a batch of stacked frames (the tensor an
-  /// early-exit miss ships upstream).
-  nn::Tensor Block1(const nn::Tensor& frames, bool training);
+  nn::Tensor ServerLogits(const nn::Tensor& block1_out, bool training);
 
   /// Joint training step (CE on both exits); returns combined loss.
   float TrainStep(const std::vector<Clip>& batch, nn::Optimizer& opt);
@@ -102,37 +96,17 @@ class SplitBehaviorNet {
   std::size_t LocalMacs() const;   ///< block1 + LSTM1 + FC1 for one clip
   std::size_t ServerMacs() const;  ///< blocks 2-3 + LSTM2 + FC2 for one clip
 
-  /// Splits a (N*T, features) tensor into T time-major (N, features) steps.
-  /// Public so BehaviorSession can feed the eager LSTM from planned features.
-  std::vector<nn::Tensor> ToSequence(const nn::Tensor& flat, int n_clips) const;
-  /// Inverse of ToSequence for gradients.
-  nn::Tensor FromSequence(const std::vector<nn::Tensor>& steps) const;
-
-  /// The split halves' layers, exposed so BehaviorSession can plan them.
-  ResNetBlock& block1() { return block1_; }
-  nn::GlobalAvgPool& gap1() { return gap1_; }
-  nn::Lstm& lstm1() { return lstm1_; }
-  nn::Dense& fc1() { return fc1_; }
-  ResNetBlock& block2() { return block2_; }
-  ResNetBlock& block3() { return block3_; }
-  nn::GlobalAvgPool& gap2() { return gap2_; }
-  nn::Lstm& lstm2() { return lstm2_; }
-  nn::Dense& fc2() { return fc2_; }
+  /// The three halves, exposed so BehaviorSession can plan them.
+  nn::Sequential& block1_net() { return block1_; }
+  nn::Sequential& local_tail_net() { return local_tail_; }
+  nn::Sequential& server_net() { return server_; }
   const nn::Shape& block1_out_shape() const { return block1_out_shape_; }
 
  private:
   BehaviorConfig config_;
-  ResNetBlock block1_;
-  nn::GlobalAvgPool gap1_;
-  nn::Lstm lstm1_;
-  nn::Dense fc1_;
-
-  ResNetBlock block2_;
-  ResNetBlock block3_;
-  nn::GlobalAvgPool gap2_;
-  nn::Lstm lstm2_;
-  nn::Dense fc2_;
-
+  nn::Sequential block1_;      ///< ResNet block 1 (the cut point)
+  nn::Sequential local_tail_;  ///< GAP -> LSTM 1 -> FC1
+  nn::Sequential server_;      ///< blocks 2-3 -> GAP -> LSTM 2 -> FC2
   nn::Shape block1_out_shape_;  // for one frame
 };
 

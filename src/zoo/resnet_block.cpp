@@ -102,8 +102,7 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
   // Main path: conv1 -> bn1 -> relu runs in block-local scratch; conv2 writes
   // straight into `out` (distinct from `x` by the engine's ping-pong rule),
   // then bn2 / the residual add / the final relu execute in place on `out`.
-  const Shape mid_shape = conv1_.OutputShape(x.shape());
-  TensorView mid = ctx.scratch.AllocView(mid_shape);
+  TensorView mid = ctx.scratch.AllocView(conv1_.OutputShape(x.shape()));
   conv1_.ForwardInto(x, mid, ctx);
   bn1_.ForwardInto(mid, mid, ctx);
   relu1_.ForwardInto(mid, mid, ctx);

@@ -195,31 +195,26 @@ BehaviorSession::BehaviorSession(SplitBehaviorNet& model, int n_clips,
     : model_(&model),
       arena_(&arena),
       spans_(spans),
-      block1_(std::vector<nn::Layer*>{&model.block1()},
-              BehaviorFrameShape(model, n_clips), arena, pool),
-      gap1_(std::vector<nn::Layer*>{&model.gap1()},
-            BehaviorBlock1Shape(model, n_clips), arena, pool),
-      server_(std::vector<nn::Layer*>{&model.block2(), &model.block3(),
-                                      &model.gap2()},
-              BehaviorBlock1Shape(model, n_clips), arena, pool) {
+      block1_(model.block1_net(), BehaviorFrameShape(model, n_clips), arena,
+              pool),
+      local_tail_(model.local_tail_net(), BehaviorBlock1Shape(model, n_clips),
+                  arena, pool),
+      server_(model.server_net(), BehaviorBlock1Shape(model, n_clips), arena,
+              pool) {
   EmitPlan(spans_, "behavior", "block1", block1_.plan().input_shape());
-  EmitPlan(spans_, "behavior", "gap1", gap1_.plan().input_shape());
+  EmitPlan(spans_, "behavior", "local_tail", local_tail_.plan().input_shape());
   EmitPlan(spans_, "behavior", "server", server_.plan().input_shape());
 }
 
-BehaviorSession::LocalPass BehaviorSession::RunLocal(const TensorView& frames,
-                                                     int n_clips) {
+BehaviorSession::LocalPass BehaviorSession::RunLocal(const TensorView& frames) {
   LocalPass pass;
   pass.block1_out = RunPlanned(block1_, frames, spans_, "behavior", "block1");
-  const TensorView f1 =
-      RunPlanned(gap1_, pass.block1_out, spans_, "behavior", "gap1");
-  // The recurrent/classifier tail stays eager (cache-free in inference).
-  auto outs = model_->lstm1().Forward(model_->ToSequence(f1.ToTensor(), n_clips),
-                                      false);
-  pass.logits = model_->fc1().Forward(outs.back(), false);
+  pass.logits = RunPlanned(local_tail_, pass.block1_out, spans_, "behavior",
+                           "local_tail")
+                    .ToTensor();
 
   const nn::Tensor probs = tensor::Softmax(pass.logits);
-  const int classes = pass.logits.dim(1);
+  const int n_clips = pass.logits.dim(0), classes = pass.logits.dim(1);
   pass.entropy.reserve(std::size_t(n_clips));
   for (int c = 0; c < n_clips; ++c) {
     pass.entropy.push_back(tensor::Entropy(std::span<const float>(
@@ -228,18 +223,14 @@ BehaviorSession::LocalPass BehaviorSession::RunLocal(const TensorView& frames,
   return pass;
 }
 
-nn::Tensor BehaviorSession::ServerLogits(const TensorView& block1_out,
-                                         int n_clips) {
-  const TensorView f2 =
-      RunPlanned(server_, block1_out, spans_, "behavior", "server");
-  auto outs = model_->lstm2().Forward(model_->ToSequence(f2.ToTensor(), n_clips),
-                                      false);
-  return model_->fc2().Forward(outs.back(), false);
+nn::Tensor BehaviorSession::ServerLogits(const TensorView& block1_out) {
+  return RunPlanned(server_, block1_out, spans_, "behavior", "server")
+      .ToTensor();
 }
 
 BehaviorPrediction BehaviorSession::Predict(const Clip& clip,
                                             float entropy_threshold) {
-  LocalPass pass = RunLocal(TensorView::OfConst(clip.frames), 1);
+  LocalPass pass = RunLocal(TensorView::OfConst(clip.frames));
   BehaviorPrediction pred;
   if (pass.entropy.front() <= entropy_threshold) {
     const nn::Tensor probs = tensor::Softmax(pass.logits);
@@ -247,7 +238,7 @@ BehaviorPrediction BehaviorSession::Predict(const Clip& clip,
     pred.entropy = pass.entropy.front();
     pred.used_server = false;
   } else {
-    const nn::Tensor logits = ServerLogits(pass.block1_out, 1);
+    const nn::Tensor logits = ServerLogits(pass.block1_out);
     const nn::Tensor probs = tensor::Softmax(logits);
     pred.probs.assign(probs.data().begin(), probs.data().end());
     pred.entropy = tensor::Entropy(

@@ -6,9 +6,10 @@
 // sharing ONE tensor::Workspace, mirroring the paper's deployment: the local
 // half runs on the fog node, the cut-point activation stays live in the
 // arena, and the server half continues from it without a copy when the gate
-// offloads (Figs. 5 and 7). Steady-state runs perform no heap allocation
-// inside the planned halves; only the small recurrent/classifier tails
-// (LSTM, Dense logits) and result containers still allocate.
+// offloads (Figs. 5 and 7). Every layer of both split models, the Fig. 7
+// LSTM tails included, runs planned: steady-state runs perform no heap
+// allocation inside the halves, only in the result containers (logits
+// copies, decoded detections, per-clip entropies).
 //
 // When an obs::SpanCollector is attached, sessions emit
 //   infer.plan  — once per (re)plan, tagged with the model and batch shape
@@ -81,10 +82,11 @@ class DetectorSession {
   InferenceSession full_;
 };
 
-/// Fig. 7 split behavior recognizer bound to one arena. The convolutional
-/// trunk (block1 / blocks2-3 + the global pools) is planned; the LSTM and
-/// Dense tails stay eager (they no longer cache in inference, so the cost is
-/// their small output tensors).
+/// Fig. 7 split behavior recognizer bound to one arena: block 1, the local
+/// tail (GAP -> LSTM 1 -> FC1) and the server half (blocks 2-3 -> GAP ->
+/// LSTM 2 -> FC2) planned as three sessions with disjoint slots, so the
+/// block-1 map remains valid while either exit consumes it. The clip count
+/// of a run is its input's leading dimension over the clip length.
 class BehaviorSession {
  public:
   BehaviorSession(SplitBehaviorNet& model, int n_clips, Workspace& arena,
@@ -97,10 +99,10 @@ class BehaviorSession {
     TensorView block1_out;        ///< cut-point features, arena-resident
     std::vector<float> entropy;   ///< per-clip exit-1 entropy (nats)
   };
-  LocalPass RunLocal(const TensorView& frames, int n_clips);
+  LocalPass RunLocal(const TensorView& frames);
 
   /// Server half continuing from a (possibly arena-resident) block-1 map.
-  nn::Tensor ServerLogits(const TensorView& block1_out, int n_clips);
+  nn::Tensor ServerLogits(const TensorView& block1_out);
 
   /// Entropy-gated prediction for one clip; bit-exact with
   /// SplitBehaviorNet::Predict.
@@ -114,8 +116,8 @@ class BehaviorSession {
   Workspace* arena_;
   obs::SpanCollector* spans_;
   InferenceSession block1_;
-  InferenceSession gap1_;
-  InferenceSession server_;  ///< block2 -> block3 -> gap2
+  InferenceSession local_tail_;
+  InferenceSession server_;
 };
 
 /// Sec. III-C fusion autoencoder bound to one arena: the six Dense stages

@@ -234,13 +234,13 @@ TEST(InferenceParityTest, BehaviorLocalAndServerMatchEager) {
 
   Workspace arena;
   zoo::BehaviorSession session(net, /*n_clips=*/1, arena);
-  auto local = session.RunLocal(TensorView::OfConst(clip.frames), 1);
+  auto local = session.RunLocal(TensorView::OfConst(clip.frames));
   ExpectBitExact(eager_local.logits, local.logits);
   ExpectBitExact(eager_local.block1_out, local.block1_out);
   ASSERT_EQ(local.entropy.size(), 1u);
   EXPECT_EQ(local.entropy.front(), eager_local.entropy);
 
-  const Tensor server_logits = session.ServerLogits(local.block1_out, 1);
+  const Tensor server_logits = session.ServerLogits(local.block1_out);
   const Tensor server_probs = tensor::Softmax(server_logits);
   ASSERT_EQ(server_probs.size(), eager_server.size());
   for (std::size_t i = 0; i < eager_server.size(); ++i) {
@@ -461,17 +461,17 @@ TEST(InferenceGoldenTest, BehaviorHalves) {
                      config.frame_size, config.channels},
                     rng);
 
-    const Tensor block1 = net.Block1(frames, false);
+    const Tensor block1 = net.block1_net().Forward(frames, false);
     ExpectGolden(c.block1, block1);
-    ExpectGolden(c.local, net.LocalLogits(frames, c.n_clips, false));
-    ExpectGolden(c.server, net.ServerLogits(block1, c.n_clips, false));
+    ExpectGolden(c.local, net.LocalLogits(frames, false));
+    ExpectGolden(c.server, net.ServerLogits(block1, false));
 
     Workspace arena;
     zoo::BehaviorSession session(net, c.n_clips, arena);
-    const auto pass = session.RunLocal(TensorView::OfConst(frames), c.n_clips);
+    const auto pass = session.RunLocal(TensorView::OfConst(frames));
     ExpectGolden(c.block1, pass.block1_out);
     ExpectGolden(c.local, pass.logits);
-    ExpectGolden(c.server, session.ServerLogits(pass.block1_out, c.n_clips));
+    ExpectGolden(c.server, session.ServerLogits(pass.block1_out));
   }
 }
 

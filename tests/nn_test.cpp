@@ -200,58 +200,57 @@ TEST(SequentialTest, TrainsSmallClassifier) {
   EXPECT_GT(double(ce.correct) / 256.0, 0.95);
 }
 
+// Lstm input is clip-major (N*T, F): row n*T + t is step t of clip n.
+
 TEST(LstmTest, OutputShapes) {
   Rng rng(10);
-  Lstm lstm(4, 6, rng);
-  std::vector<Tensor> xs(5, Tensor({3, 4}));
-  auto outs = lstm.Forward(xs, false);
-  ASSERT_EQ(outs.size(), 5u);
-  EXPECT_EQ(outs.back().shape(), (Shape{3, 6}));
+  Lstm lstm(4, 6, /*steps=*/5, rng);
+  const Tensor x = Tensor::RandomNormal({3 * 5, 4}, 1.0f, rng);
+  const Tensor out = lstm.Forward(x, false);
+  EXPECT_EQ(lstm.name(), "lstm4x6/t5");
+  EXPECT_EQ(lstm.OutputShape(x.shape()), (Shape{3, 6}));
+  EXPECT_EQ(out.shape(), (Shape{3, 6}));
+  // One cell kernel: training computes the same bits as inference.
+  const Tensor trained = lstm.Forward(x, true);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(trained[i], out[i]);
 }
 
 TEST(LstmTest, GradientCheckThroughTime) {
   Rng rng(11);
-  Lstm lstm(3, 4, rng);
   const int t_len = 3, batch = 2;
-  std::vector<Tensor> xs;
-  for (int t = 0; t < t_len; ++t) {
-    xs.push_back(Tensor::RandomNormal({batch, 3}, 1.0f, rng));
-  }
-  auto outs = lstm.Forward(xs, true);
+  Lstm lstm(3, 4, t_len, rng);
+  Tensor x = Tensor::RandomNormal({batch * t_len, 3}, 1.0f, rng);
+  lstm.Forward(x, true);
   // Probe only the last step (like a classifier head).
-  std::vector<Tensor> grad_h(std::size_t(t_len), Tensor({batch, 4}));
   Tensor probe = Tensor::RandomNormal({batch, 4}, 1.0f, rng);
-  grad_h.back() = probe;
-  auto grad_x = lstm.Backward(grad_h);
+  Tensor grad_x = lstm.Backward(probe);
 
   auto loss = [&] {
-    auto o = lstm.Forward(xs, true);
+    Tensor o = lstm.Forward(x, true);
     double acc = 0;
-    for (std::size_t i = 0; i < o.back().size(); ++i) {
-      acc += double(o.back()[i]) * probe[i];
-    }
+    for (std::size_t i = 0; i < o.size(); ++i) acc += double(o[i]) * probe[i];
     return acc;
   };
   const float eps = 1e-3f;
   // Check an early-step input gradient (exercises BPTT) and a weight grad.
   {
-    const std::size_t idx = 1;
-    const float saved = xs[0][idx];
-    xs[0][idx] = saved + eps;
+    const std::size_t idx = 1;  // clip 0, step 0, feature 1
+    const float saved = x[idx];
+    x[idx] = saved + eps;
     const double hi = loss();
-    xs[0][idx] = saved - eps;
+    x[idx] = saved - eps;
     const double lo = loss();
-    xs[0][idx] = saved;
-    EXPECT_NEAR(grad_x[0][idx], (hi - lo) / (2 * eps), 5e-2);
+    x[idx] = saved;
+    EXPECT_NEAR(grad_x[idx], (hi - lo) / (2 * eps), 5e-2);
   }
   {
     Param* wx = lstm.Params()[0];
     const std::size_t idx = wx->value.size() / 2;
     // Re-run forward/backward to get a fresh grad (params unchanged).
-    lstm.Forward(xs, true);
+    lstm.Forward(x, true);
     for (Param* p : lstm.Params()) p->ZeroGrad();
-    lstm.Forward(xs, true);
-    lstm.Backward(grad_h);
+    lstm.Forward(x, true);
+    lstm.Backward(probe);
     const float analytic = wx->grad[idx];
     const float saved = wx->value[idx];
     wx->value[idx] = saved + eps;
@@ -271,23 +270,18 @@ TEST(LstmTest, BpttGradientsMatchNumericAcrossSeeds) {
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    Lstm lstm(in, hidden, rng);
-    std::vector<Tensor> xs;
-    for (int t = 0; t < t_len; ++t) {
-      xs.push_back(Tensor::RandomNormal({batch, in}, 1.0f, rng));
-    }
+    Lstm lstm(in, hidden, t_len, rng);
+    Tensor x = Tensor::RandomNormal({batch * t_len, in}, 1.0f, rng);
     const Tensor probe = Tensor::RandomNormal({batch, hidden}, 1.0f, rng);
-    std::vector<Tensor> grad_h(std::size_t(t_len), Tensor({batch, hidden}));
-    grad_h.back() = probe;
 
     for (Param* p : lstm.Params()) p->ZeroGrad();
-    lstm.Forward(xs, true);
-    const std::vector<Tensor> grad_x = lstm.Backward(grad_h);
-    ASSERT_EQ(grad_x.size(), std::size_t(t_len));
+    lstm.Forward(x, true);
+    const Tensor grad_x = lstm.Backward(probe);
+    ASSERT_EQ(grad_x.shape(), x.shape());
 
     // L = <h_T, probe>, evaluated in double over the float forward.
     auto loss = [&] {
-      const Tensor h = lstm.Forward(xs, false).back();
+      const Tensor h = lstm.Forward(x, false);
       double acc = 0;
       for (std::size_t i = 0; i < h.size(); ++i) acc += double(h[i]) * probe[i];
       return acc;
@@ -305,13 +299,11 @@ TEST(LstmTest, BpttGradientsMatchNumericAcrossSeeds) {
       EXPECT_NEAR(analytic, num, 2e-3 + 2e-2 * std::fabs(num));
     };
 
-    for (int t = 0; t < t_len; ++t) {
-      for (std::size_t i = 0; i < xs[std::size_t(t)].size(); ++i) {
-        SCOPED_TRACE("dx step " + std::to_string(t) + " idx " +
-                     std::to_string(i));
-        expect_close(grad_x[std::size_t(t)][i],
-                     numeric(xs[std::size_t(t)][i]));
-      }
+    // Every row of x is one (clip, step): this covers every step.
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      SCOPED_TRACE("dx row " + std::to_string(i / in) + " col " +
+                   std::to_string(i % in));
+      expect_close(grad_x[i], numeric(x[i]));
     }
     for (Param* p : lstm.Params()) {
       const std::size_t n = p->value.size();
@@ -328,45 +320,40 @@ TEST(LstmTest, LearnsLastSymbolTask) {
   // plus a linear head must learn to read its most recent input.
   Rng rng(12);
   const int symbols = 4, t_len = 5, hidden = 12;
-  Lstm lstm(symbols, hidden, rng);
+  Lstm lstm(symbols, hidden, t_len, rng);
   Dense head(hidden, symbols, rng);
   Adam opt(1e-2f);
 
-  auto make = [&rng, symbols](int n, int t_len_, std::vector<Tensor>& xs,
-                              std::vector<int>& labels) {
-    xs.assign(std::size_t(t_len_), Tensor({n, symbols}));
+  auto make = [&rng, symbols, t_len](int n, Tensor& x,
+                                     std::vector<int>& labels) {
+    x = Tensor({n * t_len, symbols});
     labels.resize(std::size_t(n));
     for (int i = 0; i < n; ++i) {
-      for (int t = 0; t < t_len_; ++t) {
+      for (int t = 0; t < t_len; ++t) {
         const int s = int(rng.UniformU64(std::size_t(symbols)));
-        xs[std::size_t(t)][std::size_t(i) * symbols + s] = 1.0f;
-        if (t == t_len_ - 1) labels[std::size_t(i)] = s;
+        x[(std::size_t(i) * t_len + t) * symbols + s] = 1.0f;
+        if (t == t_len - 1) labels[std::size_t(i)] = s;
       }
     }
   };
 
   for (int step = 0; step < 150; ++step) {
-    std::vector<Tensor> xs;
+    Tensor x;
     std::vector<int> labels;
-    make(16, t_len, xs, labels);
-    auto outs = lstm.Forward(xs, true);
-    Tensor logits = head.Forward(outs.back(), true);
+    make(16, x, labels);
+    Tensor logits = head.Forward(lstm.Forward(x, true), true);
     auto ce = CrossEntropyLoss(logits, labels);
-    Tensor grad_h = head.Backward(ce.grad);
-    std::vector<Tensor> grad_steps(std::size_t(t_len), Tensor({16, hidden}));
-    grad_steps.back() = grad_h;
-    lstm.Backward(grad_steps);
+    lstm.Backward(head.Backward(ce.grad));
     std::vector<Param*> params = lstm.Params();
     for (Param* p : head.Params()) params.push_back(p);
     ClipGradNorm(params, 5.0f);
     opt.Step(params);
   }
 
-  std::vector<Tensor> xs;
+  Tensor x;
   std::vector<int> labels;
-  make(128, t_len, xs, labels);
-  auto outs = lstm.Forward(xs, false);
-  auto ce = CrossEntropyLoss(head.Forward(outs.back(), false), labels);
+  make(128, x, labels);
+  auto ce = CrossEntropyLoss(head.Forward(lstm.Forward(x, false), false), labels);
   EXPECT_GT(double(ce.correct) / 128.0, 0.9);
 }
 
