@@ -82,7 +82,6 @@ Result<mq::ProduceAck> CityPipeline::Produce(const std::string& topic,
   if (retry.retries() > 0) span.SetTag("retried", "true");
   if (!ack.ok()) {
     if (ack.status().code() == StatusCode::kResourceExhausted) {
-      produce_backpressure_.fetch_add(1, std::memory_order_relaxed);
       span.SetTag("backpressure", "true");
     }
     span.SetTag("error", std::string(ack.status().message()));
@@ -316,7 +315,6 @@ PipelineStats CityPipeline::Stats() const {
   s.produce_retries = produce_retries_.load();
   s.fetch_retries = fetch_retries_.load();
   s.records_skipped = records_skipped_.load();
-  s.produce_backpressure = produce_backpressure_.load();
   {
     MutexLock lock(web_mu_);
     s.web_items = std::int64_t(web_feed_.size());

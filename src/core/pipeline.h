@@ -23,7 +23,6 @@
 #include "resilience/policy.h"
 #include "store/doc_codec.h"
 #include "store/document_store.h"
-#include "util/metrics.h"
 #include "util/lock_ranks.h"
 #include "util/sync.h"
 
@@ -48,7 +47,6 @@ struct PipelineStats {
   std::int64_t produce_retries = 0;  ///< Produce() attempts beyond the first
   std::int64_t fetch_retries = 0;    ///< consumer fetches hitting kUnavailable
   std::int64_t records_skipped = 0;  ///< offsets lost to retention truncation
-  std::int64_t produce_backpressure = 0;  ///< produces rejected at the bound
   double mean_latency_ms = 0;  ///< produce -> web, for annotated records
   double p99_latency_ms = 0;
   /// Span-derived per-stage latency (produce / mq.queue / store / analyze /
@@ -88,8 +86,10 @@ class CityPipeline {
   /// that crosses a leader failover cannot duplicate the record. Transient
   /// kUnavailable (no leader / ISR below quorum mid-failover) is retried;
   /// kResourceExhausted (partition backlog at its bound) is terminal here
-  /// and counted in `produce_backpressure` — callers shed or wait. Other
-  /// terminal errors surface immediately. Thread-safe.
+  /// — callers shed or wait. The broker counts that rejection as
+  /// `mq.backpressure` in `log().metrics()`, and the produce span carries a
+  /// `backpressure` tag. Other terminal errors surface immediately.
+  /// Thread-safe.
   ///
   /// Every record is traced: `parent` continues an upstream trace (an
   /// ingest agent's), an invalid parent opens a fresh one. The context
@@ -162,7 +162,6 @@ class CityPipeline {
   std::atomic<std::int64_t> produce_retries_{0};
   std::atomic<std::int64_t> fetch_retries_{0};
   std::atomic<std::int64_t> records_skipped_{0};
-  std::atomic<std::int64_t> produce_backpressure_{0};
   obs::SpanCollector spans_;
 };
 

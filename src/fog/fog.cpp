@@ -229,12 +229,6 @@ struct ResilientCtx {
   resilience::RetryPolicy jitter;  ///< used for BackoffFor only
   PipelineResult result;
 
-  void Count(const char* name) {
-    if (options.metrics != nullptr) {
-      options.metrics->GetCounter(name).Increment();
-    }
-  }
-
   /// Closes the stage `[tr->cursor, now]` and advances the cursor.
   void Stage(const std::shared_ptr<ItemTrace>& tr, const char* name) {
     if (options.spans == nullptr || !tr->root.valid()) return;
@@ -278,7 +272,6 @@ struct ResilientCtx {
       return;
     }
     if (retry_slot != nullptr) ++*retry_slot;
-    Count("fog.retries");
     if (options.spans != nullptr && trace.valid()) {
       obs::Span span;
       span.name = "retry.backoff";
@@ -380,9 +373,8 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
                 ctx->Stage(tr, "fog.local");
                 // The local answer now exists; nothing past this point may
                 // hard-fail the item.
-                auto degrade = [=](const char* counter) {
-                  ctx->Count(counter);
-                  ctx->MarkDegraded(tr, counter);
+                auto degrade = [=](const char* cause) {
+                  ctx->MarkDegraded(tr, cause);
                   finish(false, false, true, false);
                 };
 
@@ -441,10 +433,7 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
                           ctx->Stage(tr, "cloud.annotate");
                           finish(true, false, false, false);
                         });
-                        if (!up.ok()) {
-                          ctx->Count("fog.annotation_deferred.cloud");
-                          finish(true, false, false, false);
-                        }
+                        if (!up.ok()) finish(true, false, false, false);
                       });
                     },
                     [=](bool deadline_exceeded) {
@@ -458,7 +447,6 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
             },
             [=](bool) {
               ctx->Stage(tr, "edge.uplink");
-              ctx->Count("fog.failed.edge_uplink");
               finish(false, false, false, true);
             });
       });

@@ -17,7 +17,6 @@
 #include "obs/trace.h"
 #include "util/analysis.h"
 #include "resilience/policy.h"
-#include "util/metrics.h"
 
 namespace metro::fog {
 
@@ -189,15 +188,15 @@ struct FogResilienceOptions {
   /// Total budget for the offload path, measured from the offload decision;
   /// when it cannot be met the item degrades to its local answer. 0 = none.
   TimeNs offload_deadline = 400 * kMillisecond;
-  /// Optional per-tier degradation/retry counters
-  /// (`fog.degraded.*`, `fog.failed.*`, `fog.retries`).
-  MetricsRegistry* metrics = nullptr;
   /// Optional tracer. When set, every item gets a trace with contiguous
   /// stage spans per tier hop (`edge.filter`, `edge.uplink`, `fog.local`,
   /// then `upstream.annotation` or `offload.transfer` / `server.compute` /
   /// `cloud.annotate`), `retry.backoff` overlays around retried sends, and
-  /// `degrade` / breaker-transition event markers. The collector should run
-  /// on the topology's simulated clock (`topology.sim().clock()`).
+  /// `degrade` / breaker-transition event markers. A `degrade` event's
+  /// `degraded` tag names the fallback cause (`fog.degraded.*`); an item
+  /// whose cloud hop was deferred has no `cloud.annotate` stage. The
+  /// collector should run on the topology's simulated clock
+  /// (`topology.sim().clock()`).
   obs::SpanCollector* spans = nullptr;
   std::uint64_t seed = 19;  ///< retry jitter
   /// Optional real-model inference at fog.local / server.compute.

@@ -19,7 +19,6 @@
 #include "obs/trace.h"
 #include "resilience/policy.h"
 #include "util/clock.h"
-#include "util/metrics.h"
 #include "util/queue.h"
 #include "util/status.h"
 

@@ -67,8 +67,6 @@ inline constexpr int kObsTrace = 70;  // SpanCollector::mu_
 // touching these, so they rank above (are acquired after) everything else.
 inline constexpr int kUtilQueue = 80;            // BoundedQueue::mu_
 inline constexpr int kUtilMetricsRegistry = 90;  // MetricsRegistry::mu_
-inline constexpr int kUtilMetricsGauge = 92;     // Gauge::mu_
-inline constexpr int kUtilMetricsHistogram = 94; // Histogram::mu_
 inline constexpr int kUtilLogging = 98;          // logging OutputMutex()
 
 }  // namespace metro::lockrank

@@ -1,16 +1,16 @@
 #pragma once
 
-// Lightweight metrics: counters, gauges, and latency histograms.
+// Lightweight metrics: named monotonic counters.
 //
-// Every subsystem exports its operational numbers through a `MetricsRegistry`
-// so benches and the core pipeline can print a single coherent report.
+// A subsystem that exports event counts by name (the broker cluster, the
+// DFS) keeps them in a `MetricsRegistry`, so benches can read one counter by
+// its dotted name or print them all with `Report()`.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/lock_ranks.h"
 #include "util/sync.h"
@@ -29,86 +29,20 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double v) METRO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    value_ = v;
-  }
-  void Add(double delta) METRO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    value_ += delta;
-  }
-  double value() const METRO_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return value_;
-  }
-
- private:
-  mutable Mutex mu_{lockrank::kUtilMetricsGauge, "util.metrics.gauge"};
-  double value_ METRO_GUARDED_BY(mu_) = 0;
-};
-
-/// Log-bucketed histogram for latency/size distributions.
+/// Named collection of counters shared across a subsystem.
 ///
-/// Buckets are powers of two from 1 to 2^62, giving ~2x resolution over the
-/// full int64 range — the classic trade-off for operational latency tracking.
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 63;
-
-  /// Records a sample (values < 0 are clamped to 0).
-  void Record(std::int64_t value) METRO_EXCLUDES(mu_);
-
-  std::int64_t count() const METRO_EXCLUDES(mu_);
-  std::int64_t sum() const METRO_EXCLUDES(mu_);
-  double mean() const METRO_EXCLUDES(mu_);
-  std::int64_t min() const METRO_EXCLUDES(mu_);
-  std::int64_t max() const METRO_EXCLUDES(mu_);
-
-  /// Approximate quantile via linear interpolation within the bucket.
-  /// q in [0, 1]; returns 0 for an empty histogram.
-  std::int64_t Quantile(double q) const METRO_EXCLUDES(mu_);
-
-  std::int64_t p50() const { return Quantile(0.50); }
-  std::int64_t p95() const { return Quantile(0.95); }
-  std::int64_t p99() const { return Quantile(0.99); }
-
- private:
-  mutable Mutex mu_{lockrank::kUtilMetricsHistogram, "util.metrics.histogram"};
-  std::int64_t buckets_[kNumBuckets] METRO_GUARDED_BY(mu_) = {};
-  std::int64_t count_ METRO_GUARDED_BY(mu_) = 0;
-  std::int64_t sum_ METRO_GUARDED_BY(mu_) = 0;
-  std::int64_t min_ METRO_GUARDED_BY(mu_) = 0;
-  std::int64_t max_ METRO_GUARDED_BY(mu_) = 0;
-};
-
-/// Named collection of metrics shared across a subsystem.
-///
-/// Lookup lazily creates the metric; returned references stay valid for the
+/// Lookup lazily creates the counter; returned references stay valid for the
 /// registry's lifetime.
 class MetricsRegistry {
  public:
   Counter& GetCounter(const std::string& name) METRO_EXCLUDES(mu_);
-  Gauge& GetGauge(const std::string& name) METRO_EXCLUDES(mu_);
-  Histogram& GetHistogram(const std::string& name) METRO_EXCLUDES(mu_);
 
-  /// Multi-line human-readable dump, sorted by name.
+  /// Multi-line human-readable dump (`name = value`), sorted by name.
   std::string Report() const METRO_EXCLUDES(mu_);
 
-  /// Resets by dropping all metrics (references become stale; use only
-  /// between bench iterations that re-acquire their metrics).
-  void Clear() METRO_EXCLUDES(mu_);
-
  private:
-  // Lock order: mu_ before any contained metric's internal lock (Report()
-  // reads Gauge/Histogram values while holding mu_).
   mutable Mutex mu_{lockrank::kUtilMetricsRegistry, "util.metrics.registry"};
   std::map<std::string, std::unique_ptr<Counter>> counters_
-      METRO_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ METRO_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
       METRO_GUARDED_BY(mu_);
 };
 

@@ -4,12 +4,10 @@
 #include <exception>
 
 #include "util/logging.h"
-#include "util/metrics.h"
 
 namespace metro {
 
-ThreadPool::ThreadPool(std::size_t num_threads, MetricsRegistry* metrics)
-    : metrics_(metrics), tasks_(1 << 16) {
+ThreadPool::ThreadPool(std::size_t num_threads) : tasks_(1 << 16) {
   assert(num_threads >= 1);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -28,15 +26,9 @@ void ThreadPool::WorkerLoop() {
       (*task)();
     } catch (const std::exception& e) {
       task_exceptions_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("threadpool.task_exceptions").Increment();
-      }
       METRO_LOG(kWarning) << "thread pool task threw: " << e.what();
     } catch (...) {
       task_exceptions_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("threadpool.task_exceptions").Increment();
-      }
       METRO_LOG(kWarning) << "thread pool task threw a non-std exception";
     }
   }

@@ -513,9 +513,9 @@ TEST(ResilientPipelineTest, ServerOutageDegradesInsteadOfFailing) {
   // Resilient: every item falls back to its local answer.
   fog::FogTopology topo(ChaosFogConfig());
   TakeDownServerLinks(topo);
-  MetricsRegistry metrics;
+  obs::SpanCollector spans(topo.sim().clock());
   fog::FogResilienceOptions options;
-  options.metrics = &metrics;
+  options.spans = &spans;
   const auto result = fog::RunResilientPipeline(topo, items, options);
   EXPECT_EQ(result.items_failed, 0);
   EXPECT_EQ(result.items_offloaded, 0);
@@ -523,8 +523,17 @@ TEST(ResilientPipelineTest, ServerOutageDegradesInsteadOfFailing) {
   EXPECT_DOUBLE_EQ(result.Availability(), 1.0);
   // Degraded items score their local answer: half right by construction.
   EXPECT_DOUBLE_EQ(result.AccuracyOver(items), 0.5);
-  // The breaker tripped, so later items degraded without burning retries.
-  EXPECT_GT(metrics.GetCounter("fog.degraded.server_unavailable").value(), 0);
+  // The breaker tripped, so later items degraded without burning retries:
+  // their traces carry the fast-path cause.
+  int server_unavailable = 0;
+  for (const auto& span : spans.Snapshot()) {
+    const std::string* cause = span.FindTag("degraded");
+    if (span.name == "degrade" && cause != nullptr &&
+        *cause == "fog.degraded.server_unavailable") {
+      ++server_unavailable;
+    }
+  }
+  EXPECT_GT(server_unavailable, 0);
   EXPECT_GT(result.send_retries, 0);
 }
 
@@ -555,14 +564,11 @@ TEST(ResilientPipelineTest, EdgeUplinkLossIsTheOnlyHardFailure) {
   ASSERT_TRUE(
       topo.sim().SetLinkUp(topo.edge(0), topo.fog_of_edge(0), false).ok());
   const auto items = OffloadItems(8, kMillisecond);  // edges 0..3 round-robin
-  MetricsRegistry metrics;
   fog::FogResilienceOptions options;
-  options.metrics = &metrics;
   const auto result = fog::RunResilientPipeline(topo, items, options);
   EXPECT_EQ(result.items_failed, 2);  // items from edge 0
   EXPECT_EQ(result.items_offloaded, 6);
   EXPECT_LT(result.Availability(), 1.0);
-  EXPECT_EQ(metrics.GetCounter("fog.failed.edge_uplink").value(), 2);
 }
 
 // ---------------------------------------------------------------- Ingest

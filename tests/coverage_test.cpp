@@ -151,7 +151,7 @@ TEST(FogEdgeTest, ZeroComputeItemsStillTraverse) {
 
 // ---------------------------------------------------------------- pipeline
 
-TEST(PipelineEdgeTest, LatencyHistogramPopulated) {
+TEST(PipelineEdgeTest, LatencyStatsPopulated) {
   core::CityPipeline pipeline(WallClock::Instance());
   core::CityPipeline::TopicSpec spec;
   spec.topic = "t";
