@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -165,6 +170,23 @@ void ExpectSameFloats(const Tensor& expected, const Tensor& actual) {
   }
 }
 
+// Stricter than ExpectSameFloats: compares the float bits, so the sign of a
+// zero and NaN payloads count, and NaN matches only an identical NaN.
+void ExpectSameBits(const Tensor& expected, const Tensor& actual) {
+  ASSERT_EQ(expected.shape(), actual.shape());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const float e = expected[i], a = actual[i];
+    if (std::memcmp(&e, &a, sizeof(float)) != 0) {
+      std::uint32_t eb, ab;
+      std::memcpy(&eb, &e, sizeof(float));
+      std::memcpy(&ab, &a, sizeof(float));
+      FAIL() << "bit mismatch at index " << i << ": expected " << e << " (0x"
+             << std::hex << eb << "), got " << a << " (0x" << ab << ")"
+             << std::dec;
+    }
+  }
+}
+
 // Every PickConvRowFn branch against the reference: a compile-time width
 // (8), the blocked stack accumulator (20), and the plain ConvRowRange
 // fallback for widths above kConvAccChannels (130).
@@ -314,6 +336,13 @@ TEST(MatMulTest, IntoKernelsMatchReference) {
   }
 }
 
+// MaxPool2dBackward through the forward pass that records its routing.
+Tensor MaxPoolBackwardOf(const Tensor& input, int k, int stride,
+                         const Tensor& grad_out) {
+  return MaxPool2dBackward(input.shape(), MaxPool2dForward(input, k, stride),
+                           grad_out);
+}
+
 TEST(MaxPoolTest, ForwardPicksMax) {
   Tensor input({1, 4, 4, 1});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
@@ -335,6 +364,123 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   float total = 0;
   for (const float v : grad_in.data()) total += v;
   EXPECT_EQ(total, 4.0f);
+}
+
+// Naive max pooling: per output element, scan the window in (ky, kx) order
+// and keep the first strictly greater value, starting from -inf. NaN never
+// compares greater, so a window of NaN and -inf pools to -inf.
+Tensor ReferenceMaxPool(const Tensor& input, int k, int stride) {
+  const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
+            c = input.dim(3);
+  const int oh = (h - k) / stride + 1, ow = (w - k) / stride + 1;
+  Tensor out({n, oh, ow, c});
+  for (int b = 0; b < n; ++b) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        for (int ch = 0; ch < c; ++ch) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (int ky = 0; ky < k; ++ky) {
+            for (int kx = 0; kx < k; ++kx) {
+              const float v =
+                  input.at(b, oy * stride + ky, ox * stride + kx, ch);
+              if (v > best) best = v;
+            }
+          }
+          out.at(b, oy, ox, ch) = best;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Pooling input built to stress the comparison: small integers (many ties),
+// signed zeros (a tie that only the bits can see), -inf and NaN. Batch 1 is
+// all negative, so it has all-negative windows, and the first window of
+// batch 0 is all NaN and -inf.
+Tensor AdversarialPoolInput(int h, int w, int c, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor t({2, h, w, c});
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    switch (rng.UniformInt(0, 5)) {
+      case 0: t[i] = rng.Bernoulli(0.5) ? 0.0f : -0.0f; break;
+      case 1: t[i] = -inf; break;
+      case 2: t[i] = rng.Bernoulli(0.5) ? nan : -nan; break;
+      case 3: t[i] = rng.UniformFloat(-1.0f, 1.0f); break;
+      default: t[i] = float(rng.UniformInt(-3, 3)); break;
+    }
+  }
+  const std::size_t half = t.size() / 2;
+  for (std::size_t i = half; i < t.size(); ++i) {
+    if (!(t[i] < 0.0f) && !std::isnan(t[i])) t[i] = -1.0f - t[i];
+  }
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 3; ++x) {
+      for (int ch = 0; ch < c; ++ch) t.at(0, y, x, ch) = (x + ch) % 2 ? nan : -inf;
+    }
+  }
+  return t;
+}
+
+// MaxPool2dForwardInto against the naive loop, bit for bit, across the
+// detector's k2/s2 and the inception branch's k3/s1, at channel counts below,
+// at and off the vector width.
+TEST(MaxPoolTest, ForwardMatchesReferenceBits) {
+  Rng rng(23);
+  for (const int c : {1, 8, 13}) {
+    for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}}) {
+      SCOPED_TRACE("c=" + std::to_string(c) + " k=" + std::to_string(k) +
+                   " s=" + std::to_string(stride));
+      const Tensor input = AdversarialPoolInput(7, 6, c, rng);
+      const Tensor expected = ReferenceMaxPool(input, k, stride);
+      Tensor out(expected.shape());
+      TensorView out_view(out);
+      MaxPool2dForwardInto(TensorView::OfConst(input), k, stride, out_view);
+      ExpectSameBits(expected, out);
+    }
+  }
+}
+
+// The backward pass routes each output gradient to the first strictly
+// greater element of its window (the one the forward scan kept), so among
+// tied maxima the earliest (ky, kx) tap takes the whole gradient.
+TEST(MaxPoolTest, BackwardRoutesToFirstMaxOnTies) {
+  Rng rng(29);
+  for (const int c : {1, 8, 13}) {
+    for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}}) {
+      Tensor input({2, 7, 6, c});
+      for (std::size_t i = 0; i < input.size(); ++i) {
+        input[i] = float(rng.UniformInt(-2, 2));
+      }
+      const int oh = (7 - k) / stride + 1, ow = (6 - k) / stride + 1;
+      Tensor grad_out({2, oh, ow, c});
+      for (std::size_t i = 0; i < grad_out.size(); ++i) {
+        grad_out[i] = float(rng.UniformInt(1, 9));
+      }
+      Tensor expected(input.shape());
+      for (int b = 0; b < 2; ++b) {
+        for (int oy = 0; oy < oh; ++oy) {
+          for (int ox = 0; ox < ow; ++ox) {
+            for (int ch = 0; ch < c; ++ch) {
+              int by = oy * stride, bx = ox * stride;
+              for (int ky = 0; ky < k; ++ky) {
+                for (int kx = 0; kx < k; ++kx) {
+                  const int iy = oy * stride + ky, ix = ox * stride + kx;
+                  if (input.at(b, iy, ix, ch) > input.at(b, by, bx, ch)) {
+                    by = iy;
+                    bx = ix;
+                  }
+                }
+              }
+              expected.at(b, by, bx, ch) += grad_out.at(b, oy, ox, ch);
+            }
+          }
+        }
+      }
+      ExpectSameBits(expected, MaxPoolBackwardOf(input, k, stride, grad_out));
+    }
+  }
 }
 
 TEST(GlobalAvgPoolTest, ForwardAndBackward) {
@@ -376,6 +522,66 @@ TEST(ActivationTest, LeakyRelu) {
   });
   EXPECT_FLOAT_EQ(y[0], -1.0f);
   EXPECT_FLOAT_EQ(y[1], 10.0f);
+}
+
+// Every IEEE class a LeakyReLU input can hold, then a run of ordinary values
+// long enough (and odd-sized) to reach a vectorized loop and its scalar tail.
+Tensor LeakyReluSpecials(Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float fmax = std::numeric_limits<float>::max();
+  const float fmin = std::numeric_limits<float>::min();
+  std::vector<float> v = {0.0f,        -0.0f,      denorm,     -denorm,
+                          3 * denorm,  -3 * denorm, fmin / 2,  -fmin / 2,
+                          fmin,        -fmin,      fmax,       -fmax,
+                          inf,         -inf,       nan,        -nan,
+                          1.5f,        -1.5f};
+  for (int i = 0; i < 37; ++i) v.push_back(rng.UniformFloat(-4.0f, 4.0f));
+  return Tensor::FromVector(v);
+}
+
+// LeakyReluInto against the naive branchy loop, bit for bit, in place and
+// out of place, at the ends of the alpha range and at the detector's 0.1.
+TEST(ActivationTest, LeakyReluMatchesReferenceBits) {
+  Rng rng(31);
+  const Tensor x = LeakyReluSpecials(rng);
+  for (const float alpha : {0.0f, 0.1f, 1.0f}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    Tensor expected(x.shape());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float v = x[i];
+      expected[i] = v < 0.0f ? v * alpha : v;
+    }
+    Tensor out(x.shape());
+    TensorView out_view(out);
+    LeakyReluInto(TensorView::OfConst(x), out_view, alpha);
+    ExpectSameBits(expected, out);
+
+    Tensor in_place = x;
+    TensorView in_place_view(in_place);
+    LeakyReluInto(in_place_view, in_place_view, alpha);
+    ExpectSameBits(expected, in_place);
+  }
+}
+
+// LeakyReluBackward scales the gradient exactly where the forward input was
+// negative; the special values go through both the input and the gradient.
+TEST(ActivationTest, LeakyReluBackwardMatchesReferenceBits) {
+  Rng rng(37);
+  const Tensor x = LeakyReluSpecials(rng);
+  Tensor grad = LeakyReluSpecials(rng);
+  for (std::size_t i = 0; i < grad.size() / 2; ++i) {
+    std::swap(grad[i], grad[grad.size() - 1 - i]);
+  }
+  for (const float alpha : {0.0f, 0.1f, 1.0f}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    Tensor expected = grad;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i] < 0.0f) expected[i] = grad[i] * alpha;
+    }
+    ExpectSameBits(expected, LeakyReluBackward(x, grad, alpha));
+  }
 }
 
 TEST(ActivationTest, SigmoidRange) {
