@@ -124,9 +124,8 @@ Shape Conv2d::OutputShape(const Shape& input_shape) const {
 // ---------------------------------------------------------------- MaxPool2d
 
 Tensor MaxPool2d::ForwardTrain(const Tensor& x) {
-  cached_in_shape_ = x.shape();
-  cached_ = tensor::MaxPool2dForward(x, k_, stride_);
-  return cached_.output;
+  cached_x_ = x;
+  return Forward(x, /*training=*/false);
 }
 
 METRO_NOALLOC
@@ -136,7 +135,7 @@ void MaxPool2d::ForwardInto(const TensorView& x, const TensorView& out,
 }
 
 Tensor MaxPool2d::Backward(const Tensor& grad_out) {
-  return tensor::MaxPool2dBackward(cached_in_shape_, cached_, grad_out);
+  return tensor::MaxPool2dBackward(cached_x_, k_, stride_, grad_out);
 }
 
 std::string MaxPool2d::name() const {

@@ -167,8 +167,7 @@ class MaxPool2d final : public Layer {
   Tensor ForwardTrain(const Tensor& x) override;
 
   int k_, stride_;
-  Shape cached_in_shape_;
-  tensor::MaxPoolResult cached_;
+  Tensor cached_x_;
 };
 
 /// Global average pooling: NHWC -> (N, C).

@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -9,6 +11,18 @@
 
 namespace metro::tensor {
 namespace {
+
+// `take ? a : b`, as a bit mask instead of a branch. Under GCC's default
+// -ftrapping-math a `?:` with a multiply in one arm stays a branch (the
+// multiply may not be run for lanes that do not take it), so the loop never
+// vectorizes and mispredicts on mixed-sign data. Here both arms are already
+// computed, and the blend vectorizes on baseline SSE2 (cmpltps + and/andn/or)
+// while returning exactly the bits of the branchy form.
+inline float SelectIf(bool take, float a, float b) {
+  const std::uint32_t mask = -std::uint32_t(take);
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & mask) |
+                              (std::bit_cast<std::uint32_t>(b) & ~mask));
+}
 
 int ConvOutDim(int in, int k, int stride, int pad) {
   return (in + 2 * pad - k) / stride + 1;
@@ -344,57 +358,43 @@ ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,
   return grads;
 }
 
-MaxPoolResult MaxPool2dForward(const Tensor& input, int k, int stride) {
+Tensor MaxPool2dBackward(const Tensor& input, int k, int stride,
+                         const Tensor& grad_out) {
   assert(input.rank() == 4);
   const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
             c = input.dim(3);
   const int oh = (h - k) / stride + 1;
   const int ow = (w - k) / stride + 1;
-  assert(oh > 0 && ow > 0);
-
-  MaxPoolResult res;
-  res.output = Tensor({n, oh, ow, c});
-  res.argmax.assign(res.output.size(), 0);
+  assert(grad_out.size() == std::size_t(n) * oh * ow * c);
+  Tensor grad_in(input.shape());
+  auto gi = grad_in.data();
   const auto in_d = input.data();
-  auto out_d = res.output.data();
-
+  const auto go = grad_out.data();
   for (int b = 0; b < n; ++b) {
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         for (int ch = 0; ch < c; ++ch) {
+          // The first strictly greater tap, as the forward scan keeps it; a
+          // window with nothing above -inf (all -inf or NaN) routes to its
+          // first tap.
+          const std::size_t first =
+              ((std::size_t(b) * h + oy * stride) * w + ox * stride) * c + ch;
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx = first;
           for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky;
             for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx;
               const std::size_t idx =
-                  ((std::size_t(b) * h + iy) * w + ix) * c + ch;
+                  first + (std::size_t(ky) * w + kx) * c;
               if (in_d[idx] > best) {
                 best = in_d[idx];
                 best_idx = idx;
               }
             }
           }
-          const std::size_t oidx =
-              ((std::size_t(b) * oh + oy) * ow + ox) * c + ch;
-          out_d[oidx] = best;
-          res.argmax[oidx] = best_idx;
+          gi[best_idx] += go[((std::size_t(b) * oh + oy) * ow + ox) * c + ch];
         }
       }
     }
-  }
-  return res;
-}
-
-Tensor MaxPool2dBackward(const Shape& input_shape, const MaxPoolResult& fwd,
-                         const Tensor& grad_out) {
-  Tensor grad_in(input_shape);
-  auto gi = grad_in.data();
-  const auto go = grad_out.data();
-  assert(grad_out.size() == fwd.argmax.size());
-  for (std::size_t i = 0; i < fwd.argmax.size(); ++i) {
-    gi[fwd.argmax[i]] += go[i];
   }
   return grad_in;
 }
@@ -436,7 +436,7 @@ Tensor LeakyReluBackward(const Tensor& x, const Tensor& grad_out, float alpha) {
   auto gd = g.data();
   const auto xd = x.data();
   for (std::size_t i = 0; i < gd.size(); ++i) {
-    if (xd[i] < 0.0f) gd[i] *= alpha;
+    gd[i] = SelectIf(xd[i] < 0.0f, gd[i] * alpha, gd[i]);
   }
   return g;
 }
@@ -530,22 +530,32 @@ void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
   assert(out.dim(0) == n && out.dim(1) == oh && out.dim(2) == ow &&
          out.dim(3) == c);
 
+  // Channels are the innermost loop over each contiguous NHWC pixel, so
+  // the running maximum of a whole output pixel updates with one `maxps` per
+  // four channels instead of a strided scalar scan per channel. Every output
+  // still sees the same comparisons in the same (ky, kx) order, starting
+  // from -inf: `px > best ? px : best` keeps the first strictly greater
+  // value and never takes a NaN, exactly as the per-channel scan did.
   const float* in_d = input.data().data();
   float* out_d = out.data().data();
+  const std::size_t row_stride = std::size_t(w) * c;
   for (int b = 0; b < n; ++b) {
+    const float* in_img = &in_d[std::size_t(b) * h * row_stride];
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
+        float* best = &out_d[((std::size_t(b) * oh + oy) * ow + ox) * c];
         for (int ch = 0; ch < c; ++ch) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx;
-              const float v = in_d[((std::size_t(b) * h + iy) * w + ix) * c + ch];
-              if (v > best) best = v;
+          best[ch] = -std::numeric_limits<float>::infinity();
+        }
+        for (int ky = 0; ky < k; ++ky) {
+          const float* in_row =
+              &in_img[std::size_t(oy * stride + ky) * row_stride];
+          for (int kx = 0; kx < k; ++kx) {
+            const float* px = &in_row[std::size_t(ox * stride + kx) * c];
+            for (int ch = 0; ch < c; ++ch) {
+              best[ch] = px[ch] > best[ch] ? px[ch] : best[ch];
             }
           }
-          out_d[((std::size_t(b) * oh + oy) * ow + ox) * c + ch] = best;
         }
       }
     }
@@ -641,9 +651,11 @@ void LeakyReluInto(const TensorView& x, const TensorView& out, float alpha) {
   assert(x.size() == out.size());
   const std::span<float> xd = x.data();
   const std::span<float> od = out.data();
+  // Branch-free (see SelectIf): the multiply runs for every element and
+  // the sign test only picks which bits to keep.
   for (std::size_t i = 0; i < xd.size(); ++i) {
     const float v = xd[i];
-    od[i] = v < 0.0f ? v * alpha : v;
+    od[i] = SelectIf(v < 0.0f, v * alpha, v);
   }
 }
 

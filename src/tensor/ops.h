@@ -32,19 +32,10 @@ struct ConvGrads {
 ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,
                          const Tensor& grad_out, int stride, int pad);
 
-/// Output of MaxPool2dForward: the pooled tensor plus per-output argmax
-/// offsets (into the input) needed by the backward pass.
-struct MaxPoolResult {
-  Tensor output;
-  std::vector<std::size_t> argmax;  ///< flat input index per output element
-};
-
-/// Max pooling with square window `k` and stride `stride` (no padding),
-/// recording the argmax routing that training's backward pass needs.
-MaxPoolResult MaxPool2dForward(const Tensor& input, int k, int stride);
-
-/// Routes each output gradient to the input element that won the max.
-Tensor MaxPool2dBackward(const Shape& input_shape, const MaxPoolResult& fwd,
+/// Backward pass matching MaxPool2dForwardInto: routes each output gradient
+/// to the first strictly greater element of its window in `input` (the
+/// forward input), the one the forward scan kept.
+Tensor MaxPool2dBackward(const Tensor& input, int k, int stride,
                          const Tensor& grad_out);
 
 /// Backward pass matching GlobalAvgPoolForwardInto.
@@ -101,8 +92,9 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
                        const TensorView& out, ThreadPool* pool = nullptr);
 
-/// MaxPool2dForward without the argmax bookkeeping (inference needs no
-/// backward routing).
+/// Max pooling with square window `k` and stride `stride` (no padding):
+/// each output is the first strictly greater value of its window in (ky, kx)
+/// order, starting from -inf.
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
                           const TensorView& out);
 
@@ -127,7 +119,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 void DenseForwardInto(const TensorView& x, const Tensor& w, const Tensor& b,
                       const TensorView& out, ThreadPool* pool = nullptr);
 
-// Elementwise activations; `out` may alias `x`.
+// Elementwise activations; `out` may alias `x`. LeakyReluInto returns
+// `x < 0 ? x * alpha : x`, bit for bit, for any alpha.
 void ReluInto(const TensorView& x, const TensorView& out);
 void LeakyReluInto(const TensorView& x, const TensorView& out, float alpha);
 void SigmoidInto(const TensorView& x, const TensorView& out);

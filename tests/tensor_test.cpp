@@ -336,28 +336,22 @@ TEST(MatMulTest, IntoKernelsMatchReference) {
   }
 }
 
-// MaxPool2dBackward through the forward pass that records its routing.
-Tensor MaxPoolBackwardOf(const Tensor& input, int k, int stride,
-                         const Tensor& grad_out) {
-  return MaxPool2dBackward(input.shape(), MaxPool2dForward(input, k, stride),
-                           grad_out);
-}
-
 TEST(MaxPoolTest, ForwardPicksMax) {
   Tensor input({1, 4, 4, 1});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
-  auto res = MaxPool2dForward(input, 2, 2);
-  EXPECT_EQ(res.output.shape(), (Shape{1, 2, 2, 1}));
-  EXPECT_EQ(res.output.at(0, 0, 0, 0), 5.0f);
-  EXPECT_EQ(res.output.at(0, 1, 1, 0), 15.0f);
+  Tensor output({1, 2, 2, 1});
+  TensorView output_view(output);
+  MaxPool2dForwardInto(TensorView::OfConst(input), 2, 2, output_view);
+  EXPECT_EQ(output.shape(), (Shape{1, 2, 2, 1}));
+  EXPECT_EQ(output.at(0, 0, 0, 0), 5.0f);
+  EXPECT_EQ(output.at(0, 1, 1, 0), 15.0f);
 }
 
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   Tensor input({1, 4, 4, 1});
   for (std::size_t i = 0; i < input.size(); ++i) input[i] = float(i);
-  auto res = MaxPool2dForward(input, 2, 2);
-  Tensor grad_out(res.output.shape(), 1.0f);
-  Tensor grad_in = MaxPool2dBackward(input.shape(), res, grad_out);
+  Tensor grad_out({1, 2, 2, 1}, 1.0f);
+  Tensor grad_in = MaxPool2dBackward(input, 2, 2, grad_out);
   EXPECT_EQ(grad_in[5], 1.0f);
   EXPECT_EQ(grad_in[15], 1.0f);
   EXPECT_EQ(grad_in[0], 0.0f);
@@ -478,9 +472,26 @@ TEST(MaxPoolTest, BackwardRoutesToFirstMaxOnTies) {
           }
         }
       }
-      ExpectSameBits(expected, MaxPoolBackwardOf(input, k, stride, grad_out));
+      ExpectSameBits(expected, MaxPool2dBackward(input, k, stride, grad_out));
     }
   }
+}
+
+// A window with nothing above -inf (here -inf and NaN) has no strictly
+// greater tap; its gradient goes to the window's own first tap.
+TEST(MaxPoolTest, BackwardRoutesEmptyWindowToFirstTap) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor input({1, 2, 4, 1}, 1.0f);
+  input.at(0, 0, 2, 0) = -inf;
+  input.at(0, 0, 3, 0) = std::numeric_limits<float>::quiet_NaN();
+  input.at(0, 1, 2, 0) = -inf;
+  input.at(0, 1, 3, 0) = -inf;
+  Tensor grad_in = MaxPool2dBackward(input, 2, 2, Tensor({1, 1, 2, 1}, 1.0f));
+  EXPECT_EQ(grad_in.at(0, 0, 0, 0), 1.0f);
+  EXPECT_EQ(grad_in.at(0, 0, 2, 0), 1.0f);
+  float total = 0;
+  for (const float v : grad_in.data()) total += v;
+  EXPECT_EQ(total, 2.0f);
 }
 
 TEST(GlobalAvgPoolTest, ForwardAndBackward) {
