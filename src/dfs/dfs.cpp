@@ -167,7 +167,7 @@ Status Cluster::CreateImpl(const std::string& path, std::string_view data,
             block, std::string(data.substr(offset, len)));
         if (st.ok()) {
           bmeta.replicas.push_back(id);
-          metrics_.GetCounter("dfs.write_failovers").Increment();
+          c_write_failovers_->Increment();
           if (failovers != nullptr) ++*failovers;
         }
       }
@@ -175,9 +175,8 @@ Status Cluster::CreateImpl(const std::string& path, std::string_view data,
     if (bmeta.replicas.empty()) {
       return UnavailableError("all replica writes failed");
     }
-    metrics_.GetCounter("dfs.blocks_written").Increment();
-    metrics_.GetCounter("dfs.bytes_written")
-        .Increment(std::int64_t(len * bmeta.replicas.size()));
+    c_blocks_written_->Increment();
+    c_bytes_written_->Increment(std::int64_t(len * bmeta.replicas.size()));
     block_map_[block] = std::move(bmeta);
     meta.blocks.push_back(block);
     offset += len;
@@ -228,9 +227,9 @@ Result<std::string> Cluster::ReadImpl(const std::string& path,
         break;
       }
       if (res.status().code() == StatusCode::kCorruption) {
-        metrics_.GetCounter("dfs.corrupt_replicas_read").Increment();
+        c_corrupt_replicas_read_->Increment();
       }
-      metrics_.GetCounter("dfs.replica_read_failovers").Increment();
+      c_replica_read_failovers_->Increment();
       if (failovers != nullptr) ++*failovers;
       if (!failures.empty()) failures += "; ";
       failures += "node " + std::to_string(id) + ": " +
@@ -242,7 +241,7 @@ Result<std::string> Cluster::ReadImpl(const std::string& path,
                               " has no readable replica (" + failures + ")");
     }
   }
-  metrics_.GetCounter("dfs.bytes_read").Increment(std::int64_t(out.size()));
+  c_bytes_read_->Increment(std::int64_t(out.size()));
   return out;
 }
 
@@ -323,7 +322,7 @@ int Cluster::RunReplicationPass() {
       if (nodes_[std::size_t(id)]->StoreBlock(block, data).ok()) {
         live.push_back(id);
         ++created;
-        metrics_.GetCounter("dfs.re_replications").Increment();
+        c_re_replications_->Increment();
       }
     }
     meta.replicas = live;
@@ -360,7 +359,7 @@ Result<int> Cluster::DecommissionNode(int node) {
     *it = targets[0];
     ++moved;
   }
-  metrics_.GetCounter("dfs.decommission_moves").Increment(moved);
+  c_decommission_moves_->Increment(moved);
   return moved;
 }
 
@@ -412,7 +411,7 @@ int Cluster::BalanceCluster(double threshold) {
       (void)nodes_[std::size_t(hi)]->DeleteBlock(block);
       *it = lo;
       ++moves;
-      metrics_.GetCounter("dfs.balance_moves").Increment();
+      c_balance_moves_->Increment();
       moved = true;
       break;
     }

@@ -184,6 +184,22 @@ class Cluster {
   BlockId next_block_ METRO_GUARDED_BY(mu_) = 1;
   mutable Rng rng_ METRO_GUARDED_BY(mu_);
   mutable MetricsRegistry metrics_;
+  // dfs.* counters resolved once here, so an event is one atomic add rather
+  // than a name-string build, the registry lock and a map lookup.
+  Counter* const c_write_failovers_ =
+      &metrics_.GetCounter("dfs.write_failovers");
+  Counter* const c_blocks_written_ = &metrics_.GetCounter("dfs.blocks_written");
+  Counter* const c_bytes_written_ = &metrics_.GetCounter("dfs.bytes_written");
+  Counter* const c_corrupt_replicas_read_ =
+      &metrics_.GetCounter("dfs.corrupt_replicas_read");
+  Counter* const c_replica_read_failovers_ =
+      &metrics_.GetCounter("dfs.replica_read_failovers");
+  Counter* const c_bytes_read_ = &metrics_.GetCounter("dfs.bytes_read");
+  Counter* const c_re_replications_ =
+      &metrics_.GetCounter("dfs.re_replications");
+  Counter* const c_decommission_moves_ =
+      &metrics_.GetCounter("dfs.decommission_moves");
+  Counter* const c_balance_moves_ = &metrics_.GetCounter("dfs.balance_moves");
 };
 
 }  // namespace metro::dfs
