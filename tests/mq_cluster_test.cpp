@@ -505,7 +505,9 @@ TEST(BrokerClusterChaosTest, NoAckedLossNoDuplicateDeliveryUnderNodeKills) {
     // absorbed as a duplicate, never re-appended.
     if (i % 10 == 0) {
       const auto dup = cluster.Produce(*request);
-      if (dup.ok()) EXPECT_TRUE(dup->duplicate);
+      if (dup.ok()) {
+        EXPECT_TRUE(dup->duplicate);
+      }
     }
   }
   plan.ApplyUpTo(kSecond, targets);  // a full replay ends healthy
