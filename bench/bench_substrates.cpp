@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (Sec. II-C2's integration claims): DFS block
 // I/O, broker produce/fetch, LSM store reads/writes/scans, document
-// store queries, dataflow shuffle, scheduler placement, NLP primitives, and
-// the contended cost of the `metro::Mutex` every module locks through.
+// store queries, dataflow shuffle, scheduler placement, NLP primitives, the
+// contended cost of the `metro::Mutex` every module locks through, and the
+// Fig. 5 detector stem's layer kernels at the stem's own shapes.
 // These quantify the building blocks underneath the figure benches.
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "store/document_store.h"
 #include "store/lsm.h"
 #include "store/wide_column.h"
+#include "tensor/ops.h"
 #include "text/text.h"
 #include "util/rng.h"
 #include "util/sync.h"
@@ -327,6 +329,68 @@ void BM_MutexContended(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MutexContended)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
+
+// ---------------------------------------------------------------- Stem kernels
+
+// The Fig. 5 detector stem's layers, one kernel each, at its two stages:
+// conv3x3 32x32x3 -> 8 then 16x16x8 -> 12, each followed by LeakyReLU and a
+// 2x2/s2 max pool. Inputs are standard normal, so about half are negative,
+// as after the stem's BatchNorm. Each benchmark takes the stage's input
+// size and channel count as arguments.
+
+tensor::Tensor StemActivations(int hw, int channels) {
+  Rng rng(3);
+  return tensor::Tensor::RandomNormal({1, hw, hw, channels}, 1.0f, rng);
+}
+
+void BM_Conv2dForwardInto(benchmark::State& state) {
+  const int hw = int(state.range(0)), cin = int(state.range(1)),
+            cout = int(state.range(2));
+  Rng rng(5);
+  const tensor::Tensor x = StemActivations(hw, cin);
+  const tensor::Tensor w =
+      tensor::Tensor::HeNormal({3, 3, cin, cout}, 9 * cin, rng);
+  const tensor::Tensor b = tensor::Tensor::RandomNormal({cout}, 0.1f, rng);
+  tensor::Tensor y({1, hw, hw, cout});
+  const tensor::TensorView out(y);
+  for (auto _ : state) {
+    tensor::Conv2dForwardInto(tensor::TensorView::OfConst(x), w, b, 1, 1, out);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(y.size()));
+}
+BENCHMARK(BM_Conv2dForwardInto)->Args({32, 3, 8})->Args({16, 8, 12});
+
+// Out of place, so every iteration sees the same mixed-sign input (in place,
+// repeated scaling would drive the negatives into denormals).
+void BM_LeakyReluInto(benchmark::State& state) {
+  const tensor::Tensor x =
+      StemActivations(int(state.range(0)), int(state.range(1)));
+  tensor::Tensor y(x.shape());
+  const tensor::TensorView out(y);
+  for (auto _ : state) {
+    tensor::LeakyReluInto(tensor::TensorView::OfConst(x), out, 0.1f);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(x.size()));
+}
+BENCHMARK(BM_LeakyReluInto)->Args({32, 8})->Args({16, 12});
+
+void BM_MaxPool2dForwardInto(benchmark::State& state) {
+  const int hw = int(state.range(0)), channels = int(state.range(1));
+  const tensor::Tensor x = StemActivations(hw, channels);
+  tensor::Tensor y({1, hw / 2, hw / 2, channels});
+  const tensor::TensorView out(y);
+  for (auto _ : state) {
+    tensor::MaxPool2dForwardInto(tensor::TensorView::OfConst(x), 2, 2, out);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(x.size()));
+}
+BENCHMARK(BM_MaxPool2dForwardInto)->Args({32, 8})->Args({16, 12});
 
 }  // namespace
 
