@@ -13,11 +13,12 @@ namespace metro::tensor {
 namespace {
 
 // `take ? a : b`, as a bit mask instead of a branch. Under GCC's default
-// -ftrapping-math a `?:` with a multiply in one arm stays a branch (the
-// multiply may not be run for lanes that do not take it), so the loop never
-// vectorizes and mispredicts on mixed-sign data. Here both arms are already
-// computed, and the blend vectorizes on baseline SSE2 (cmpltps + and/andn/or)
-// while returning exactly the bits of the branchy form.
+// -ftrapping-math a `?:` with a multiply in one arm stays a branch, even when
+// the source computes the product first: GCC sinks it into the arm, and may
+// not then run it for elements that skip the arm. Such a loop never
+// vectorizes and mispredicts on mixed-sign data. The mask keeps both arms
+// live, vectorizes on baseline SSE2 (cmpltps + and/andn/or), and returns
+// exactly the bits of the branchy form.
 inline float SelectIf(bool take, float a, float b) {
   const std::uint32_t mask = -std::uint32_t(take);
   return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & mask) |
@@ -435,6 +436,7 @@ Tensor LeakyReluBackward(const Tensor& x, const Tensor& grad_out, float alpha) {
   Tensor g = grad_out;
   auto gd = g.data();
   const auto xd = x.data();
+  // Branch-free like LeakyReluInto (see SelectIf), so it vectorizes too.
   for (std::size_t i = 0; i < gd.size(); ++i) {
     gd[i] = SelectIf(xd[i] < 0.0f, gd[i] * alpha, gd[i]);
   }

@@ -411,7 +411,9 @@ Tensor AdversarialPoolInput(int h, int w, int c, Rng& rng) {
   }
   for (int y = 0; y < 3; ++y) {
     for (int x = 0; x < 3; ++x) {
-      for (int ch = 0; ch < c; ++ch) t.at(0, y, x, ch) = (x + ch) % 2 ? nan : -inf;
+      for (int ch = 0; ch < c; ++ch) {
+        t.at(0, y, x, ch) = (x + ch) % 2 ? nan : -inf;
+      }
     }
   }
   return t;
