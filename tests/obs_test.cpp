@@ -7,8 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -205,6 +211,376 @@ TEST(SpanCollectorTest, JsonExportIsOneObjectPerSpan) {
   EXPECT_NE(json.find("\"from\":\"closed\""), std::string::npos);
   EXPECT_NE(json.find("\"start_ns\":1000000"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 1);
+}
+
+// ------------------------------------------------------------ Store oracle
+//
+// A fixed mixed span set, large enough to cross several 4096-record chunks,
+// pins what the collector hands back: exact JSON bytes, the snapshot element
+// by element, the stage and trace rollups, Clear, and the cap. The expected
+// values come from the input spans through the reference rollups below, so
+// a change of the collector's storage must reproduce them exactly.
+
+// A clock the test sets directly, so spans recorded through `Event` and
+// `Begin`/`End` get the same times on every pass, before and after `Clear`.
+class SetClock final : public Clock {
+ public:
+  TimeNs Now() const override { return now_; }
+  void SleepFor(TimeNs ns) override { now_ += ns; }
+  void Set(TimeNs t) { now_ = t; }
+
+ private:
+  TimeNs now_ = 0;
+};
+
+constexpr std::size_t kOracleSpans = 3 * 4096 + 17;
+constexpr std::size_t kClampedSpan = 5000;  // recorded with end < start
+// Size and FNV-1a hash of the set's `ToJson()` bytes.
+constexpr std::size_t kOracleJsonBytes = 1501837;
+constexpr std::uint64_t kOracleJsonFnv = 0xd854014d71d50947ULL;
+
+// Span i of the oracle set. Starts rise with i, so spans recorded through
+// the clock never need it to run backwards.
+obs::Span OracleSpan(std::size_t i) {
+  static const char* const kStages[] = {"produce", "mq.queue", "store",
+                                        "analyze", "web"};
+  std::uint64_t h = (i + 1) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  obs::Span s;
+  const std::uint64_t trace = 1 + i / 6;
+  s.context = {trace, i + 1, i % 6 == 0 ? 0 : i};
+  s.start = TimeNs(i) * 1000 + TimeNs(h % 500);
+  s.end = s.start + TimeNs((h >> 9) % 2'000'000);
+  if (i % 10 == 7) {
+    s.kind = obs::SpanKind::kOverlay;
+    s.name = i % 20 == 7 ? "retry.backoff" : "lsm.stall";
+  } else if (i % 10 == 9) {
+    s.kind = obs::SpanKind::kEvent;
+    s.name = i % 20 == 9 ? "breaker.open" : "degrade";
+    s.end = s.start;
+  } else {
+    s.name = kStages[i % 5];
+  }
+  if (i % 97 == 0) s.name = "unique." + std::to_string(i);
+  if (i == 6000) s.name = "";
+  if (i == 6001) s.name = "esc\"name\\";
+  if (i % 7 == 0) s.SetTag("topic", "t" + std::to_string(i % 3));
+  if (i % 11 == 0) {
+    s.SetTag("degraded", "true");
+    s.SetTag("tier", "fog");
+  }
+  if (i % 13 == 0) s.SetTag("retried", "true");
+  if (i == 4242) s.SetTag("note", "q\"b\\s\nn\tt\x01");
+  if (i == kClampedSpan) s.end = s.start - 123;
+  return s;
+}
+
+// The span the collector should hand back for OracleSpan(i).
+obs::Span OracleExpected(std::size_t i) {
+  obs::Span s = OracleSpan(i);
+  if (s.end < s.start) s.end = s.start;
+  return s;
+}
+
+// Records the oracle set through every recording entry point: `Event` for
+// events, `Begin`/`End` for every 50th stage span, `Record` for the rest.
+void RecordOracle(obs::SpanCollector& collector, SetClock& clock) {
+  for (std::size_t i = 0; i < kOracleSpans; ++i) {
+    obs::Span s = OracleSpan(i);
+    if (s.kind == obs::SpanKind::kEvent) {
+      clock.Set(s.start);
+      collector.Event(std::move(s.name), s.context, std::move(s.tags));
+    } else if (s.kind == obs::SpanKind::kStage && i % 50 == 0 &&
+               i != kClampedSpan) {
+      clock.Set(s.start);
+      obs::Span begun = collector.Begin(s.name, s.context, s.kind);
+      for (auto& [k, v] : s.tags) begun.SetTag(k, v);
+      clock.Set(s.end);
+      collector.End(std::move(begun));
+    } else {
+      collector.Record(std::move(s));
+    }
+  }
+}
+
+void ExpectSameSpan(const obs::Span& got, const obs::Span& want,
+                    std::size_t i) {
+  EXPECT_EQ(got.name, want.name) << "span " << i;
+  EXPECT_EQ(got.context.trace_id, want.context.trace_id) << "span " << i;
+  EXPECT_EQ(got.context.span_id, want.context.span_id) << "span " << i;
+  EXPECT_EQ(got.context.parent_span_id, want.context.parent_span_id)
+      << "span " << i;
+  EXPECT_EQ(got.kind, want.kind) << "span " << i;
+  EXPECT_EQ(got.start, want.start) << "span " << i;
+  EXPECT_EQ(got.end, want.end) << "span " << i;
+  EXPECT_EQ(got.tags, want.tags) << "span " << i;
+}
+
+// Reference per-stage rollup: group kStage durations by name in name order,
+// then order by total time, as the collector documents.
+std::vector<obs::StageStats> ReferenceStages(
+    const std::vector<obs::Span>& spans) {
+  std::map<std::string, std::vector<double>> by_stage;
+  for (const obs::Span& s : spans) {
+    if (s.kind == obs::SpanKind::kStage) {
+      by_stage[s.name].push_back(double(s.duration()) / kMillisecond);
+    }
+  }
+  std::vector<obs::StageStats> out;
+  for (auto& [stage, durations] : by_stage) {
+    std::sort(durations.begin(), durations.end());
+    obs::StageStats st;
+    st.stage = stage;
+    st.count = std::int64_t(durations.size());
+    double sum = 0;
+    for (const double d : durations) sum += d;
+    st.mean_ms = sum / double(durations.size());
+    st.p50_ms = obs::QuantileOf(durations, 0.50);
+    st.p95_ms = obs::QuantileOf(durations, 0.95);
+    st.p99_ms = obs::QuantileOf(durations, 0.99);
+    out.push_back(st);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const obs::StageStats& a, const obs::StageStats& b) {
+              return a.mean_ms * double(a.count) > b.mean_ms * double(b.count);
+            });
+  return out;
+}
+
+// Reference per-trace rollup, ordered by trace id.
+std::vector<obs::TraceSummary> ReferenceTraces(
+    const std::vector<obs::Span>& spans) {
+  std::map<obs::TraceId, obs::TraceSummary> by_trace;
+  for (const obs::Span& s : spans) {
+    obs::TraceSummary& t = by_trace[s.context.trace_id];
+    if (t.spans == 0) {
+      t.trace_id = s.context.trace_id;
+      t.start = s.start;
+      t.end = s.end;
+    }
+    t.start = std::min(t.start, s.start);
+    t.end = std::max(t.end, s.end);
+    ++t.spans;
+    if (s.kind == obs::SpanKind::kStage) {
+      t.stage_total += s.duration();
+      t.stage_ns[s.name] += s.duration();
+    }
+    if (s.FindTag("degraded") != nullptr) t.degraded = true;
+    if (s.FindTag("retried") != nullptr ||
+        (s.kind == obs::SpanKind::kOverlay && s.name.rfind("retry", 0) == 0)) {
+      t.retried = true;
+    }
+  }
+  std::vector<obs::TraceSummary> out;
+  for (auto& [id, t] : by_trace) out.push_back(std::move(t));
+  return out;
+}
+
+std::uint64_t Fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The first `lines` lines of a JSON-lines export.
+std::string JsonPrefix(const std::string& json, std::size_t lines) {
+  std::size_t pos = 0;
+  for (std::size_t n = 0; n < lines; ++n) pos = json.find('\n', pos) + 1;
+  return json.substr(0, pos);
+}
+
+TEST(SpanStoreOracleTest, JsonBytesArePinned) {
+  SetClock clock;
+  obs::SpanCollector collector(clock);
+  RecordOracle(collector, clock);
+  ASSERT_EQ(collector.size(), kOracleSpans);
+  EXPECT_EQ(collector.dropped(), 0);
+  const std::string json = collector.ToJson();
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'),
+            std::ptrdiff_t(kOracleSpans));
+  // Captured from the vector-backed collector this store replaced.
+  EXPECT_EQ(json.size(), kOracleJsonBytes);
+  EXPECT_EQ(Fnv1a(json), kOracleJsonFnv) << std::hex << Fnv1a(json);
+  EXPECT_EQ(JsonPrefix(json, 1),
+            "{\"trace\":\"1\",\"span\":\"1\",\"parent\":\"0\","
+            "\"name\":\"unique.0\",\"kind\":\"stage\",\"start_ns\":" +
+                std::to_string(OracleSpan(0).start) +
+                ",\"end_ns\":" + std::to_string(OracleSpan(0).end) +
+                ",\"tags\":{\"topic\":\"t0\",\"degraded\":\"true\","
+                "\"tier\":\"fog\",\"retried\":\"true\"}}\n");
+  const obs::Span clamped = OracleExpected(kClampedSpan);
+  EXPECT_NE(json.find("\"start_ns\":" + std::to_string(clamped.start) +
+                      ",\"end_ns\":" + std::to_string(clamped.start) + "}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"note\":\"q\\\"b\\\\s\\nn\\tt\\u0001\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"esc\\\"name\\\\\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"\","), std::string::npos);
+}
+
+TEST(SpanStoreOracleTest, SnapshotMatchesInputElementByElement) {
+  SetClock clock;
+  obs::SpanCollector collector(clock);
+  RecordOracle(collector, clock);
+  const auto spans = collector.Snapshot();
+  ASSERT_EQ(spans.size(), kOracleSpans);
+  for (std::size_t i = 0; i < kOracleSpans; ++i) {
+    ExpectSameSpan(spans[i], OracleExpected(i), i);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(SpanStoreOracleTest, RollupsMatchReference) {
+  SetClock clock;
+  obs::SpanCollector collector(clock);
+  RecordOracle(collector, clock);
+  std::vector<obs::Span> expected;
+  for (std::size_t i = 0; i < kOracleSpans; ++i) {
+    expected.push_back(OracleExpected(i));
+  }
+
+  const auto stages = collector.StageBreakdown();
+  const auto want_stages = ReferenceStages(expected);
+  ASSERT_EQ(stages.size(), want_stages.size());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(stages[i].stage, want_stages[i].stage) << i;
+    EXPECT_EQ(stages[i].count, want_stages[i].count) << i;
+    EXPECT_EQ(stages[i].mean_ms, want_stages[i].mean_ms) << i;
+    EXPECT_EQ(stages[i].p50_ms, want_stages[i].p50_ms) << i;
+    EXPECT_EQ(stages[i].p95_ms, want_stages[i].p95_ms) << i;
+    EXPECT_EQ(stages[i].p99_ms, want_stages[i].p99_ms) << i;
+  }
+  // The five repeated stages lead; each distinct name is a stage of its own.
+  ASSERT_GE(stages.size(), 5u);
+  std::set<std::string> leaders;
+  for (std::size_t i = 0; i < 5; ++i) leaders.insert(stages[i].stage);
+  EXPECT_EQ(leaders, (std::set<std::string>{"produce", "mq.queue", "store",
+                                             "analyze", "web"}));
+
+  const auto traces = collector.Traces();
+  const auto want_traces = ReferenceTraces(expected);
+  ASSERT_EQ(traces.size(), want_traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[i].trace_id, want_traces[i].trace_id) << i;
+    EXPECT_EQ(traces[i].start, want_traces[i].start) << i;
+    EXPECT_EQ(traces[i].end, want_traces[i].end) << i;
+    EXPECT_EQ(traces[i].stage_total, want_traces[i].stage_total) << i;
+    EXPECT_EQ(traces[i].stage_ns, want_traces[i].stage_ns) << i;
+    EXPECT_EQ(traces[i].spans, want_traces[i].spans) << i;
+    EXPECT_EQ(traces[i].degraded, want_traces[i].degraded) << i;
+    EXPECT_EQ(traces[i].retried, want_traces[i].retried) << i;
+    if (HasFailure()) return;
+  }
+}
+
+TEST(SpanStoreOracleTest, ClearThenRerecordReproducesTheStore) {
+  SetClock clock;
+  obs::SpanCollector collector(clock, /*max_spans=*/kOracleSpans - 1);
+  RecordOracle(collector, clock);
+  EXPECT_EQ(collector.dropped(), 1);
+  const std::string first = collector.ToJson();
+  collector.Clear();
+  EXPECT_EQ(collector.size(), 0u);
+  EXPECT_EQ(collector.dropped(), 0);
+  EXPECT_TRUE(collector.Snapshot().empty());
+  EXPECT_TRUE(collector.StageBreakdown().empty());
+  EXPECT_TRUE(collector.Traces().empty());
+  EXPECT_EQ(collector.ToJson(), "");
+  RecordOracle(collector, clock);
+  EXPECT_EQ(collector.size(), kOracleSpans - 1);
+  EXPECT_EQ(collector.dropped(), 1);
+  EXPECT_EQ(collector.ToJson(), first);
+}
+
+TEST(SpanStoreOracleTest, CapAtAndPastChunkBoundariesDropsTheRest) {
+  SetClock full_clock;
+  obs::SpanCollector full(full_clock);
+  RecordOracle(full, full_clock);
+  const std::string full_json = full.ToJson();
+  for (const std::size_t cap : {std::size_t(4096), std::size_t(4097),
+                                std::size_t(2 * 4096)}) {
+    SetClock clock;
+    obs::SpanCollector collector(clock, cap);
+    RecordOracle(collector, clock);
+    EXPECT_EQ(collector.size(), cap);
+    EXPECT_EQ(collector.dropped(), std::int64_t(kOracleSpans - cap));
+    const auto spans = collector.Snapshot();
+    ASSERT_EQ(spans.size(), cap);
+    ExpectSameSpan(spans.back(), OracleExpected(cap - 1), cap - 1);
+    EXPECT_EQ(collector.ToJson(), JsonPrefix(full_json, cap)) << cap;
+    EXPECT_NE(collector.CriticalPathReport().find(
+                  std::to_string(kOracleSpans - cap) + " spans dropped"),
+              std::string::npos);
+  }
+}
+
+TEST(TraceContextTest, ParseSurvivesMutatedHeaders) {
+  // Seeded byte-flip, truncate and splice mutations over valid encodings.
+  // Whatever Parse accepts must be a valid context that survives its own
+  // round trip; everything else must be rejected cleanly.
+  std::mt19937_64 rng(20181);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 64; ++i) {
+    obs::TraceContext ctx;
+    ctx.trace_id = std::max<std::uint64_t>(1, rng() >> (rng() % 64));
+    ctx.span_id = rng() >> (rng() % 64);
+    ctx.parent_span_id = i % 4 == 0 ? 0 : rng() >> (rng() % 64);
+    corpus.push_back(ctx.Serialize());
+  }
+  corpus.push_back(obs::TraceContext{~0ULL, ~0ULL, ~0ULL}.Serialize());
+  corpus.push_back(obs::TraceContext{1, 0, 0}.Serialize());
+  static constexpr char kAlphabet[] = "0123456789abcdefABCDEF-+x \0\xff";
+  const std::string_view alphabet(kAlphabet, sizeof(kAlphabet) - 1);
+  std::int64_t accepted = 0;
+  std::int64_t rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string header = corpus[rng() % corpus.size()];
+    const int mutations = 1 + int(rng() % 3);
+    for (int m = 0; m < mutations; ++m) {
+      switch (rng() % 4) {
+        case 0:  // flip one bit
+          if (!header.empty()) {
+            header[rng() % header.size()] ^= char(1u << (rng() % 8));
+          }
+          break;
+        case 1:  // replace one byte from a header-shaped alphabet
+          if (!header.empty()) {
+            header[rng() % header.size()] =
+                alphabet[rng() % alphabet.size()];
+          }
+          break;
+        case 2:  // truncate
+          header.resize(rng() % (header.size() + 1));
+          break;
+        default: {  // splice: a prefix of this onto a suffix of another
+          const std::string& other = corpus[rng() % corpus.size()];
+          const std::size_t cut = rng() % (header.size() + 1);
+          const std::size_t from = rng() % (other.size() + 1);
+          header = header.substr(0, cut) + other.substr(from);
+        }
+      }
+    }
+    const auto parsed = obs::TraceContext::Parse(header);
+    if (!parsed) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(parsed->valid()) << header;
+    const std::string again = parsed->Serialize();
+    const auto reparsed = obs::TraceContext::Parse(again);
+    ASSERT_TRUE(reparsed.has_value()) << header;
+    EXPECT_EQ(reparsed->trace_id, parsed->trace_id) << header;
+    EXPECT_EQ(reparsed->span_id, parsed->span_id) << header;
+    EXPECT_EQ(reparsed->parent_span_id, parsed->parent_span_id) << header;
+    EXPECT_EQ(reparsed->Serialize(), again) << header;
+  }
+  // The loop exercises both outcomes.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 // ---------------------------------------------------------------- Breaker
