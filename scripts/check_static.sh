@@ -35,8 +35,9 @@
 #      compiler CMake picks (GCC and Clang both support all three).
 #
 # Usage: scripts/check_static.sh [build-dir-prefix]   (default: build)
-# Env:   METRO_CHECK_FAST=1 limits ASan/UBSan to the static- and nn-labelled
-#        tests (useful on slow machines; the full matrix is the real gate).
+# Env:   METRO_CHECK_FAST=1 limits ASan/UBSan to the static-, nn- and
+#        obs-labelled tests (useful on slow machines; the full matrix is the
+#        real gate).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -148,7 +149,7 @@ CONCURRENCY_TARGETS=(static_stress_test invariants_test lock_rank_test
                      mq_cluster_test store_test util_test)
 FULL_LABEL_ARGS=()
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
-  FULL_LABEL_ARGS=(-L "static|nn")
+  FULL_LABEL_ARGS=(-L "static|nn|obs")
 fi
 
 echo "==> tsan: METRO_SANITIZE=thread + static/obs/resilience/store tests"
@@ -162,7 +163,8 @@ cmake -B "${PREFIX}-asan" -S . -DMETRO_SANITIZE=address >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-asan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test util_test inference_parity_test nn_test zoo_test
+    mq_cluster_test util_test inference_parity_test nn_test zoo_test \
+    obs_test
 else
   cmake --build "${PREFIX}-asan" -j "${JOBS}"
 fi
@@ -174,7 +176,8 @@ cmake -B "${PREFIX}-ubsan" -S . -DMETRO_SANITIZE=undefined >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test util_test inference_parity_test nn_test zoo_test
+    mq_cluster_test util_test inference_parity_test nn_test zoo_test \
+    obs_test
 else
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
 fi

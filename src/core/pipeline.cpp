@@ -232,10 +232,10 @@ bool CityPipeline::SweepPartitions(TopicState& state, const std::string& group,
         if (annotation) {
           annotations_.fetch_add(1, std::memory_order_relaxed);
           // Visualization stage: render to the web feed.
-          const std::string json = store::ToJson(*annotation);
+          std::string json = store::ToJson(*annotation);
           {
             MutexLock lock(web_mu_);
-            web_feed_.push_back(json);
+            web_feed_.push_back(std::move(json));
           }
           stage("web");
         }

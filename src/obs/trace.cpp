@@ -44,6 +44,15 @@ void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
 }
 
+const std::string* FindTagIn(
+    const std::vector<std::pair<std::string, std::string>>& tags,
+    std::string_view key) {
+  for (const auto& [k, v] : tags) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 double QuantileOf(const std::vector<double>& sorted, double q) {
@@ -99,10 +108,7 @@ void Span::SetTag(std::string key, std::string value) {
 }
 
 const std::string* Span::FindTag(std::string_view key) const {
-  for (const auto& [k, v] : tags) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  return FindTagIn(tags, key);
 }
 
 TraceContext SpanCollector::StartTrace() {
@@ -137,14 +143,48 @@ void SpanCollector::End(Span span) {
   Record(std::move(span));
 }
 
+std::size_t SpanCollector::TagsHash::operator()(const Tags& tags) const {
+  const std::hash<std::string> hash;
+  std::size_t h = tags.size();
+  for (const auto& [k, v] : tags) {
+    for (const std::size_t part : {hash(k), hash(v)}) {
+      h ^= part + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+  }
+  return h;
+}
+
 void SpanCollector::Record(Span span) {
   if (span.end < span.start) span.end = span.start;
   MutexLock lock(mu_);
-  if (spans_.size() >= max_spans_) {
+  if (size_ >= max_spans_) {
     ++dropped_;
     return;
   }
-  spans_.push_back(std::move(span));
+  const auto name = names_.Intern(std::move(span.name));
+  std::optional<std::size_t> tags = 0;
+  if (!span.tags.empty()) {
+    tags = tag_sets_.Intern(std::move(span.tags));
+    if (tags) ++*tags;
+  }
+  if (!name || !tags) {
+    ++dropped_;
+    return;
+  }
+  if (size_ % kChunkSpans == 0) {
+    chunks_.push_back(
+        std::make_unique_for_overwrite<StoredSpan[]>(kChunkSpans));
+  }
+  StoredSpan& stored = chunks_.back()[size_ % kChunkSpans];
+  stored.trace_id = span.context.trace_id;
+  stored.span_id = span.context.span_id;
+  stored.parent_span_id = span.context.parent_span_id;
+  stored.start = span.start;
+  stored.end = span.end;
+  stored.tags = std::uint32_t(*tags);
+  stored.name = std::uint16_t(*name);
+  stored.kind = std::uint8_t(span.kind);
+  ++size_;
 }
 
 void SpanCollector::Event(
@@ -166,7 +206,7 @@ void SpanCollector::RootEvent(
 
 std::size_t SpanCollector::size() const {
   MutexLock lock(mu_);
-  return spans_.size();
+  return size_;
 }
 
 std::int64_t SpanCollector::dropped() const {
@@ -176,30 +216,57 @@ std::int64_t SpanCollector::dropped() const {
 
 void SpanCollector::Clear() {
   MutexLock lock(mu_);
-  spans_.clear();
+  chunks_.clear();
+  size_ = 0;
+  names_.clear();
+  tag_sets_.clear();
   dropped_ = 0;
+}
+
+Span SpanCollector::Expand(const StoredSpan& s) const {
+  Span span;
+  span.name = names_.at(s.name);
+  span.context = {s.trace_id, s.span_id, s.parent_span_id};
+  span.kind = SpanKind(s.kind);
+  span.start = s.start;
+  span.end = s.end;
+  if (s.tags != 0) span.tags = tag_sets_.at(s.tags - 1);
+  return span;
 }
 
 std::vector<Span> SpanCollector::Snapshot() const {
   MutexLock lock(mu_);
-  return spans_;
+  std::vector<Span> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) out.push_back(Expand(At(i)));
+  return out;
 }
 
 std::vector<StageStats> SpanCollector::StageBreakdown() const {
-  std::map<std::string, std::vector<double>> by_stage;  // duration ms
+  // Stage durations (ms) grouped by name id, then by name in name order.
+  std::vector<std::pair<std::string, std::vector<double>>> by_stage;
   {
     MutexLock lock(mu_);
-    for (const Span& s : spans_) {
-      if (s.kind != SpanKind::kStage) continue;
-      by_stage[s.name].push_back(double(s.duration()) / kMillisecond);
+    std::vector<std::vector<double>> by_id(names_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      const StoredSpan& s = At(i);
+      if (SpanKind(s.kind) != SpanKind::kStage) continue;
+      by_id[s.name].push_back(double(s.end - s.start) / kMillisecond);
+    }
+    for (std::size_t id = 0; id < by_id.size(); ++id) {
+      if (!by_id[id].empty()) {
+        by_stage.emplace_back(names_.at(id), std::move(by_id[id]));
+      }
     }
   }
+  std::sort(by_stage.begin(), by_stage.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<StageStats> out;
   out.reserve(by_stage.size());
   for (auto& [stage, durations] : by_stage) {
     std::sort(durations.begin(), durations.end());
     StageStats st;
-    st.stage = stage;
+    st.stage = std::move(stage);
     st.count = std::int64_t(durations.size());
     double sum = 0;
     for (const double d : durations) sum += d;
@@ -220,10 +287,25 @@ std::vector<TraceSummary> SpanCollector::Traces() const {
   std::unordered_map<TraceId, TraceSummary> by_trace;
   {
     MutexLock lock(mu_);
-    for (const Span& s : spans_) {
-      TraceSummary& t = by_trace[s.context.trace_id];
+    // Each name and tag set is inspected once, not once per span.
+    std::vector<bool> retry_name(names_.size());
+    for (std::size_t id = 0; id < names_.size(); ++id) {
+      retry_name[id] = names_.at(id).rfind("retry", 0) == 0;
+    }
+    std::vector<bool> degraded_tags(tag_sets_.size() + 1);
+    std::vector<bool> retried_tags(tag_sets_.size() + 1);
+    for (std::size_t id = 0; id < tag_sets_.size(); ++id) {
+      const Tags& tags = tag_sets_.at(id);
+      degraded_tags[id + 1] = FindTagIn(tags, "degraded") != nullptr;
+      retried_tags[id + 1] = FindTagIn(tags, "retried") != nullptr;
+    }
+    for (std::size_t i = 0; i < size_; ++i) {
+      const StoredSpan& s = At(i);
+      const SpanKind kind = SpanKind(s.kind);
+      const TimeNs duration = s.end - s.start;
+      TraceSummary& t = by_trace[s.trace_id];
       if (t.spans == 0) {
-        t.trace_id = s.context.trace_id;
+        t.trace_id = s.trace_id;
         t.start = s.start;
         t.end = s.end;
       } else {
@@ -231,13 +313,13 @@ std::vector<TraceSummary> SpanCollector::Traces() const {
         t.end = std::max(t.end, s.end);
       }
       ++t.spans;
-      if (s.kind == SpanKind::kStage) {
-        t.stage_total += s.duration();
-        t.stage_ns[s.name] += s.duration();
+      if (kind == SpanKind::kStage) {
+        t.stage_total += duration;
+        t.stage_ns[names_.at(s.name)] += duration;
       }
-      if (s.FindTag("degraded") != nullptr) t.degraded = true;
-      if (s.FindTag("retried") != nullptr ||
-          (s.kind == SpanKind::kOverlay && s.name.rfind("retry", 0) == 0)) {
+      if (degraded_tags[s.tags]) t.degraded = true;
+      if (retried_tags[s.tags] ||
+          (kind == SpanKind::kOverlay && retry_name[s.name])) {
         t.retried = true;
       }
     }
@@ -255,24 +337,25 @@ std::vector<TraceSummary> SpanCollector::Traces() const {
 std::string SpanCollector::ToJson() const {
   MutexLock lock(mu_);
   std::string out;
-  out.reserve(spans_.size() * 96);
-  for (const Span& s : spans_) {
+  out.reserve(size_ * 96);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const StoredSpan& s = At(i);
     out += "{\"trace\":\"";
-    AppendHex(out, s.context.trace_id);
+    AppendHex(out, s.trace_id);
     out += "\",\"span\":\"";
-    AppendHex(out, s.context.span_id);
+    AppendHex(out, s.span_id);
     out += "\",\"parent\":\"";
-    AppendHex(out, s.context.parent_span_id);
+    AppendHex(out, s.parent_span_id);
     out += "\",\"name\":";
-    AppendJsonString(out, s.name);
+    AppendJsonString(out, names_.at(s.name));
     out += ",\"kind\":\"";
-    out += SpanKindName(s.kind);
+    out += SpanKindName(SpanKind(s.kind));
     out += "\",\"start_ns\":" + std::to_string(s.start);
     out += ",\"end_ns\":" + std::to_string(s.end);
-    if (!s.tags.empty()) {
+    if (s.tags != 0) {
       out += ",\"tags\":{";
       bool first = true;
-      for (const auto& [k, v] : s.tags) {
+      for (const auto& [k, v] : tag_sets_.at(s.tags - 1)) {
         if (!first) out += ',';
         first = false;
         AppendJsonString(out, k);

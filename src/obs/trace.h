@@ -16,11 +16,16 @@
 // pipeline.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -110,9 +115,26 @@ struct TraceSummary {
 /// Thread-safe in-memory span store with id allocation, JSON export, and a
 /// critical-path report. One collector is shared per deployment (the
 /// pipeline owns one); subsystems receive a pointer and may ignore it.
+///
+/// Storage is append-only: each recorded span becomes one 48-byte record in
+/// a chunk of `kChunkSpans` records and is never moved or copied again. The
+/// record names its span and tag set by id; each distinct name and each
+/// distinct tag set is stored once, in tables the read paths expand from.
 class SpanCollector {
  public:
+  /// Records per chunk; a new chunk is the only allocation on the `Record`
+  /// path once a span's name and tag set have been seen.
+  static constexpr std::size_t kChunkSpans = 4096;
+  /// Distinct span names one collector can hold (16-bit name ids).
+  static constexpr std::size_t kMaxNames =
+      std::size_t(std::numeric_limits<std::uint16_t>::max()) + 1;
+
   /// `max_spans` bounds memory; spans past the cap are dropped and counted.
+  /// A span costs 48 bytes, allocated 192 KiB (`kChunkSpans` spans) at a
+  /// time, so the default cap of 1M spans bounds the store at ≈ 48 MB, plus
+  /// the tables that hold each distinct name and tag set once. A span whose
+  /// name would be the `kMaxNames + 1`-th distinct one (or whose tag set
+  /// would exceed the 32-bit tag-set ids) is dropped and counted the same way.
   explicit SpanCollector(Clock& clock, std::size_t max_spans = 1 << 20)
       : clock_(&clock), max_spans_(max_spans) {}
 
@@ -173,12 +195,76 @@ class SpanCollector {
   std::string CriticalPathReport() const METRO_EXCLUDES(mu_);
 
  private:
+  using Tags = std::vector<std::pair<std::string, std::string>>;
+
+  /// A recorded span: its context, its times and ids into the name and
+  /// tag-set tables, no heap data. Trivially constructible, so a new chunk
+  /// is not written until its records are: its pages are touched as spans
+  /// arrive, not all at once by the first span recorded into it.
+  struct StoredSpan {
+    TraceId trace_id;
+    SpanId span_id;
+    SpanId parent_span_id;
+    TimeNs start;
+    TimeNs end;
+    std::uint32_t tags;  ///< tag-set id + 1; 0 = no tags
+    std::uint16_t name;  ///< name id
+    std::uint8_t kind;   ///< SpanKind
+  };
+  static_assert(sizeof(StoredSpan) <= 48, "a recorded span fits 48 bytes");
+  static_assert(std::is_trivially_default_constructible_v<StoredSpan>);
+
+  struct TagsHash {
+    std::size_t operator()(const Tags& tags) const;
+  };
+
+  /// Distinct values numbered densely in order of first sight, each stored
+  /// once (the id-to-value index points at the hash map's own keys, whose
+  /// nodes never move).
+  template <typename Value, typename Hash = std::hash<Value>>
+  class InternTable {
+   public:
+    explicit InternTable(std::size_t capacity) : capacity_(capacity) {}
+
+    /// The id of `value`, taking it on first sight; nullopt when all
+    /// `capacity` ids are taken.
+    std::optional<std::size_t> Intern(Value&& value) {
+      if (const auto it = ids_.find(value); it != ids_.end()) {
+        return it->second;
+      }
+      if (values_.size() == capacity_) return std::nullopt;
+      const auto it = ids_.emplace(std::move(value), values_.size()).first;
+      values_.push_back(&it->first);
+      return it->second;
+    }
+    const Value& at(std::size_t id) const { return *values_[id]; }
+    std::size_t size() const { return values_.size(); }
+    void clear() {
+      values_.clear();
+      ids_.clear();
+    }
+
+   private:
+    std::size_t capacity_;
+    std::unordered_map<Value, std::size_t, Hash> ids_;
+    std::vector<const Value*> values_;
+  };
+
+  const StoredSpan& At(std::size_t i) const METRO_REQUIRES(mu_) {
+    return chunks_[i / kChunkSpans][i % kChunkSpans];
+  }
+  Span Expand(const StoredSpan& s) const METRO_REQUIRES(mu_);
+
   Clock* clock_;
   const std::size_t max_spans_;
   std::atomic<std::uint64_t> next_trace_{1};
   std::atomic<std::uint64_t> next_span_{1};
   mutable Mutex mu_{lockrank::kObsTrace, "obs.trace"};
-  std::vector<Span> spans_ METRO_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<StoredSpan[]>> chunks_ METRO_GUARDED_BY(mu_);
+  std::size_t size_ METRO_GUARDED_BY(mu_) = 0;
+  InternTable<std::string> names_ METRO_GUARDED_BY(mu_){kMaxNames};
+  InternTable<Tags, TagsHash> tag_sets_ METRO_GUARDED_BY(mu_){
+      std::numeric_limits<std::uint32_t>::max()};
   std::int64_t dropped_ METRO_GUARDED_BY(mu_) = 0;
 };
 

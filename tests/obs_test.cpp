@@ -176,6 +176,34 @@ TEST(SpanCollectorTest, DropsPastCapacityAndReportsIt) {
   EXPECT_EQ(collector.dropped(), 0);
 }
 
+TEST(SpanCollectorTest, NamePastTheIdWidthIsDroppedAndCounted) {
+  SimClock clock;
+  obs::SpanCollector collector(clock);
+  const auto record = [&collector](std::string name) {
+    obs::Span s;
+    s.name = std::move(name);
+    s.context = {1, 1, 0};
+    collector.Record(std::move(s));
+  };
+  constexpr std::size_t kMaxNames = obs::SpanCollector::kMaxNames;
+  for (std::size_t i = 0; i < kMaxNames; ++i) record("n" + std::to_string(i));
+  EXPECT_EQ(collector.size(), kMaxNames);
+  EXPECT_EQ(collector.dropped(), 0);
+  record("one.too.many");  // a new name, and every name id is taken
+  EXPECT_EQ(collector.size(), kMaxNames);
+  EXPECT_EQ(collector.dropped(), 1);
+  record("n7");  // a known name still records
+  EXPECT_EQ(collector.size(), kMaxNames + 1);
+  const auto spans = collector.Snapshot();
+  EXPECT_EQ(spans[kMaxNames - 1].name, "n" + std::to_string(kMaxNames - 1));
+  EXPECT_EQ(spans.back().name, "n7");
+  // Clear releases the ids with the spans.
+  collector.Clear();
+  record("one.too.many");
+  EXPECT_EQ(collector.size(), 1u);
+  EXPECT_EQ(collector.dropped(), 0);
+}
+
 TEST(SpanCollectorTest, ConcurrentRecordingIsSafeAndLossless) {
   SimClock clock;
   obs::SpanCollector collector(clock);
