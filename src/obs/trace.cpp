@@ -287,21 +287,12 @@ std::vector<TraceSummary> SpanCollector::Traces() const {
   std::unordered_map<TraceId, TraceSummary> by_trace;
   {
     MutexLock lock(mu_);
-    // Each name and tag set is inspected once, not once per span.
-    std::vector<bool> retry_name(names_.size());
-    for (std::size_t id = 0; id < names_.size(); ++id) {
-      retry_name[id] = names_.at(id).rfind("retry", 0) == 0;
-    }
-    std::vector<bool> degraded_tags(tag_sets_.size() + 1);
-    std::vector<bool> retried_tags(tag_sets_.size() + 1);
-    for (std::size_t id = 0; id < tag_sets_.size(); ++id) {
-      const Tags& tags = tag_sets_.at(id);
-      degraded_tags[id + 1] = FindTagIn(tags, "degraded") != nullptr;
-      retried_tags[id + 1] = FindTagIn(tags, "retried") != nullptr;
-    }
+    const Tags no_tags;
     for (std::size_t i = 0; i < size_; ++i) {
       const StoredSpan& s = At(i);
       const SpanKind kind = SpanKind(s.kind);
+      const std::string& name = names_.at(s.name);
+      const Tags& tags = s.tags == 0 ? no_tags : tag_sets_.at(s.tags - 1);
       const TimeNs duration = s.end - s.start;
       TraceSummary& t = by_trace[s.trace_id];
       if (t.spans == 0) {
@@ -315,11 +306,11 @@ std::vector<TraceSummary> SpanCollector::Traces() const {
       ++t.spans;
       if (kind == SpanKind::kStage) {
         t.stage_total += duration;
-        t.stage_ns[names_.at(s.name)] += duration;
+        t.stage_ns[name] += duration;
       }
-      if (degraded_tags[s.tags]) t.degraded = true;
-      if (retried_tags[s.tags] ||
-          (kind == SpanKind::kOverlay && retry_name[s.name])) {
+      if (FindTagIn(tags, "degraded") != nullptr) t.degraded = true;
+      if (FindTagIn(tags, "retried") != nullptr ||
+          (kind == SpanKind::kOverlay && name.rfind("retry", 0) == 0)) {
         t.retried = true;
       }
     }
