@@ -512,6 +512,25 @@ Result<Doorbell*> BrokerCluster::TopicDoorbell(const std::string& topic) {
   return &t->doorbell;
 }
 
+bool BrokerCluster::AwaitRecords(const std::string& group,
+                                 const std::string& topic,
+                                 const std::vector<int>& partitions,
+                                 TimeNs max_wait) {
+  Topic* t = FindTopic(topic);
+  if (t == nullptr) return false;
+  // Register first, then re-check each high-water mark under the partition
+  // lock Produce appends under (mq/doorbell.h has why nothing is lost).
+  Doorbell::Waiter waiter(t->doorbell);
+  for (const int p : partitions) {
+    if (p < 0 || std::size_t(p) >= t->partitions.size()) continue;
+    const std::int64_t committed = groups_.Committed(group, topic, p);
+    const Partition& part = t->partitions[std::size_t(p)];
+    MutexLock lock(part.partition_mu);
+    if (part.leader >= 0 && part.high_water > committed) return true;
+  }
+  return waiter.Park(max_wait);
+}
+
 Result<int> BrokerCluster::LeaderOf(const std::string& topic,
                                     int partition) const {
   auto found = FindPartition(topic, partition);

@@ -296,6 +296,15 @@ class BrokerCluster {
   /// long as the cluster.
   Result<Doorbell*> TopicDoorbell(const std::string& topic);
 
+  /// Long-poll wait for `group`'s consumer of `partitions` of `topic`:
+  /// returns true at once when a listed partition with a leader holds
+  /// records past the group's committed offset, else parks on the topic's
+  /// doorbell until a ring (true) or until `max_wait` passes (false). A
+  /// leaderless partition counts as nothing to read. False at once for an
+  /// unknown topic.
+  bool AwaitRecords(const std::string& group, const std::string& topic,
+                    const std::vector<int>& partitions, TimeNs max_wait);
+
   /// Drops records older than `retention` from every replica of every
   /// partition (the disk-level janitor runs on dead nodes too, keeping
   /// replicas aligned); returns records dropped from leader replicas.

@@ -751,19 +751,25 @@ TEST(BrokerClusterTest, JustEvictedSequenceRetryFailsLoudNeverDuplicateAck) {
 
 // ------------------------------------------------------------- Doorbell
 
-// Parks a waiter on `topic`'s doorbell in its own thread, runs `poke` once
-// the waiter has registered, and returns whether the park ended on a ring
-// (true) or on `cap` (false).
+// The consumer group every wake-up test waits as; each test has its own
+// cluster, so one name serves every topic.
+constexpr const char* kGroup = "g";
+
+// Joins `topic` as the only member of kGroup, waits in AwaitRecords on its
+// own thread, runs `poke` once the wait has parked, and returns whether the
+// wait ended on a ring (true) or on `max_wait` (false).
 bool ParkThenPoke(BrokerCluster& cluster, const std::string& topic,
-                  TimeNs cap, const std::function<void()>& poke) {
-  Doorbell& bell = *cluster.TopicDoorbell(topic).value();
+                  TimeNs max_wait, const std::function<void()>& poke) {
+  const auto assignment = cluster.JoinGroup(kGroup, topic, "m");
+  EXPECT_TRUE(assignment.ok());
+  if (!assignment.ok()) return false;
+  const Doorbell& bell = *cluster.TopicDoorbell(topic).value();
   std::atomic<bool> rung{false};
   std::jthread waiter([&] {
-    Doorbell::Waiter registration(bell);
-    rung.store(registration.Park(cap));
+    rung.store(cluster.AwaitRecords(kGroup, topic, *assignment, max_wait));
   });
   while (bell.sleepers() == 0) std::this_thread::yield();
-  // Let the waiter reach its park before poking.
+  // Let the waiter get past its re-check and reach its park before poking.
   const TimeNs until = WallClock::Instance().Now() + kMillisecond;
   while (WallClock::Instance().Now() < until) std::this_thread::yield();
   poke();
@@ -780,7 +786,26 @@ TEST(DoorbellTest, ProduceToAnyPartitionWakesParkedWaiter) {
       EXPECT_TRUE(cluster.ProduceTo("t", p, "k", "v").ok());
     })) << "partition " << p;
     EXPECT_LT(watch.ElapsedNs(), 5 * kSecond) << "partition " << p;
+    // Consume the record, so the next wait parks again.
+    ASSERT_TRUE(cluster.CommitOffset(kGroup, "t", p, 1).ok());
   }
+  EXPECT_EQ((*cluster.TopicDoorbell("t"))->sleepers(), 0);
+}
+
+TEST(DoorbellTest, UnreadRecordsReturnWithoutParking) {
+  BrokerCluster cluster(WallClock::Instance());
+  ASSERT_TRUE(cluster.CreateTopic("t", 2).ok());
+  const auto assignment = cluster.JoinGroup(kGroup, "t", "m");
+  ASSERT_TRUE(assignment.ok());
+  ASSERT_TRUE(cluster.ProduceTo("t", 1, "k", "v").ok());
+  const Stopwatch watch;
+  EXPECT_TRUE(cluster.AwaitRecords(kGroup, "t", *assignment, 10 * kSecond));
+  EXPECT_LT(watch.ElapsedNs(), 5 * kSecond);
+  EXPECT_EQ((*cluster.TopicDoorbell("t"))->sleepers(), 0);
+  // Once the record is committed there is nothing to read: the wait runs
+  // to its cap.
+  ASSERT_TRUE(cluster.CommitOffset(kGroup, "t", 1, 1).ok());
+  EXPECT_FALSE(cluster.AwaitRecords(kGroup, "t", *assignment, kMillisecond));
   EXPECT_EQ((*cluster.TopicDoorbell("t"))->sleepers(), 0);
 }
 
@@ -792,9 +817,29 @@ TEST(DoorbellTest, LeaderElectedOnRevivalWakesParkedWaiter) {
   ASSERT_TRUE(cluster.CreateTopic("t", 2).ok());
   ASSERT_TRUE(cluster.ProduceTo("t", 1, "k", "v").ok());
   ASSERT_TRUE(cluster.KillNode(0).ok());
+  // The unread record sits on a leaderless partition, which counts as
+  // nothing to read: the wait parks.
   EXPECT_TRUE(ParkThenPoke(cluster, "t", 10 * kSecond, [&] {
     EXPECT_TRUE(cluster.ReviveNode(0).ok());
   }));
+}
+
+TEST(DoorbellTest, CommittedGroupOnLeaderlessPartitionParksUntilRevive) {
+  BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  BrokerCluster cluster(WallClock::Instance(), config);
+  ASSERT_TRUE(cluster.CreateTopic("t", 1).ok());
+  ASSERT_TRUE(cluster.ProduceTo("t", 0, "k", "v").ok());
+  ASSERT_TRUE(cluster.JoinGroup(kGroup, "t", "m").ok());
+  ASSERT_TRUE(cluster.CommitOffset(kGroup, "t", 0, 1).ok());
+  ASSERT_TRUE(cluster.KillNode(0).ok());
+  const Stopwatch watch;
+  EXPECT_TRUE(ParkThenPoke(cluster, "t", 10 * kSecond, [&] {
+    EXPECT_TRUE(cluster.ReviveNode(0).ok());
+  }));
+  EXPECT_LT(watch.ElapsedNs(), 5 * kSecond);
+  EXPECT_EQ((*cluster.TopicDoorbell("t"))->sleepers(), 0);
 }
 
 TEST(DoorbellTest, ProduceToAnotherTopicDoesNotWakeWaiter) {
@@ -808,40 +853,34 @@ TEST(DoorbellTest, ProduceToAnotherTopicDoesNotWakeWaiter) {
 }
 
 // A producer and a consumer take turns: the producer appends one record and
-// waits until the consumer has seen it; the consumer checks, registers,
-// re-checks and parks. A lost wake-up would leave the consumer parked until
-// its 10 s cap with the record already appended.
+// waits until the consumer has seen it; the consumer commits what it has
+// seen and waits in AwaitRecords. A lost wake-up would leave the consumer
+// parked until its 10 s cap with the record already appended.
 TEST(DoorbellTest, PingPongLosesNoWakeUp) {
   constexpr int kRounds = 10000;
   constexpr int kPartitions = 2;
   BrokerCluster cluster(WallClock::Instance());
   ASSERT_TRUE(cluster.CreateTopic("t", kPartitions).ok());
-  Doorbell& bell = *cluster.TopicDoorbell("t").value();
+  const auto assignment = cluster.JoinGroup(kGroup, "t", "m");
+  ASSERT_TRUE(assignment.ok());
   std::atomic<std::int64_t> seen{0};
   int expiries = 0;
   std::jthread consumer([&](std::stop_token stop) {
-    // Records appended to the topic; each read takes the partition lock
-    // the producer appends under, as a consumer's fetch does.
-    const auto appended = [&] {
-      std::int64_t total = 0;
-      for (int p = 0; p < kPartitions; ++p) {
-        total += cluster.GetPartitionInfo("t", p)->end_offset;
-      }
-      return total;
-    };
     std::int64_t have = 0;
     while (have < kRounds && !stop.stop_requested()) {
-      std::int64_t now = appended();
-      if (now == have) {
-        Doorbell::Waiter waiter(bell);
-        now = appended();
-        if (now == have) {
-          if (!waiter.Park(10 * kSecond)) ++expiries;
-          continue;
-        }
+      std::int64_t appended = 0;
+      for (int p = 0; p < kPartitions; ++p) {
+        const std::int64_t end = cluster.GetPartitionInfo("t", p)->end_offset;
+        EXPECT_TRUE(cluster.CommitOffset(kGroup, "t", p, end).ok());
+        appended += end;
       }
-      have = now;
-      seen.store(have, std::memory_order_release);
+      if (appended > have) {
+        have = appended;
+        seen.store(have, std::memory_order_release);
+      } else if (!cluster.AwaitRecords(kGroup, "t", *assignment,
+                                       10 * kSecond)) {
+        ++expiries;
+      }
     }
   });
   for (int i = 0; i < kRounds; ++i) {
