@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/bytes.h"
 #include "util/logging.h"
 
 namespace metro::core {
@@ -123,39 +122,18 @@ void CityPipeline::ConsumerLoop(TopicState& state, std::stop_token stop) {
   const std::string group = "pipeline-" + topic;
   const auto assignment = log_.JoinGroup(group, topic, "consumer-" + topic);
   if (!assignment.ok()) return;
-  const auto doorbell = log_.TopicDoorbell(topic);
-  if (!doorbell.ok()) return;
 
   // Sweep the assigned partitions until stop is requested *and* the backlog
   // is drained — a clean shutdown loses nothing. After an empty sweep the
-  // consumer registers on the topic's doorbell, checks once more for unread
-  // records (one appended before the registration shows up here, one
-  // appended after it rings), and parks until a produce rings. The check
-  // only reads offsets, so the registration ends before any record is
-  // processed and producers stop ringing as soon as the consumer is awake.
-  // The park is capped at 0.5 ms: stop requests and leaderless partitions
-  // ring nothing and are picked up by the next sweep after the cap.
+  // consumer long-polls the broker, which returns at once if a record
+  // arrived since the sweep and otherwise parks until a produce rings. The
+  // wait is capped at 0.5 ms: a stop request rings nothing and is picked up
+  // after the cap.
   while (true) {
     if (SweepPartitions(state, group, *assignment)) continue;
     if (stop.stop_requested()) return;
-    mq::Doorbell::Waiter waiter(**doorbell);
-    if (HasUnread(topic, group, *assignment)) continue;
-    waiter.Park(kMillisecond / 2);
+    log_.AwaitRecords(group, topic, *assignment, kMillisecond / 2);
   }
-}
-
-bool CityPipeline::HasUnread(const std::string& topic, const std::string& group,
-                             const std::vector<int>& partitions) const {
-  for (const int partition : partitions) {
-    // Takes the partition lock a producer appends under: see mq/doorbell.h
-    // for why that makes the registration and the append see each other.
-    const auto info = log_.GetPartitionInfo(topic, partition);
-    if (info.ok() &&
-        info->end_offset > log_.CommittedOffset(group, topic, partition)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool CityPipeline::SweepPartitions(TopicState& state, const std::string& group,

@@ -106,12 +106,12 @@ class CityPipeline {
   /// Stored documents for a topic (one collection per topic).
   Result<store::Collection*> collection(const std::string& topic);
 
-  /// Starts one consumer thread per topic. An idle consumer parks on its
-  /// topic's doorbell (mq/doorbell.h) and wakes when a record is appended.
+  /// Starts one consumer thread per topic. An idle consumer waits in the
+  /// broker's `AwaitRecords` and wakes when a record is appended.
   Status Start();
 
-  /// Signals consumers to finish the backlog and stop, then joins. A parked
-  /// consumer notices the stop within its 0.5 ms park cap.
+  /// Signals consumers to finish the backlog and stop, then joins. A
+  /// waiting consumer notices the stop within its 0.5 ms wait cap.
   void Stop();
 
   /// Blocks until every topic's committed offset reaches the end of its log
@@ -140,10 +140,6 @@ class CityPipeline {
   /// progress.
   bool SweepPartitions(TopicState& state, const std::string& group,
                        const std::vector<int>& partitions);
-  /// True when a partition with a live leader holds records past the
-  /// group's committed offset. Reads offsets only.
-  bool HasUnread(const std::string& topic, const std::string& group,
-                 const std::vector<int>& partitions) const;
 
   Clock* clock_;
   mq::BrokerCluster log_;

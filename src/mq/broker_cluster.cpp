@@ -506,8 +506,9 @@ Result<int> BrokerCluster::PreferredLeader(const std::string& topic,
   return (*found)->replicas.front();  // placement is fixed: no lock
 }
 
-Result<Doorbell*> BrokerCluster::TopicDoorbell(const std::string& topic) {
-  Topic* t = FindTopic(topic);
+Result<const Doorbell*> BrokerCluster::TopicDoorbell(
+    const std::string& topic) const {
+  const Topic* t = FindTopic(topic);
   if (t == nullptr) return UnknownTopicError(topic);
   return &t->doorbell;
 }

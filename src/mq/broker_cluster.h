@@ -29,9 +29,10 @@
 //     `max_partition_backlog`, produce fails with kResourceExhausted (and
 //     the `mq.backpressure` counter ticks) instead of growing the log
 //     without bound; retention is the release valve.
-//   * Consumer wake-up: every high-water-mark advance (an appended batch,
-//     or a leader elected on revival) rings the topic's `Doorbell` when a
-//     consumer sleeps on it (mq/doorbell.h has the lost-wake-up argument).
+//   * Consumer wake-up: `AwaitRecords` is the long-poll wait. Every
+//     high-water-mark advance (an appended batch, or a leader elected on
+//     revival) rings the topic's `Doorbell` when a consumer sleeps in it
+//     (mq/doorbell.h has the lost-wake-up argument).
 //
 // Two lock domains. The "network" between replicas is a function call,
 // which is what makes replication synchronous and the chaos tests
@@ -292,9 +293,9 @@ class BrokerCluster {
   Result<int> LeaderOf(const std::string& topic, int partition) const;
 
   /// The topic's doorbell, rung after every high-water-mark advance on any
-  /// of its partitions while a `Doorbell::Waiter` is registered. Lives as
-  /// long as the cluster.
-  Result<Doorbell*> TopicDoorbell(const std::string& topic);
+  /// of its partitions while an `AwaitRecords` call is parked on it. Lives
+  /// as long as the cluster. Read-only: only `AwaitRecords` registers.
+  Result<const Doorbell*> TopicDoorbell(const std::string& topic) const;
 
   /// Long-poll wait for `group`'s consumer of `partitions` of `topic`:
   /// returns true at once when a listed partition with a leader holds

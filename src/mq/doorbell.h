@@ -2,11 +2,12 @@
 
 // Consumer wake-up: a per-topic eventcount (the topic's "doorbell").
 //
-// A consumer that finds nothing to fetch registers a `Waiter`, checks its
+// Its only registrant is `BrokerCluster::AwaitRecords`, the consumer's
+// long-poll wait. The wait registers a `Waiter`, checks the listed
 // partitions' high-water marks once more, and only then parks. The broker
 // rings the topic's doorbell after every high-water-mark advance, but only
 // when a sleeper is registered, and it reads the sleeper count under the
-// partition lock it already holds for the append. The consumer's re-check
+// partition lock it already holds for the append. The wait's re-check
 // takes that same lock after registering, so one of the two always sees the
 // other: either the re-check finds the record, or the producer finds the
 // sleeper and rings. No wake-up is lost and no extra fence is needed. A
@@ -27,10 +28,19 @@
 
 namespace metro::mq {
 
+/// Not copyable or movable: it holds a mutex, a condition variable and an
+/// atomic, and every partition of its topic points at it.
 class Doorbell {
  public:
-  /// One sleeper registration, released on destruction. Construct it
-  /// before the re-check: every ring from then on is seen by `Park`.
+  /// Waiters registered right now.
+  int sleepers() const { return sleepers_.load(std::memory_order_relaxed); }
+
+ private:
+  friend class BrokerCluster;
+
+  /// One sleeper registration, released on destruction. Private, so only
+  /// `BrokerCluster` can register or park. Construct it before the
+  /// re-check: every ring from then on is seen by `Park`.
   class Waiter {
    public:
     explicit Waiter(Doorbell& bell) : bell_(&bell), epoch_(bell.Register()) {}
@@ -47,16 +57,6 @@ class Doorbell {
     Doorbell* bell_;
     std::uint64_t epoch_;
   };
-
-  Doorbell() = default;
-  Doorbell(const Doorbell&) = delete;
-  Doorbell& operator=(const Doorbell&) = delete;
-
-  /// Waiters registered right now.
-  int sleepers() const { return sleepers_.load(std::memory_order_relaxed); }
-
- private:
-  friend class BrokerCluster;
 
   /// Adds a sleeper; returns the epoch a ring will move past.
   std::uint64_t Register() METRO_EXCLUDES(mu_) {
