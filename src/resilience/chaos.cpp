@@ -4,23 +4,6 @@
 
 namespace metro::resilience::chaos {
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDfsNodeKill: return "dfs-node-kill";
-    case FaultKind::kDfsNodeRevive: return "dfs-node-revive";
-    case FaultKind::kLinkDown: return "link-down";
-    case FaultKind::kLinkUp: return "link-up";
-    case FaultKind::kLinkLatencySpike: return "link-latency-spike";
-    case FaultKind::kMqPartitionDown: return "mq-partition-down";
-    case FaultKind::kMqPartitionUp: return "mq-partition-up";
-    case FaultKind::kMqNodeKill: return "mq-node-kill";
-    case FaultKind::kMqNodeRevive: return "mq-node-revive";
-    case FaultKind::kServerOutage: return "server-outage";
-    case FaultKind::kServerRecovery: return "server-recovery";
-  }
-  return "?";
-}
-
 void FaultPlan::Add(FaultEvent event) {
   // Insert behind any already-applied prefix, keeping (at) order stable.
   auto it = std::upper_bound(

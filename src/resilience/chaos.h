@@ -38,8 +38,6 @@ enum class FaultKind {
   kServerRecovery,    ///< fog analysis server `index` links restored
 };
 
-std::string_view FaultKindName(FaultKind kind);
-
 /// One scheduled fault.
 struct FaultEvent {
   TimeNs at = 0;

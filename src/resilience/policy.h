@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 
 #include "util/clock.h"
@@ -283,34 +282,5 @@ class CircuitBreaker {
 
 /// Human-readable breaker state ("closed", "open", "half-open").
 std::string_view BreakerStateName(CircuitBreaker::State state);
-
-/// An absolute time budget carried through a call chain.
-class Deadline {
- public:
-  /// A deadline `budget` nanoseconds from now on `clock`.
-  static Deadline After(Clock& clock, TimeNs budget) {
-    return Deadline(clock, clock.Now() + budget);
-  }
-  /// A deadline that never expires.
-  static Deadline Infinite(Clock& clock) {
-    return Deadline(clock, std::numeric_limits<TimeNs>::max());
-  }
-
-  bool Expired() const { return clock_->Now() >= at_; }
-  TimeNs Remaining() const { return std::max<TimeNs>(0, at_ - clock_->Now()); }
-  TimeNs at() const { return at_; }
-
-  /// Ok while time remains; kDeadlineExceeded mentioning `what` otherwise.
-  Status Check(std::string_view what) const {
-    if (!Expired()) return Status::Ok();
-    return DeadlineExceededError(std::string(what) + " deadline exceeded");
-  }
-
- private:
-  Deadline(Clock& clock, TimeNs at) : clock_(&clock), at_(at) {}
-
-  Clock* clock_;
-  TimeNs at_;
-};
 
 }  // namespace metro::resilience

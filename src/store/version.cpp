@@ -6,25 +6,12 @@
 
 namespace metro::store {
 
-std::size_t Version::TableCount() const {
-  std::size_t n = 0;
-  for (const auto& level : levels) n += level.size();
-  return n;
-}
-
 std::size_t Version::LevelBytes(int level) const {
   std::size_t bytes = 0;
   for (const auto& table : levels[std::size_t(level)]) {
     bytes += table->size_bytes();
   }
   return bytes;
-}
-
-int Version::BottomLevel() const {
-  for (int level = kNumLevels - 1; level >= 0; --level) {
-    if (!levels[std::size_t(level)].empty()) return level;
-  }
-  return -1;
 }
 
 // ---------------------------------------------------------------- sources

@@ -40,10 +40,7 @@ struct Version {
   /// min_key, ranges disjoint.
   std::array<std::vector<std::shared_ptr<const SsTable>>, kNumLevels> levels;
 
-  std::size_t TableCount() const;
   std::size_t LevelBytes(int level) const;
-  /// Deepest non-empty level; -1 when the version holds no tables.
-  int BottomLevel() const;
 };
 
 /// A pinned, immutable read snapshot.

@@ -106,13 +106,6 @@ Result<std::string> ByteReader::GetString() {
   return s;
 }
 
-Result<std::string_view> ByteReader::GetRaw(std::size_t n) {
-  if (remaining() < n) return CorruptionError("truncated raw bytes");
-  std::string_view s = data_.substr(pos_, n);
-  pos_ += n;
-  return s;
-}
-
 namespace {
 
 std::array<std::uint32_t, 256> MakeCrc32cTable() {

@@ -54,8 +54,6 @@ class ByteReader {
   Result<std::uint64_t> GetVarint();
   /// Length-prefixed byte string (copies out).
   Result<std::string> GetString();
-  /// Exactly `n` raw bytes as a view into the underlying buffer.
-  Result<std::string_view> GetRaw(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool empty() const { return remaining() == 0; }

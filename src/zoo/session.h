@@ -71,9 +71,6 @@ class DetectorSession {
   Workspace& arena() METRO_LIFETIME_BOUND { return *arena_; }
 
  private:
-  TensorView RunHalf(InferenceSession& session, const char* stage,
-                     const TensorView& in) METRO_LIFETIME_BOUND;
-
   SplitDetector* model_;
   Workspace* arena_;
   obs::SpanCollector* spans_;

@@ -1,5 +1,5 @@
 // Tests for the resilience layer and the chaos harness: retry policies,
-// circuit breaking, deadlines, health probes, fault plans, and graceful
+// circuit breaking, retry deadlines, health probes, fault plans, and graceful
 // degradation of the fog pipeline under injected failures. Everything runs
 // on simulated time, so every schedule here is deterministic.
 
@@ -23,7 +23,6 @@ namespace {
 
 using resilience::BreakerConfig;
 using resilience::CircuitBreaker;
-using resilience::Deadline;
 using resilience::HealthRegistry;
 using resilience::RetryConfig;
 using resilience::RetryPolicy;
@@ -213,25 +212,6 @@ TEST(CircuitBreakerTest, RunWrapperCountsOnlyRetryableFailures) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   const Status st = breaker.Run([] { return Status::Ok(); });
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);  // rejected, fn not run
-}
-
-// ---------------------------------------------------------------- Deadline
-
-TEST(DeadlineTest, TracksRemainingBudgetOnSimClock) {
-  SimClock clock;
-  const auto deadline = Deadline::After(clock, 10 * kMillisecond);
-  EXPECT_FALSE(deadline.Expired());
-  EXPECT_EQ(deadline.Remaining(), 10 * kMillisecond);
-  clock.Advance(4 * kMillisecond);
-  EXPECT_EQ(deadline.Remaining(), 6 * kMillisecond);
-  EXPECT_TRUE(deadline.Check("offload").ok());
-  clock.Advance(6 * kMillisecond);
-  EXPECT_TRUE(deadline.Expired());
-  EXPECT_EQ(deadline.Remaining(), 0);
-  const Status st = deadline.Check("offload");
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(st.message().find("offload"), std::string::npos);
-  EXPECT_FALSE(Deadline::Infinite(clock).Expired());
 }
 
 // ---------------------------------------------------------------- Health
