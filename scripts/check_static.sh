@@ -16,7 +16,8 @@
 #      compiled in (every NDEBUG flavor compiles them out), plus
 #      mq_cluster_test and mq_test, whose brokers nest the cluster and
 #      partition locks (mq_test through the consumer-group, retention and
-#      fault paths).
+#      fault paths), and core_pipeline_wakeup_test, the pipeline's
+#      consumers parked in the broker's long-poll wait.
 #   1. Clang + METRO_THREAD_SAFETY=ON + METRO_LIFETIME=ON:
 #      -Werror=thread-safety over the annotated tree (src/util/sync.h
 #      vocabulary) and -Werror=dangling* over the METRO_LIFETIME_BOUND
@@ -78,9 +79,9 @@ mkdir -p "${PREFIX}-metrolint"
 echo "==> lock-rank + view-check: Debug death tests (hooks compiled in)"
 cmake -B "${PREFIX}-lockrank" -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build "${PREFIX}-lockrank" -j "${JOBS}" \
-  --target lock_rank_test invariants_test mq_cluster_test mq_test
+  --target lock_rank_test invariants_test mq_cluster_test mq_test core_test
 ctest --test-dir "${PREFIX}-lockrank" --output-on-failure \
-  -R "^(lock_rank_test|invariants_test|mq_cluster_test|mq_test)$"
+  -R "^(lock_rank_test|invariants_test|mq_cluster_test|mq_test|core_pipeline_wakeup_test)$"
 
 # --- 1. Clang thread-safety + lifetime analysis --------------------------
 CLANGXX="$(command -v clang++ || true)"
@@ -146,7 +147,7 @@ fi
 # --- 4. Sanitizer matrix ------------------------------------------------
 CONCURRENCY_TARGETS=(static_stress_test invariants_test lock_rank_test
                      metrolint obs_test resilience_test chaos_test
-                     mq_cluster_test store_test util_test)
+                     mq_cluster_test core_test store_test util_test)
 FULL_LABEL_ARGS=()
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   FULL_LABEL_ARGS=(-L "static|nn|obs")
@@ -163,8 +164,8 @@ cmake -B "${PREFIX}-asan" -S . -DMETRO_SANITIZE=address >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-asan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test util_test inference_parity_test nn_test zoo_test \
-    obs_test
+    mq_cluster_test core_test util_test inference_parity_test nn_test \
+    zoo_test obs_test
 else
   cmake --build "${PREFIX}-asan" -j "${JOBS}"
 fi
@@ -176,8 +177,8 @@ cmake -B "${PREFIX}-ubsan" -S . -DMETRO_SANITIZE=undefined >/dev/null
 if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
-    mq_cluster_test util_test inference_parity_test nn_test zoo_test \
-    obs_test
+    mq_cluster_test core_test util_test inference_parity_test nn_test \
+    zoo_test obs_test
 else
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
 fi
