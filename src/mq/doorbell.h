@@ -28,10 +28,12 @@
 
 namespace metro::mq {
 
-/// Not copyable or movable: it holds a mutex, a condition variable and an
-/// atomic, and every partition of its topic points at it.
 class Doorbell {
  public:
+  Doorbell() = default;
+  Doorbell(const Doorbell&) = delete;
+  Doorbell& operator=(const Doorbell&) = delete;
+
   /// Waiters registered right now.
   int sleepers() const { return sleepers_.load(std::memory_order_relaxed); }
 
