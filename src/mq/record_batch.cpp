@@ -33,18 +33,6 @@ std::int64_t RecordView::sequence() const {
   return batch_->first_sequence_ + std::int64_t(index_);
 }
 
-std::size_t RecordView::header_count() const {
-  CheckLive();
-  return batch_->entries_[index_].header_count;
-}
-
-HeaderView RecordView::header(std::size_t i) const {
-  CheckLive();
-  const RecordBatch::Entry& e = batch_->entries_[index_];
-  const RecordBatch::HeaderSlice& h = batch_->headers_[e.header_begin + i];
-  return HeaderView{batch_->Text(h.key), batch_->Text(h.value)};
-}
-
 std::optional<std::string_view> RecordView::FindHeader(
     std::string_view key) const {
   CheckLive();

@@ -49,12 +49,6 @@ namespace metro::mq {
 /// tracing layer rides on the `x-trace` key (see src/obs/trace.h).
 using Headers = std::map<std::string, std::string>;
 
-/// One record header viewed in place inside a batch arena.
-struct HeaderView {
-  std::string_view key;
-  std::string_view value;
-};
-
 class RecordBatch;
 
 /// Non-owning view of one record inside a `RecordBatch`. Cheap value type
@@ -73,8 +67,6 @@ class RecordView {
   std::int64_t producer_id() const;
   std::int64_t sequence() const;
 
-  std::size_t header_count() const;
-  HeaderView header(std::size_t i) const;
   /// Linear scan for `key` (header counts are tiny); nullopt when absent.
   std::optional<std::string_view> FindHeader(std::string_view key) const;
 
@@ -228,8 +220,6 @@ class BatchView {
 
   /// The whole underlying batch (replica resync shares it directly).
   const std::shared_ptr<const RecordBatch>& batch() const { return batch_; }
-  /// Index of this view's first record within `batch()`.
-  std::uint32_t first_index() const { return first_; }
 
  private:
   friend class PartitionLog;
