@@ -187,32 +187,44 @@ void ExpectSameBits(const Tensor& expected, const Tensor& actual) {
   }
 }
 
-// Every PickConvRowFn branch against the reference: a compile-time width
-// (8), the blocked stack accumulator (20), and the plain ConvRowRange
-// fallback for widths above kConvAccChannels (130).
+// Every PickConvRowFn branch against the reference, bit for bit: each
+// compile-time width (4, 8, 12, 13, 16, 24, 32), the blocked stack
+// accumulator (20), and the plain ConvRowRange fallback for widths above
+// kConvAccChannels (130). The input widths give rows of border pixels only
+// (1, 2) and rows whose interior holds whole pixel blocks plus a remainder for
+// every block size the kernels use (5, 9, 17, 33); 3 and 8 input channels
+// cover the stem's first layer and a wider tap loop.
 TEST(ConvTest, EveryKernelBranchMatchesReference) {
   struct Geometry {
     int k, stride, pad;
   };
   ThreadPool pool(3);
   Rng rng(21);
-  for (const int cout : {8, 20, 130}) {
-    for (const Geometry g : {Geometry{3, 1, 1}, Geometry{3, 2, 1},
-                             Geometry{3, 1, 0}, Geometry{3, 2, 0},
-                             Geometry{1, 1, 0}, Geometry{1, 2, 0}}) {
-      SCOPED_TRACE("cout " + std::to_string(cout) + " k " +
-                   std::to_string(g.k) + " stride " + std::to_string(g.stride) +
-                   " pad " + std::to_string(g.pad));
-      const Tensor input = UniformWithZeros({2, 7, 9, 3}, rng);
-      const Tensor weights = UniformWithZeros({g.k, g.k, 3, cout}, rng);
-      const Tensor bias = UniformWithZeros({cout}, rng);
-      const Tensor expected =
-          ReferenceConv(input, weights, bias, g.stride, g.pad);
-      ExpectSameFloats(expected, Conv(input, weights, bias, g.stride, g.pad));
-      ExpectSameFloats(expected,
-                       Conv(input, weights, bias, g.stride, g.pad, &pool));
-      ExpectSameFloats(ReferenceConv(input, weights, Tensor(), g.stride, g.pad),
-                       Conv(input, weights, Tensor(), g.stride, g.pad, &pool));
+  for (const int cout : {4, 8, 12, 13, 16, 20, 24, 32, 130}) {
+    for (const int cin : {3, 8}) {
+      for (const int w : {1, 2, 5, 9, 17, 33}) {
+        for (const Geometry g : {Geometry{3, 1, 1}, Geometry{3, 2, 1},
+                                 Geometry{3, 1, 0}, Geometry{3, 2, 0},
+                                 Geometry{1, 1, 0}, Geometry{1, 2, 0}}) {
+          if (w + 2 * g.pad < g.k) continue;  // no output column
+          SCOPED_TRACE("cout " + std::to_string(cout) + " cin " +
+                       std::to_string(cin) + " w " + std::to_string(w) +
+                       " k " + std::to_string(g.k) + " stride " +
+                       std::to_string(g.stride) + " pad " +
+                       std::to_string(g.pad));
+          const Tensor input = UniformWithZeros({2, 5, w, cin}, rng);
+          const Tensor weights = UniformWithZeros({g.k, g.k, cin, cout}, rng);
+          const Tensor bias = UniformWithZeros({cout}, rng);
+          const Tensor expected =
+              ReferenceConv(input, weights, bias, g.stride, g.pad);
+          ExpectSameBits(expected, Conv(input, weights, bias, g.stride, g.pad));
+          ExpectSameBits(expected,
+                         Conv(input, weights, bias, g.stride, g.pad, &pool));
+          ExpectSameBits(
+              ReferenceConv(input, weights, Tensor(), g.stride, g.pad),
+              Conv(input, weights, Tensor(), g.stride, g.pad, &pool));
+        }
+      }
     }
   }
 }
