@@ -343,24 +343,47 @@ tensor::Tensor StemActivations(int hw, int channels) {
   return tensor::Tensor::RandomNormal({1, hw, hw, channels}, 1.0f, rng);
 }
 
+// Every conv the detector runs, by shape: the two stem convs, the tiny
+// head's stride-2 conv and 1x1 prediction conv, and the full head's two 3x3
+// convs and 1x1 prediction conv (13 = 5 box/objectness outputs + 8
+// classes). Arguments: input size, input channels, output channels, kernel
+// size, stride and the row kernels' instruction set (0 SSE2, 1 AVX2);
+// padding is kernel / 2.
 void BM_Conv2dForwardInto(benchmark::State& state) {
   const int hw = int(state.range(0)), cin = int(state.range(1)),
-            cout = int(state.range(2));
+            cout = int(state.range(2)), k = int(state.range(3)),
+            stride = int(state.range(4));
+  const auto isa = tensor::ConvIsa(state.range(5));
+  if (!tensor::ConvIsaSupported(isa)) {
+    state.SkipWithError("instruction set not supported on this host");
+    return;
+  }
+  const int pad = k / 2;
+  const int ohw = (hw + 2 * pad - k) / stride + 1;
   Rng rng(5);
   const tensor::Tensor x = StemActivations(hw, cin);
   const tensor::Tensor w =
-      tensor::Tensor::HeNormal({3, 3, cin, cout}, 9 * cin, rng);
+      tensor::Tensor::HeNormal({k, k, cin, cout}, k * k * cin, rng);
   const tensor::Tensor b = tensor::Tensor::RandomNormal({cout}, 0.1f, rng);
-  tensor::Tensor y({1, hw, hw, cout});
+  tensor::Tensor y({1, ohw, ohw, cout});
   const tensor::TensorView out(y);
   for (auto _ : state) {
-    tensor::Conv2dForwardInto(tensor::TensorView::OfConst(x), w, b, 1, 1, out);
+    tensor::Conv2dForwardIntoForIsa(isa, tensor::TensorView::OfConst(x), w, b,
+                                    stride, pad, out);
     benchmark::DoNotOptimize(y.data().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(y.size()));
 }
-BENCHMARK(BM_Conv2dForwardInto)->Args({32, 3, 8})->Args({16, 8, 12});
+BENCHMARK(BM_Conv2dForwardInto)
+    ->ArgNames({"hw", "cin", "cout", "k", "stride", "isa"})
+    ->ArgsProduct({{32}, {3}, {8}, {3}, {1}, {0, 1}})
+    ->ArgsProduct({{16}, {8}, {12}, {3}, {1}, {0, 1}})
+    ->ArgsProduct({{8}, {12}, {16}, {3}, {2}, {0, 1}})
+    ->ArgsProduct({{4}, {16}, {13}, {1}, {1}, {0, 1}})
+    ->ArgsProduct({{8}, {12}, {24}, {3}, {1}, {0, 1}})
+    ->ArgsProduct({{4}, {24}, {32}, {3}, {1}, {0, 1}})
+    ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}});
 
 // Out of place, so every iteration sees the same mixed-sign input (in place,
 // repeated scaling would drive the negatives into denormals).

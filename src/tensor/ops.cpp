@@ -79,121 +79,239 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
   }
 }
 
-// Fixed-width kernel: identical tap order (and therefore bit-identical
-// float results) to ConvRowRange, but each output pixel accumulates into a
-// stack block the compiler can keep in SIMD registers, and the channel loop
-// trip count is a template constant so it fully unrolls and SLP-vectorizes.
-// In ConvRowRange the output pointer may alias the input as far as the
-// compiler knows, so every tap is a load-modify-store through memory; here
-// the accumulator is provably local, taps become pure multiply-adds, and
-// the pixel is stored once. Results match the plain kernel bit for bit
-// because each output element still receives the same additions in the
-// same (ky, kx, ic) order — only the schedule around them changes.
 constexpr int kConvAccChannels = 128;
+
+// Register-blocked row kernel for the channel widths the zoo uses, written
+// once and compiled for two instruction sets (ConvRowRangeSse2/Avx2 below).
+// An output pixel's kCout channels split into lane groups: full vectors of
+// kLanes floats, then at most one 4-float vector, then single floats, so no
+// load or store runs past a row of kCout.
+//
+// Interior pixels, whose every kx tap is in bounds, run in blocks of
+// kBlock pixels, sized so that about kConvAccRegisters registers hold
+// accumulators: each weight row load then feeds kBlock broadcast inputs,
+// and the block's independent accumulators hide the add latency that one
+// pixel's serial chain would expose. Border pixels run as blocks of one over
+// their in-bounds kx range.
+//
+// Results match ConvRowRange bit for bit: each output channel starts from
+// its bias and then receives, per tap in (ky, kx, ic) order, one rounded
+// multiply and one rounded add. Only the schedule around them changes. A
+// target that includes FMA would let -ffp-contract fuse the two and change
+// the bits, so neither build enables it.
+constexpr int kConvAccRegisters = 12;
+
+template <int kWidth>
+struct Lanes {
+  typedef float Vec __attribute__((vector_size(kWidth * sizeof(float))));
+};
+template <>
+struct Lanes<1> {
+  using Vec = float;
+};
+
+// Accumulators of kPixels output pixels over kCount vectors of kWidth
+// channels each, from channel kFirst of a kCout-channel row. Vectors stay
+// in locals and pass by reference: by value, a 32-byte vector in a function
+// not built for AVX would change the calling convention.
+template <int kCout, int kFirst, int kWidth, int kCount, int kPixels>
+struct LaneGroup {
+  using Vec = typename Lanes<kWidth>::Vec;
+  Vec acc[kPixels][kCount];
+
+  [[gnu::always_inline]] void Init(const float* bias) {
+#pragma GCC unroll 16
+    for (int p = 0; p < kPixels; ++p) {
+#pragma GCC unroll 16
+      for (int c = 0; c < kCount; ++c) {
+        if (bias) {
+          std::memcpy(&acc[p][c], bias + kFirst + c * kWidth, sizeof(Vec));
+        } else {
+          acc[p][c] = Vec{};
+        }
+      }
+    }
+  }
+
+  // One tap: `x` is the first pixel's input, `px_step` floats from the next
+  // pixel's; `w_tap` is the tap's weight row.
+  [[gnu::always_inline]] void Mac(const float* x, std::size_t px_step,
+                                  const float* w_tap) {
+    Vec wv[kCount];
+#pragma GCC unroll 16
+    for (int c = 0; c < kCount; ++c) {
+      std::memcpy(&wv[c], w_tap + kFirst + c * kWidth, sizeof(Vec));
+    }
+#pragma GCC unroll 16
+    for (int p = 0; p < kPixels; ++p) {
+      const float xp = x[std::size_t(p) * px_step];
+#pragma GCC unroll 16
+      for (int c = 0; c < kCount; ++c) acc[p][c] += xp * wv[c];
+    }
+  }
+
+  [[gnu::always_inline]] void Store(float* out) const {
+#pragma GCC unroll 16
+    for (int p = 0; p < kPixels; ++p) {
+#pragma GCC unroll 16
+      for (int c = 0; c < kCount; ++c) {
+        std::memcpy(out + std::size_t(p) * kCout + kFirst + c * kWidth,
+                    &acc[p][c], sizeof(Vec));
+      }
+    }
+  }
+};
+
+template <int kCout, int kFirst, int kWidth, int kPixels>
+struct LaneGroup<kCout, kFirst, kWidth, 0, kPixels> {
+  void Init(const float*) {}
+  void Mac(const float*, std::size_t, const float*) {}
+  void Store(float*) const {}
+};
+
+template <int kCout, int kLanes>
+struct ConvRowKernel {
+  static constexpr int kFull = kCout / kLanes;
+  static constexpr int kQuads = kCout % kLanes / 4;
+  static constexpr int kSingles = kCout % 4;
+  static constexpr int kBlock =
+      std::max(1, kConvAccRegisters / (kFull + kQuads + kSingles));
+  static constexpr int kHalf = std::max(1, kBlock / 2);
+
+  // What every pixel of one output row shares.
+  struct RowArgs {
+    const float* in;            // input row of the first in-bounds kernel row
+    const float* w;             // weights of the first in-bounds kernel row
+    float* out;                 // output row
+    std::size_t px_step;        // input floats between neighbouring pixels
+    std::size_t in_row_stride;  // input floats between kernel rows
+    std::size_t w_row_stride;   // weight floats between kernel rows
+    int rows;                   // in-bounds kernel rows
+    const float* bias;          // kCout floats, or null for none
+  };
+
+  // kPixels neighbouring output pixels, each over `row.rows` kernel rows of
+  // `taps` contiguous (kx, ic) taps. `in` and `w` point at the first pixel's
+  // first tap and at that tap's weight row.
+  template <int kPixels>
+  [[gnu::always_inline]] static void Pixels(const RowArgs& row,
+                                            const float* in, const float* w,
+                                            int taps, float* out) {
+    constexpr int kQuadsFirst = kFull * kLanes;
+    constexpr int kSinglesFirst = kQuadsFirst + kQuads * 4;
+    LaneGroup<kCout, 0, kLanes, kFull, kPixels> full;
+    LaneGroup<kCout, kQuadsFirst, 4, kQuads, kPixels> quads;
+    LaneGroup<kCout, kSinglesFirst, 1, kSingles, kPixels> singles;
+    full.Init(row.bias);
+    quads.Init(row.bias);
+    singles.Init(row.bias);
+    for (int r = 0; r < row.rows; ++r) {
+      const float* in_r = in + std::size_t(r) * row.in_row_stride;
+      const float* w_r = w + std::size_t(r) * row.w_row_stride;
+      for (int t = 0; t < taps; ++t) {
+        const float* w_tap = w_r + std::size_t(t) * kCout;
+        full.Mac(in_r + t, row.px_step, w_tap);
+        quads.Mac(in_r + t, row.px_step, w_tap);
+        singles.Mac(in_r + t, row.px_step, w_tap);
+      }
+    }
+    full.Store(out);
+    quads.Store(out);
+    singles.Store(out);
+  }
+
+  // kPixels interior pixels from `ox` on, whose every kx tap is in bounds.
+  template <int kPixels>
+  [[gnu::always_inline]] static void Interior(const ConvDims& d,
+                                              const RowArgs& row, int ox) {
+    Pixels<kPixels>(row, row.in + std::size_t(ox * d.stride - d.pad) * d.cin,
+                    row.w, d.kw * d.cin, row.out + std::size_t(ox) * kCout);
+  }
+
+  // One border pixel over its in-bounds kx taps, which are contiguous in the
+  // input row and in the weights.
+  [[gnu::always_inline]] static void Border(const ConvDims& d,
+                                            const RowArgs& row, int ox) {
+    const int x0 = ox * d.stride - d.pad;
+    const int kx_lo = std::clamp(-x0, 0, d.kw);
+    const int kx_hi = std::clamp(d.w - x0, kx_lo, d.kw);
+    const int x_first = kx_lo < kx_hi ? x0 + kx_lo : 0;
+    Pixels<1>(row, row.in + std::size_t(x_first) * d.cin,
+              row.w + std::size_t(kx_lo) * d.cin * kCout,
+              (kx_hi - kx_lo) * d.cin, row.out + std::size_t(ox) * kCout);
+  }
+
+  [[gnu::always_inline]] static void Rows(const float* in_d, const float* w_d,
+                                          const float* bias_d,
+                                          const ConvDims& d, float* out_d,
+                                          std::int64_t row_begin,
+                                          std::int64_t row_end) {
+    assert(d.cout == kCout);
+    const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
+    const std::size_t w_row_stride = std::size_t(d.kw) * d.cin * kCout;
+    // Interior ox range where every kx tap lands in bounds. Skipped border
+    // taps contribute no additions, so splitting the range preserves the
+    // accumulation order.
+    const int ox_lo = std::min(d.ow, (d.pad + d.stride - 1) / d.stride);
+    const int last_fit = d.w - d.kw + d.pad;  // last in-bounds x0 + pad
+    const int ox_hi =
+        last_fit < 0
+            ? ox_lo
+            : std::max(ox_lo, std::min(d.ow, last_fit / d.stride + 1));
+
+    for (std::int64_t r = row_begin; r < row_end; ++r) {
+      const int b = int(r / d.oh);
+      const int oy = int(r % d.oh);
+      // In-bounds kernel rows of this output row (iy in [0, h)).
+      const int ky_lo = std::clamp(d.pad - oy * d.stride, 0, d.kh);
+      const int ky_hi = std::clamp(d.h + d.pad - oy * d.stride, ky_lo, d.kh);
+      const float* in_y = &in_d[std::size_t(b) * d.h * in_row_stride];
+      if (ky_lo < ky_hi) {
+        in_y += std::size_t(oy * d.stride + ky_lo - d.pad) * in_row_stride;
+      }
+      const RowArgs row{in_y,
+                        &w_d[std::size_t(ky_lo) * w_row_stride],
+                        &out_d[std::size_t(r) * d.ow * kCout],
+                        std::size_t(d.stride) * d.cin,
+                        in_row_stride,
+                        w_row_stride,
+                        ky_hi - ky_lo,
+                        bias_d};
+
+      for (int ox = 0; ox < ox_lo; ++ox) Border(d, row, ox);
+      // Whole blocks, then half blocks. Fewer than a half block left run as
+      // one half block ending at ox_hi, which overlaps the block before it:
+      // the overlapped pixels are computed again to the same bits.
+      int ox = ox_lo;
+      for (; ox + kBlock <= ox_hi; ox += kBlock) Interior<kBlock>(d, row, ox);
+      for (; ox + kHalf <= ox_hi; ox += kHalf) Interior<kHalf>(d, row, ox);
+      if (ox < ox_hi && ox_hi - ox_lo >= kHalf) {
+        Interior<kHalf>(d, row, ox_hi - kHalf);
+      } else {
+        for (; ox < ox_hi; ++ox) Interior<1>(d, row, ox);
+      }
+      for (ox = ox_hi; ox < d.ow; ++ox) Border(d, row, ox);
+    }
+  }
+};
 
 template <int kCout>
 METRO_NOALLOC
-void ConvRowRangeFixed(const float* in_d, const float* w_d,
-                       const float* bias_d, const ConvDims& d, float* out_d,
-                       std::int64_t row_begin, std::int64_t row_end) {
-  assert(d.cout == kCout);
-  const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-  const std::size_t w_tap_stride = std::size_t(d.cin) * kCout;
-  // Interior ox range where every kx tap lands in-bounds, so the border
-  // check can be hoisted out of ~all pixels. Skipped border taps contribute
-  // no additions, so splitting the range preserves the accumulation order.
-  const int ox_lo =
-      std::min(d.ow, (d.pad + d.stride - 1) / std::max(d.stride, 1));
-  const int ox_hi = std::max(
-      ox_lo, std::min(d.ow, (d.w - d.kw + d.pad) / std::max(d.stride, 1) + 1));
-  float acc[kCout];
-  float acc2[kCout];
+void ConvRowRangeSse2(const float* in_d, const float* w_d, const float* bias_d,
+                      const ConvDims& d, float* out_d, std::int64_t row_begin,
+                      std::int64_t row_end) {
+  ConvRowKernel<kCout, 4>::Rows(in_d, w_d, bias_d, d, out_d, row_begin,
+                                row_end);
+}
 
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const int b = int(r / d.oh);
-    const int oy = int(r % d.oh);
-    const float* in_img = &in_d[std::size_t(b) * d.h * in_row_stride];
-    float* out_row = &out_d[std::size_t(r) * d.ow * kCout];
-    // Valid ky range for this output row (iy in [0, h)).
-    int ky_lo = 0, ky_hi = d.kh;
-    while (ky_lo < ky_hi && oy * d.stride + ky_lo - d.pad < 0) ++ky_lo;
-    while (ky_hi > ky_lo && oy * d.stride + (ky_hi - 1) - d.pad >= d.h) {
-      --ky_hi;
-    }
-
-    const auto pixel = [&](int ox, bool check_x) {
-      if (bias_d) {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = bias_d[oc];
-      } else {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = 0.0f;
-      }
-      for (int ky = ky_lo; ky < ky_hi; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        const float* in_y = &in_img[std::size_t(iy) * in_row_stride];
-        const float* w_ky = &w_d[std::size_t(ky) * d.kw * w_tap_stride];
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          if (check_x && (ix < 0 || ix >= d.w)) continue;
-          const float* in_px = &in_y[std::size_t(ix) * d.cin];
-          const float* w_px = &w_ky[std::size_t(kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            if (iv == 0.0f) continue;
-            const float* w_row = &w_px[std::size_t(ic) * kCout];
-            for (int oc = 0; oc < kCout; ++oc) acc[oc] += iv * w_row[oc];
-          }
-        }
-      }
-      float* out_px = &out_row[std::size_t(ox) * kCout];
-      for (int oc = 0; oc < kCout; ++oc) out_px[oc] = acc[oc];
-    };
-
-    // Interior pixels run in pairs so each weight row load feeds two
-    // accumulators. Each output still receives its additions in the same
-    // (ky, kx, ic) order as the single-pixel path, so results stay
-    // bit-exact with the plain kernel.
-    const auto pixel_pair = [&](int ox) {
-      if (bias_d) {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = bias_d[oc];
-        for (int oc = 0; oc < kCout; ++oc) acc2[oc] = bias_d[oc];
-      } else {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = 0.0f;
-        for (int oc = 0; oc < kCout; ++oc) acc2[oc] = 0.0f;
-      }
-      for (int ky = ky_lo; ky < ky_hi; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        const float* in_y = &in_img[std::size_t(iy) * in_row_stride];
-        const float* w_ky = &w_d[std::size_t(ky) * d.kw * w_tap_stride];
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          const float* in_px = &in_y[std::size_t(ix) * d.cin];
-          const float* in_px2 = in_px + std::size_t(d.stride) * d.cin;
-          const float* w_px = &w_ky[std::size_t(kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            const float iv2 = in_px2[ic];
-            const float* w_row = &w_px[std::size_t(ic) * kCout];
-            if (iv != 0.0f) {
-              for (int oc = 0; oc < kCout; ++oc) acc[oc] += iv * w_row[oc];
-            }
-            if (iv2 != 0.0f) {
-              for (int oc = 0; oc < kCout; ++oc) acc2[oc] += iv2 * w_row[oc];
-            }
-          }
-        }
-      }
-      float* out_px = &out_row[std::size_t(ox) * kCout];
-      for (int oc = 0; oc < kCout; ++oc) out_px[oc] = acc[oc];
-      float* out_px2 = out_px + kCout;
-      for (int oc = 0; oc < kCout; ++oc) out_px2[oc] = acc2[oc];
-    };
-
-    for (int ox = 0; ox < ox_lo; ++ox) pixel(ox, /*check_x=*/true);
-    int ox = ox_lo;
-    for (; ox + 1 < ox_hi; ox += 2) pixel_pair(ox);
-    for (; ox < ox_hi; ++ox) pixel(ox, /*check_x=*/false);
-    for (ox = std::max(ox, ox_hi); ox < d.ow; ++ox) pixel(ox, /*check_x=*/true);
-  }
+template <int kCout>
+METRO_NOALLOC
+[[gnu::target("avx2")]] void ConvRowRangeAvx2(
+    const float* in_d, const float* w_d, const float* bias_d,
+    const ConvDims& d, float* out_d, std::int64_t row_begin,
+    std::int64_t row_end) {
+  ConvRowKernel<kCout, 8>::Rows(in_d, w_d, bias_d, d, out_d, row_begin,
+                                row_end);
 }
 
 // Generic-width fallback with the same local-accumulator structure.
@@ -243,16 +361,18 @@ using ConvRowFn = void (*)(const float*, const float*, const float*,
                            const ConvDims&, float*, std::int64_t,
                            std::int64_t);
 
-// Picks the unrolled kernel for the channel widths the zoo actually uses.
-ConvRowFn PickConvRowFn(int cout) {
+// Picks the register-blocked kernel, built for `isa`, for the channel widths
+// the zoo actually uses.
+ConvRowFn PickConvRowFn(int cout, ConvIsa isa) {
+  const bool avx2 = isa == ConvIsa::kAvx2;
   switch (cout) {
-    case 4: return ConvRowRangeFixed<4>;
-    case 8: return ConvRowRangeFixed<8>;
-    case 12: return ConvRowRangeFixed<12>;
-    case 13: return ConvRowRangeFixed<13>;
-    case 16: return ConvRowRangeFixed<16>;
-    case 24: return ConvRowRangeFixed<24>;
-    case 32: return ConvRowRangeFixed<32>;
+    case 4: return avx2 ? ConvRowRangeAvx2<4> : ConvRowRangeSse2<4>;
+    case 8: return avx2 ? ConvRowRangeAvx2<8> : ConvRowRangeSse2<8>;
+    case 12: return avx2 ? ConvRowRangeAvx2<12> : ConvRowRangeSse2<12>;
+    case 13: return avx2 ? ConvRowRangeAvx2<13> : ConvRowRangeSse2<13>;
+    case 16: return avx2 ? ConvRowRangeAvx2<16> : ConvRowRangeSse2<16>;
+    case 24: return avx2 ? ConvRowRangeAvx2<24> : ConvRowRangeSse2<24>;
+    case 32: return avx2 ? ConvRowRangeAvx2<32> : ConvRowRangeSse2<32>;
     default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
                                              : ConvRowRange;
   }
@@ -277,13 +397,26 @@ ConvDims MakeConvDims(const Shape& in_shape, const Tensor& weights, int stride,
 
 }  // namespace
 
+bool ConvIsaSupported(ConvIsa isa) {
+  switch (isa) {
+    case ConvIsa::kSse2: return true;  // baseline x86-64
+    case ConvIsa::kAvx2: {
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2");
+    }
+  }
+  return false;
+}
+
 METRO_NOALLOC
-void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
-                       const Tensor& bias, int stride, int pad,
-                       const TensorView& out, ThreadPool* pool) {
+void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
+                             const Tensor& weights, const Tensor& bias,
+                             int stride, int pad, const TensorView& out,
+                             ThreadPool* pool) {
   assert(input.rank() == 4 && weights.rank() == 4 && out.rank() == 4);
   assert(weights.dim(2) == input.dim(3));
   assert(bias.empty() || int(bias.size()) == weights.dim(3));
+  assert(ConvIsaSupported(isa));
   const ConvDims d = MakeConvDims(input.shape(), weights, stride, pad);
   assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
          out.dim(3) == d.cout);
@@ -300,11 +433,23 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
       std::int64_t(d.ow) * d.cout * d.kh * d.kw * d.cin;
   const std::int64_t grain =
       std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(macs_per_row, 1));
-  const ConvRowFn row_fn = PickConvRowFn(d.cout);
+  const ConvRowFn row_fn = PickConvRowFn(d.cout, isa);
   ParallelFor(pool, 0, rows, grain,
               [&](std::int64_t lo, std::int64_t hi) {
                 row_fn(in_d, w_d, bias_d, d, out_d, lo, hi);
               });
+}
+
+METRO_NOALLOC
+void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
+                       const Tensor& bias, int stride, int pad,
+                       const TensorView& out, ThreadPool* pool) {
+  // Probed once: the widest build this host runs.
+  static const ConvIsa host_isa = ConvIsaSupported(ConvIsa::kAvx2)
+                                      ? ConvIsa::kAvx2
+                                      : ConvIsa::kSse2;
+  Conv2dForwardIntoForIsa(host_isa, input, weights, bias, stride, pad, out,
+                          pool);
 }
 
 ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,

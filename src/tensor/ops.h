@@ -92,6 +92,22 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
                        const TensorView& out, ThreadPool* pool = nullptr);
 
+/// The instruction sets the conv row kernels are built for, from one source.
+/// Conv2dForwardInto runs the widest one the host supports; every build
+/// gives the same bits.
+enum class ConvIsa { kSse2, kAvx2 };
+
+/// Whether this host can run `isa`'s build of the conv row kernels.
+bool ConvIsaSupported(ConvIsa isa);
+
+/// Conv2dForwardInto on `isa`'s build of the row kernels, which the host
+/// must support. Lets tests check every build against a reference, not only
+/// the one this host picks.
+void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
+                             const Tensor& weights, const Tensor& bias,
+                             int stride, int pad, const TensorView& out,
+                             ThreadPool* pool = nullptr);
+
 /// Max pooling with square window `k` and stride `stride` (no padding):
 /// each output is the first strictly greater value of its window in (ky, kx)
 /// order, starting from -inf.

@@ -102,23 +102,37 @@ TEST(MatMulTest, TransposeVariantsAgree) {
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], c3[i], 1e-4f);
 }
 
+Tensor ConvOutput(const Tensor& input, const Tensor& weights, int stride,
+                  int pad) {
+  const int oh = (input.dim(1) + 2 * pad - weights.dim(0)) / stride + 1;
+  const int ow = (input.dim(2) + 2 * pad - weights.dim(1)) / stride + 1;
+  return Tensor({input.dim(0), oh, ow, weights.dim(3)});
+}
+
 // Runs Conv2dForwardInto into a freshly allocated output.
 Tensor Conv(const Tensor& input, const Tensor& weights, const Tensor& bias,
             int stride, int pad, ThreadPool* pool = nullptr) {
-  const int oh = (input.dim(1) + 2 * pad - weights.dim(0)) / stride + 1;
-  const int ow = (input.dim(2) + 2 * pad - weights.dim(1)) / stride + 1;
-  Tensor out({input.dim(0), oh, ow, weights.dim(3)});
-  TensorView out_view(out);
+  Tensor out = ConvOutput(input, weights, stride, pad);
   Conv2dForwardInto(TensorView::OfConst(input), weights, bias, stride, pad,
-                    out_view, pool);
+                    TensorView(out), pool);
+  return out;
+}
+
+// The same on one ISA's build of the row kernels.
+Tensor ConvOnIsa(ConvIsa isa, const Tensor& input, const Tensor& weights,
+                 const Tensor& bias, int stride, int pad) {
+  Tensor out = ConvOutput(input, weights, stride, pad);
+  Conv2dForwardIntoForIsa(isa, TensorView::OfConst(input), weights, bias,
+                          stride, pad, TensorView(out));
   return out;
 }
 
 // Direct convolution kept independent of ops.cpp: each output starts from
 // its bias, then adds every in-bounds tap in (ky, kx, ic) order. That is the
 // accumulation order every Conv2dForwardInto branch promises, so the kernels
-// must match it bit for bit. Zero inputs are not skipped here; skipping one
-// can only flip the sign of a zero sum, which operator== ignores.
+// must match it bit for bit. Zero inputs are not skipped here, nor in the
+// register-blocked kernels. The generic-width kernels skip them, which with
+// finite weights changes no bits unless a bias is -0, and no bias here is.
 Tensor ReferenceConv(const Tensor& input, const Tensor& weights,
                      const Tensor& bias, int stride, int pad) {
   const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
@@ -154,7 +168,7 @@ Tensor ReferenceConv(const Tensor& input, const Tensor& weights,
 }
 
 // Uniform values in [-1, 1) with roughly every third element an exact zero,
-// so the kernels' zero-skip branches run.
+// as in post-ReLU activations and sparse weights.
 Tensor UniformWithZeros(const Shape& shape, Rng& rng) {
   Tensor t(shape);
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -193,11 +207,17 @@ void ExpectSameBits(const Tensor& expected, const Tensor& actual) {
 // kConvAccChannels (130). The input widths give rows of border pixels only
 // (1, 2) and rows whose interior holds whole pixel blocks plus a remainder for
 // every block size the kernels use (5, 9, 17, 33); 3 and 8 input channels
-// cover the stem's first layer and a wider tap loop.
+// cover the stem's first layer and a wider tap loop. Each ISA build the host
+// supports runs too, not only the one Conv2dForwardInto picks, so the SSE2
+// build stays checked on AVX2 hosts.
 TEST(ConvTest, EveryKernelBranchMatchesReference) {
   struct Geometry {
     int k, stride, pad;
   };
+  std::vector<ConvIsa> isas;
+  for (const ConvIsa isa : {ConvIsa::kSse2, ConvIsa::kAvx2}) {
+    if (ConvIsaSupported(isa)) isas.push_back(isa);
+  }
   ThreadPool pool(3);
   Rng rng(21);
   for (const int cout : {4, 8, 12, 13, 16, 20, 24, 32, 130}) {
@@ -220,9 +240,18 @@ TEST(ConvTest, EveryKernelBranchMatchesReference) {
           ExpectSameBits(expected, Conv(input, weights, bias, g.stride, g.pad));
           ExpectSameBits(expected,
                          Conv(input, weights, bias, g.stride, g.pad, &pool));
-          ExpectSameBits(
-              ReferenceConv(input, weights, Tensor(), g.stride, g.pad),
-              Conv(input, weights, Tensor(), g.stride, g.pad, &pool));
+          const Tensor expected_unbiased =
+              ReferenceConv(input, weights, Tensor(), g.stride, g.pad);
+          ExpectSameBits(expected_unbiased,
+                         Conv(input, weights, Tensor(), g.stride, g.pad, &pool));
+          for (const ConvIsa isa : isas) {
+            SCOPED_TRACE("isa " + std::to_string(int(isa)));
+            ExpectSameBits(expected, ConvOnIsa(isa, input, weights, bias,
+                                               g.stride, g.pad));
+            ExpectSameBits(expected_unbiased,
+                           ConvOnIsa(isa, input, weights, Tensor(), g.stride,
+                                     g.pad));
+          }
         }
       }
     }
