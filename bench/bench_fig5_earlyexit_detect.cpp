@@ -17,6 +17,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "apps/vehicle_app.h"
 #include "bench_util.h"
 #include "fog/fog.h"
@@ -132,15 +134,25 @@ int RunJsonMode(const std::string& path) {
   auto& app = TrainedApp();
   auto& det = app.detector();
   const auto& config = det.config();
-  auto frame = app.generator().Generate(1);
-  const auto batch = frame.image.Reshape(
-      {1, config.image_size, config.image_size, config.channels});
   constexpr int kIters = 300;
+  // One distinct generated frame per timed call, for both paths, so the
+  // timing covers what changes from frame to frame (activation signs and
+  // the branches and gate decisions they drive), not one frame repeated.
+  std::vector<nn::Tensor> frames;
+  frames.reserve(kIters);
+  for (int i = 0; i < kIters; ++i) {
+    frames.push_back(app.generator().Generate(1).image.Reshape(
+        {1, config.image_size, config.image_size, config.channels}));
+  }
+  std::size_t next = 0;
+  const auto next_frame = [&]() -> const nn::Tensor& {
+    return frames[next++ % frames.size()];
+  };
 
   // Eager path: Layer::Forward, one heap-allocated activation per layer
   // (the same ForwardInto kernels the session runs).
   const auto eager = bench_json::Measure(20, kIters, [&] {
-    nn::Tensor stem = det.Stem(batch, false);
+    nn::Tensor stem = det.Stem(next_frame(), false);
     nn::Tensor tiny = det.TinyHead(stem, false);
     const float conf = det.Confidence(tiny, 0);
     auto dets = zoo::Nms(det.Decode(tiny, 0, 0.1f), 0.4f, 0.1f);
@@ -150,8 +162,9 @@ int RunJsonMode(const std::string& path) {
 
   // Planned session path: same math, arena-backed (threshold 0 never
   // offloads, matching the eager loop above).
+  next = 0;
   const auto planned = bench_json::Measure(20, kIters, [&] {
-    auto result = app.ProcessFrame(batch, 0.0f);
+    auto result = app.ProcessFrame(next_frame(), 0.0f);
     benchmark::DoNotOptimize(result.tiny_confidence);
     benchmark::DoNotOptimize(result.detections.size());
   });

@@ -165,7 +165,7 @@ if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-asan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
     mq_cluster_test core_test util_test inference_parity_test nn_test \
-    zoo_test obs_test
+    zoo_test tensor_test obs_test
 else
   cmake --build "${PREFIX}-asan" -j "${JOBS}"
 fi
@@ -178,7 +178,7 @@ if [[ "${METRO_CHECK_FAST:-0}" == "1" ]]; then
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
     --target static_stress_test invariants_test lock_rank_test metrolint \
     mq_cluster_test core_test util_test inference_parity_test nn_test \
-    zoo_test obs_test
+    zoo_test tensor_test obs_test
 else
   cmake --build "${PREFIX}-ubsan" -j "${JOBS}"
 fi

@@ -79,8 +79,6 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
   }
 }
 
-constexpr int kConvAccChannels = 128;
-
 // Register-blocked row kernel for the channel widths the zoo uses, written
 // once and compiled for two instruction sets (ConvRowRangeSse2/Avx2 below).
 // An output pixel's kCout channels split into lane groups: full vectors of
@@ -314,7 +312,9 @@ METRO_NOALLOC
                                 row_end);
 }
 
-// Generic-width fallback with the same local-accumulator structure.
+// Generic-width fallback: one pixel at a time into a stack accumulator.
+constexpr int kConvAccChannels = 128;
+
 METRO_NOALLOC
 void ConvRowRangeBlocked(const float* in_d, const float* w_d,
                          const float* bias_d, const ConvDims& d, float* out_d,
@@ -400,10 +400,9 @@ ConvDims MakeConvDims(const Shape& in_shape, const Tensor& weights, int stride,
 bool ConvIsaSupported(ConvIsa isa) {
   switch (isa) {
     case ConvIsa::kSse2: return true;  // baseline x86-64
-    case ConvIsa::kAvx2: {
+    case ConvIsa::kAvx2:
       __builtin_cpu_init();
       return __builtin_cpu_supports("avx2");
-    }
   }
   return false;
 }
