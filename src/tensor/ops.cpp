@@ -226,8 +226,8 @@ struct ConvRowKernel {
                     row.w, d.kw * d.cin, row.out + std::size_t(ox) * kCout);
   }
 
-  // One border pixel over its in-bounds kx taps, which are contiguous in the
-  // input row and in the weights.
+  // One pixel over its in-bounds kx taps, which are contiguous in the input
+  // row and in the weights.
   [[gnu::always_inline]] static void Border(const ConvDims& d,
                                             const RowArgs& row, int ox) {
     const int x0 = ox * d.stride - d.pad;
@@ -276,19 +276,19 @@ struct ConvRowKernel {
                         ky_hi - ky_lo,
                         bias_d};
 
-      for (int ox = 0; ox < ox_lo; ++ox) Border(d, row, ox);
-      // Whole blocks, then half blocks. Fewer than a half block left run as
-      // one half block ending at ox_hi, which overlaps the block before it:
-      // the overlapped pixels are computed again to the same bits.
-      int ox = ox_lo;
+      // Interior: whole blocks, then half blocks. Fewer than a half block
+      // left run as one half block ending at ox_hi, which overlaps the block
+      // before it: the overlapped pixels are computed again to the same
+      // bits. What no half block covers runs pixel by pixel.
+      int ox = 0;
+      for (; ox < ox_lo; ++ox) Border(d, row, ox);
       for (; ox + kBlock <= ox_hi; ox += kBlock) Interior<kBlock>(d, row, ox);
       for (; ox + kHalf <= ox_hi; ox += kHalf) Interior<kHalf>(d, row, ox);
       if (ox < ox_hi && ox_hi - ox_lo >= kHalf) {
         Interior<kHalf>(d, row, ox_hi - kHalf);
-      } else {
-        for (; ox < ox_hi; ++ox) Interior<1>(d, row, ox);
+        ox = ox_hi;
       }
-      for (ox = ox_hi; ox < d.ow; ++ox) Border(d, row, ox);
+      for (; ox < d.ow; ++ox) Border(d, row, ox);
     }
   }
 };
