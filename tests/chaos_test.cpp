@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <string>
 
 #include "core/infrastructure.h"
 #include "core/pipeline.h"
@@ -17,6 +20,7 @@
 #include "resilience/health.h"
 #include "resilience/policy.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace metro {
 namespace {
@@ -465,15 +469,303 @@ void TakeDownServerLinks(fog::FogTopology& topo) {
   }
 }
 
+// bench_chaos_recovery's topology and workload: 16 edges (4 fogs, 2
+// servers), ~15 fps per edge, half the frames exit early.
+fog::FogConfig ChaosBenchConfig() {
+  fog::FogConfig config;
+  config.num_edges = 16;
+  return config;
+}
+
+std::vector<fog::WorkItem> ChaosBenchWorkload(int items_per_edge,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<fog::WorkItem> items;
+  std::uint64_t id = 0;
+  for (int e = 0; e < ChaosBenchConfig().num_edges; ++e) {
+    for (int i = 0; i < items_per_edge; ++i) {
+      fog::WorkItem item;
+      item.id = id++;
+      item.edge = e;
+      item.arrival = TimeNs(i) * 66 * kMillisecond;
+      item.raw_bytes = 24'576;
+      item.feature_bytes = 3'072;
+      item.edge_filter_macs = 50'000;
+      item.local_macs = 4'000'000;
+      item.server_macs = 40'000'000;
+      item.local_exit = rng.Bernoulli(0.5);
+      item.local_correct = rng.Bernoulli(0.88);
+      item.server_correct = rng.Bernoulli(0.95);
+      items.push_back(item);
+    }
+  }
+  return items;
+}
+
+// A PipelineResult pinned as readable counts plus a digest of every field,
+// so a mismatch says what moved before it says that something did.
+struct ResultPin {
+  std::string counts;
+  std::uint64_t digest = 0;
+};
+
+ResultPin PinOf(const fog::PipelineResult& r) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_double = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  mix(r.outcomes.size());
+  for (const fog::ItemOutcome& o : r.outcomes) {
+    mix(o.id);
+    mix(std::uint64_t(o.completed));
+    mix(std::uint64_t(o.latency));
+    mix(std::uint64_t(o.dropped) | std::uint64_t(o.offloaded) << 1 |
+        std::uint64_t(o.degraded) << 2 | std::uint64_t(o.failed) << 3);
+    mix(std::uint64_t(o.retries));
+  }
+  mix(r.traffic.edge_to_fog);
+  mix(r.traffic.fog_to_server);
+  mix(r.traffic.server_to_cloud);
+  for (const std::int64_t c : {r.items_dropped, r.items_local,
+                               r.items_offloaded, r.items_degraded,
+                               r.items_failed, r.send_retries}) {
+    mix(std::uint64_t(c));
+  }
+  mix_double(r.mean_latency_ms);
+  mix_double(r.p99_latency_ms);
+  mix_double(r.server_macs_total);
+
+  char counts[256];
+  std::snprintf(counts, sizeof(counts),
+                "outcomes=%zu dropped=%lld local=%lld offloaded=%lld "
+                "degraded=%lld failed=%lld retries=%lld bytes=%llu/%llu/%llu "
+                "mean=%.6f p99=%.6f server_macs=%.0f",
+                r.outcomes.size(), (long long)r.items_dropped,
+                (long long)r.items_local, (long long)r.items_offloaded,
+                (long long)r.items_degraded, (long long)r.items_failed,
+                (long long)r.send_retries,
+                (unsigned long long)r.traffic.edge_to_fog,
+                (unsigned long long)r.traffic.fog_to_server,
+                (unsigned long long)r.traffic.server_to_cloud,
+                r.mean_latency_ms, r.p99_latency_ms, r.server_macs_total);
+  return {counts, h};
+}
+
+void ExpectPin(const fog::PipelineResult& result, const ResultPin& want) {
+  const ResultPin got = PinOf(result);
+  EXPECT_EQ(got.counts, want.counts);
+  EXPECT_EQ(got.digest, want.digest)
+      << "pin: {\"" << got.counts << "\", " << got.digest << "ull}";
+}
+
+void ExpectSameResult(const fog::PipelineResult& a,
+                      const fog::PipelineResult& b) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const fog::ItemOutcome& x = a.outcomes[i];
+    const fog::ItemOutcome& y = b.outcomes[i];
+    EXPECT_EQ(x.id, y.id) << "outcome " << i;
+    EXPECT_EQ(x.completed, y.completed) << "outcome " << i;
+    EXPECT_EQ(x.latency, y.latency) << "outcome " << i;
+    EXPECT_EQ(x.dropped, y.dropped) << "outcome " << i;
+    EXPECT_EQ(x.offloaded, y.offloaded) << "outcome " << i;
+    EXPECT_EQ(x.degraded, y.degraded) << "outcome " << i;
+    EXPECT_EQ(x.failed, y.failed) << "outcome " << i;
+    EXPECT_EQ(x.retries, y.retries) << "outcome " << i;
+  }
+  EXPECT_EQ(a.traffic.edge_to_fog, b.traffic.edge_to_fog);
+  EXPECT_EQ(a.traffic.fog_to_server, b.traffic.fog_to_server);
+  EXPECT_EQ(a.traffic.server_to_cloud, b.traffic.server_to_cloud);
+  EXPECT_EQ(a.items_dropped, b.items_dropped);
+  EXPECT_EQ(a.items_local, b.items_local);
+  EXPECT_EQ(a.items_offloaded, b.items_offloaded);
+  EXPECT_EQ(a.items_degraded, b.items_degraded);
+  EXPECT_EQ(a.items_failed, b.items_failed);
+  EXPECT_EQ(a.send_retries, b.send_retries);
+  EXPECT_EQ(a.mean_latency_ms, b.mean_latency_ms);
+  EXPECT_EQ(a.p99_latency_ms, b.p99_latency_ms);
+  EXPECT_EQ(a.server_macs_total, b.server_macs_total);
+}
+
+enum class Chain { kBaseline, kResilient };
+
+fog::PipelineResult RunChain(Chain chain, fog::FogTopology& topo,
+                             const std::vector<fog::WorkItem>& items) {
+  if (chain == Chain::kBaseline) return fog::RunEarlyExitPipeline(topo, items);
+  fog::FogResilienceOptions options;
+  return fog::RunResilientPipeline(topo, items, options);
+}
+
+// bench_chaos_recovery's Chaos A: every server loses its fog links for
+// t = [1s, 3s).
+void ScheduleServerOutage(fog::FogTopology& topo) {
+  FaultPlan plan;
+  for (int s = 0; s < topo.num_servers(); ++s) {
+    plan.Add(Event(kSecond, FaultKind::kServerOutage, s));
+    plan.Add(Event(3 * kSecond, FaultKind::kServerRecovery, s));
+  }
+  FaultTargets targets;
+  targets.fog = &topo;
+  plan.ScheduleOn(topo.sim(), targets);
+}
+
+// Both entry points, pinned bit for bit on the runs their callers make.
+const ResultPin kHealthyPin{"outcomes=960 dropped=0 local=453 offloaded=507 "
+                            "degraded=0 failed=0 retries=0 "
+                            "bytes=23592960/1673472/245760 "
+                            "mean=33.135735 p99=34.055327 "
+                            "server_macs=20280000000",
+                            17258291152339526435ull};
+
+TEST(FogPipelinePinTest, Healthy) {
+  const auto items = ChaosBenchWorkload(60, 42);
+  for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
+    fog::FogTopology topo(ChaosBenchConfig());
+    ExpectPin(RunChain(chain, topo, items), kHealthyPin);
+  }
+}
+
+const ResultPin kServerOutagePin[2] = {
+    {"outcomes=960 dropped=0 local=220 offloaded=244 "
+     "degraded=0 failed=496 retries=0 "
+     "bytes=23592960/805888/118784 "
+     "mean=33.135344 p99=34.055327 server_macs=9760000000",
+     2270036044882017020ull},
+    {"outcomes=960 dropped=0 local=220 offloaded=232 "
+     "degraded=508 failed=0 retries=492 "
+     "bytes=23592960/769024/115712 "
+     "mean=25.523179 p99=34.055327 server_macs=9280000000",
+     8572437654747411780ull},
+};
+
+TEST(FogPipelinePinTest, ScriptedServerOutage) {
+  const auto items = ChaosBenchWorkload(60, 42);
+  for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
+    fog::FogTopology topo(ChaosBenchConfig());
+    ScheduleServerOutage(topo);
+    ExpectPin(RunChain(chain, topo, items), kServerOutagePin[int(chain)]);
+  }
+}
+
+TEST(FogPipelinePinTest, RandomFaultPlans) {
+  const auto items = ChaosBenchWorkload(60, 42);
+  struct Case {
+    double intensity;
+    ResultPin want[2];
+  };
+  const Case cases[] = {
+      // This plan holds only link latency spikes, which act on
+      // `targets.net`; with only `targets.fog` set the run stays healthy.
+      {0.25, {kHealthyPin, kHealthyPin}},
+      {0.5,
+       {{"outcomes=960 dropped=0 local=405 offloaded=451 "
+         "degraded=0 failed=104 retries=0 "
+         "bytes=23592960/1489152/219136 "
+         "mean=33.135205 p99=34.055327 server_macs=18040000000",
+         13708495198031397684ull},
+        {"outcomes=960 dropped=0 local=405 offloaded=396 "
+         "degraded=159 failed=0 retries=114 "
+         "bytes=23592960/1320192/205056 "
+         "mean=30.496823 p99=34.055327 server_macs=15840000000",
+         393063725428763768ull}}},
+      {0.75,
+       {{"outcomes=960 dropped=0 local=392 offloaded=440 "
+         "degraded=0 failed=128 retries=0 "
+         "bytes=23592960/1452032/212992 "
+         "mean=33.135894 p99=34.055327 server_macs=17600000000",
+         17514096736505366466ull},
+        {"outcomes=960 dropped=0 local=392 offloaded=359 "
+         "degraded=209 failed=0 retries=148 "
+         "bytes=23592960/1203200/192256 "
+         "mean=29.650242 p99=34.055327 server_macs=14360000000",
+         4429310565974700915ull}}},
+      {1.0,
+       {{"outcomes=960 dropped=0 local=344 offloaded=400 "
+         "degraded=0 failed=216 retries=0 "
+         "bytes=23592960/1316864/190464 "
+         "mean=33.140026 p99=34.055327 server_macs=16000000000",
+         12703890640186181516ull},
+        {"outcomes=960 dropped=0 local=351 offloaded=334 "
+         "degraded=275 failed=0 retries=238 "
+         "bytes=23592960/1115904/175360 "
+         "mean=28.836965 p99=34.055327 server_macs=13360000000",
+         16643136900331983098ull}}},
+  };
+  for (const Case& c : cases) {
+    for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
+      SCOPED_TRACE(testing::Message() << "intensity " << c.intensity
+                                      << " chain " << int(chain));
+      fog::FogTopology topo(ChaosBenchConfig());
+      FaultTargets targets;
+      targets.fog = &topo;
+      auto plan = FaultPlan::Random(c.intensity, 4 * kSecond, targets, {}, 7);
+      plan.ScheduleOn(topo.sim(), targets);
+      ExpectPin(RunChain(chain, topo, items), c.want[int(chain)]);
+    }
+  }
+}
+
+TEST(FogPipelinePinTest, EdgeUplinkDown) {
+  const auto items = ChaosBenchWorkload(20, 42);
+  const ResultPin want[2] = {
+      {"outcomes=320 dropped=0 local=152 offloaded=148 "
+       "degraded=0 failed=20 retries=0 "
+       "bytes=7372800/493568/76800 "
+       "mean=33.077162 p99=34.055327 server_macs=5920000000",
+       14779791367324950300ull},
+      {"outcomes=320 dropped=0 local=152 offloaded=148 "
+       "degraded=0 failed=20 retries=0 "
+       "bytes=7372800/493568/76800 "
+       "mean=33.077162 p99=34.055327 server_macs=5920000000",
+       14174254543727454789ull},
+  };
+  for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
+    fog::FogTopology topo(ChaosBenchConfig());
+    ASSERT_TRUE(
+        topo.sim().SetLinkUp(topo.edge(0), topo.fog_of_edge(0), false).ok());
+    ExpectPin(RunChain(chain, topo, items), want[int(chain)]);
+  }
+}
+
+TEST(FogPipelinePinTest, ResilientSpansDoNotChangeTheResult) {
+  // Same run as ScriptedServerOutage's resilient pin, traced.
+  const auto items = ChaosBenchWorkload(60, 42);
+  fog::FogTopology topo(ChaosBenchConfig());
+  ScheduleServerOutage(topo);
+  obs::SpanCollector spans(topo.sim().clock());
+  fog::FogResilienceOptions options;
+  options.spans = &spans;
+  ExpectPin(fog::RunResilientPipeline(topo, items, options),
+            kServerOutagePin[int(Chain::kResilient)]);
+  EXPECT_GT(spans.Snapshot().size(), 0u);
+}
+
 TEST(ResilientPipelineTest, MatchesBaselineWhenHealthy) {
+  for (const std::uint64_t seed : {1, 7, 42, 1234, 99991}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    auto items = ChaosBenchWorkload(30, seed);
+    for (fog::WorkItem& item : items) {
+      item.dropped_by_edge_filter = item.id % 7 == 3;
+    }
+    fog::FogTopology baseline_topo(ChaosBenchConfig());
+    fog::FogTopology resilient_topo(ChaosBenchConfig());
+    const auto baseline = RunChain(Chain::kBaseline, baseline_topo, items);
+    const auto resilient = RunChain(Chain::kResilient, resilient_topo, items);
+    EXPECT_GT(resilient.items_dropped, 0);
+    EXPECT_EQ(resilient.items_degraded, 0);
+    EXPECT_EQ(resilient.items_failed, 0);
+    EXPECT_EQ(resilient.send_retries, 0);
+    ExpectSameResult(baseline, resilient);
+  }
+  // All-offload items: every answer comes from the server.
   fog::FogTopology topo(ChaosFogConfig());
   const auto items = OffloadItems(12, kMillisecond);
-  fog::FogResilienceOptions options;
-  const auto result = fog::RunResilientPipeline(topo, items, options);
+  const auto result = RunChain(Chain::kResilient, topo, items);
   EXPECT_EQ(result.items_offloaded, 12);
-  EXPECT_EQ(result.items_degraded, 0);
-  EXPECT_EQ(result.items_failed, 0);
-  EXPECT_EQ(result.send_retries, 0);
   EXPECT_DOUBLE_EQ(result.Availability(), 1.0);
   EXPECT_DOUBLE_EQ(result.AccuracyOver(items), 1.0);  // server answers
 }
