@@ -101,8 +101,7 @@ void ScriptedServerOutage() {
 
     fog::PipelineResult result;
     if (resilient) {
-      fog::FogResilienceOptions options;
-      result = fog::RunResilientPipeline(topo, items, options);
+      result = fog::RunResilientPipeline(topo, items);
       resilient_availability = result.Availability();
     } else {
       result = fog::RunEarlyExitPipeline(topo, items);
@@ -146,8 +145,7 @@ void IntensitySweep() {
       const auto items = MakeWorkload(topo.config(), 60, 42);
       fog::PipelineResult result;
       if (resilient) {
-        fog::FogResilienceOptions options;
-        result = fog::RunResilientPipeline(topo, items, options);
+        result = fog::RunResilientPipeline(topo, items);
         degraded = result.items_degraded;
         retries = result.send_retries;
         accuracy = result.AccuracyOver(items);
@@ -210,9 +208,8 @@ void BM_ResilientPipelineUnderOutage(benchmark::State& state) {
     FaultTargets targets;
     targets.fog = &topo;
     plan.ScheduleOn(topo.sim(), targets);
-    fog::FogResilienceOptions options;
-    const auto result = fog::RunResilientPipeline(
-        topo, MakeWorkload(topo.config(), 60, 42), options);
+    const auto result =
+        fog::RunResilientPipeline(topo, MakeWorkload(topo.config(), 60, 42));
     benchmark::DoNotOptimize(result.items_degraded);
   }
   state.SetItemsProcessed(state.iterations() * 960);

@@ -87,10 +87,8 @@ void TracedRun(bool chaos) {
     plan.ScheduleOn(topo.sim(), targets);
   }
   obs::SpanCollector spans(topo.sim().clock());
-  fog::FogResilienceOptions options;
-  options.spans = &spans;
   const auto items = MakeWorkload(topo.config(), 60, 42);
-  const auto result = fog::RunResilientPipeline(topo, items, options);
+  const auto result = fog::RunResilientPipeline(topo, items, &spans);
 
   bench::Table table({"stage", "count", "mean (ms)", "p50 (ms)", "p95 (ms)",
                       "p99 (ms)"});
@@ -139,10 +137,8 @@ void BM_ResilientPipeline(benchmark::State& state) {
   for (auto _ : state) {
     fog::FogTopology topo(Topology());
     obs::SpanCollector spans(topo.sim().clock());
-    fog::FogResilienceOptions options;
-    if (traced) options.spans = &spans;
     const auto result = fog::RunResilientPipeline(
-        topo, MakeWorkload(topo.config(), 60, 42), options);
+        topo, MakeWorkload(topo.config(), 60, 42), traced ? &spans : nullptr);
     benchmark::DoNotOptimize(result.items_offloaded);
   }
   state.SetItemsProcessed(state.iterations() * 960);

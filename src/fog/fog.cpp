@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <unordered_map>
+
+#include "resilience/policy.h"
 
 namespace metro::fog {
 
@@ -126,83 +129,24 @@ void Summarize(PipelineResult& result, FogTopology& topology,
   }
 }
 
-}  // namespace
-
-PipelineResult RunEarlyExitPipeline(FogTopology& topology,
-                                    std::vector<WorkItem> items,
-                                    const FogComputeHooks& hooks) {
-  net::Simulator& sim = topology.sim();
-  auto result = std::make_shared<PipelineResult>();
-  result->outcomes.reserve(items.size());
-  const auto before = topology.Traffic();
-
-  for (const WorkItem& item : items) {
-    sim.ScheduleAt(item.arrival, [item, &topology, &sim, result, &hooks] {
-      const net::NodeId edge = topology.edge(item.edge);
-      const net::NodeId fog = topology.fog_of_edge(item.edge);
-      const net::NodeId server = topology.server_of_edge(item.edge);
-      const net::NodeId cloud = topology.cloud();
-      const TimeNs start = sim.Now();
-
-      auto finish = [item, result, start, &sim](bool offloaded, bool dropped,
-                                                bool failed = false) {
-        ItemOutcome outcome;
-        outcome.id = item.id;
-        outcome.completed = sim.Now();
-        outcome.latency = sim.Now() - start;
-        outcome.dropped = dropped;
-        outcome.offloaded = offloaded;
-        outcome.failed = failed;
-        result->outcomes.push_back(outcome);
-      };
-      auto fail = [finish] { finish(false, false, true); };
-
-      // Tier 1: elementary filtering on the edge device.
-      (void)sim.Compute(edge, item.edge_filter_macs, [=, &sim, &topology] {
-        if (item.dropped_by_edge_filter) {
-          finish(false, true);
-          return;
-        }
-        // Raw data moves edge -> fog.
-        Status st = sim.Send(edge, fog, item.raw_bytes, [=, &sim] {
-          // Tier 2: the split model's local half runs on the fog node.
-          (void)sim.Compute(fog, item.local_macs, [=, &sim] {
-            const bool local_exit = hooks.local_gate
-                                        ? hooks.local_gate(item)
-                                        : item.local_exit;
-            if (local_exit) {
-              // Confident: only the annotation travels upstream for storage.
-              Status up = sim.Send(fog, server, item.annotation_bytes,
-                                   [=, &sim] {
-                (void)sim.Send(server, cloud, item.annotation_bytes,
-                               [=] { finish(false, false); });
-              });
-              if (!up.ok()) fail();
-              return;
-            }
-            // Not confident: ship the branch feature map to the server.
-            Status off = sim.Send(fog, server, item.feature_bytes, [=, &sim] {
-              (void)sim.Compute(server, item.server_macs, [=, &sim] {
-                if (hooks.server_infer) hooks.server_infer(item);
-                result->server_macs_total += double(item.server_macs);
-                (void)sim.Send(server, cloud, item.annotation_bytes,
-                               [=] { finish(true, false); });
-              });
-            });
-            if (!off.ok()) fail();
-          });
-        });
-        if (!st.ok()) fail();
-      });
-    });
-  }
-
-  sim.RunUntilIdle();
-  Summarize(*result, topology, before);
-  return std::move(*result);
-}
-
-namespace {
+/// The resilient chain's tuning: per-send retries with jittered exponential
+/// backoff on simulated time, a breaker guarding the analysis-server tier,
+/// and a budget for the offload path measured from the offload decision.
+constexpr resilience::RetryConfig kSendRetry{
+    .max_attempts = 3,
+    .initial_backoff = 4 * kMillisecond,
+    .max_backoff = 64 * kMillisecond,
+    .multiplier = 2.0,
+    .jitter = 0.2,
+    .deadline = 0,
+};
+constexpr resilience::BreakerConfig kServerBreaker{
+    .failure_threshold = 3,
+    .cooldown = 200 * kMillisecond,
+    .half_open_probes = 1,
+};
+constexpr TimeNs kOffloadDeadline = 400 * kMillisecond;
+constexpr std::uint64_t kRetryJitterSeed = 19;
 
 /// Per-item trace state: the root context plus a stage cursor. All of an
 /// item's callbacks run sequentially on the simulator, so advancing the
@@ -213,41 +157,44 @@ struct ItemTrace {
   TimeNs cursor = 0;
 };
 
-/// Per-run shared state for the resilient pipeline.
-struct ResilientCtx {
-  ResilientCtx(FogTopology& topo, const FogResilienceOptions& opts)
+/// Per-run shared state for the event chain. With `resilient` false each
+/// send gets one attempt, the breaker is never consulted, no deadline
+/// applies, and an item the resilient chain would degrade fails instead.
+struct ChainCtx {
+  ChainCtx(FogTopology& topo, bool resilient, obs::SpanCollector* spans)
       : topology(&topo),
         sim(&topo.sim()),
-        options(opts),
-        breaker(opts.breaker, topo.sim().clock()),
-        jitter(opts.retry, topo.sim().clock(), opts.seed) {}
+        resilient(resilient),
+        spans(spans),
+        breaker(kServerBreaker, topo.sim().clock()),
+        jitter(kSendRetry, topo.sim().clock(), kRetryJitterSeed) {}
 
   FogTopology* topology;
   net::Simulator* sim;
-  FogResilienceOptions options;
+  bool resilient;
+  obs::SpanCollector* spans;
   resilience::CircuitBreaker breaker;
   resilience::RetryPolicy jitter;  ///< used for BackoffFor only
   PipelineResult result;
 
   /// Closes the stage `[tr->cursor, now]` and advances the cursor.
   void Stage(const std::shared_ptr<ItemTrace>& tr, const char* name) {
-    if (options.spans == nullptr || !tr->root.valid()) return;
+    if (spans == nullptr || !tr->root.valid()) return;
     const TimeNs now = sim->Now();
     obs::Span span;
     span.name = name;
-    span.context = options.spans->Child(tr->root);
+    span.context = spans->Child(tr->root);
     span.kind = obs::SpanKind::kStage;
     span.start = tr->cursor;
     span.end = now;
-    options.spans->Record(std::move(span));
+    spans->Record(std::move(span));
     tr->cursor = now;
   }
 
   /// Marks the item's trace degraded with the fallback cause.
   void MarkDegraded(const std::shared_ptr<ItemTrace>& tr, const char* cause) {
-    if (options.spans == nullptr || !tr->root.valid()) return;
-    options.spans->Event("degrade", options.spans->Child(tr->root),
-                         {{"degraded", cause}});
+    if (spans == nullptr || !tr->root.valid()) return;
+    spans->Event("degrade", spans->Child(tr->root), {{"degraded", cause}});
   }
 
   /// Sends with retries on simulated time. `deadline_at` bounds the retry
@@ -262,7 +209,7 @@ struct ResilientCtx {
                      std::function<void(bool)> on_give_up, int attempt = 1) {
     Status st = sim->Send(from, to, bytes, on_delivery);
     if (st.ok()) return;
-    if (attempt >= options.retry.max_attempts) {
+    if (!resilient || attempt >= kSendRetry.max_attempts) {
       on_give_up(false);
       return;
     }
@@ -272,16 +219,16 @@ struct ResilientCtx {
       return;
     }
     if (retry_slot != nullptr) ++*retry_slot;
-    if (options.spans != nullptr && trace.valid()) {
+    if (spans != nullptr && trace.valid()) {
       obs::Span span;
       span.name = "retry.backoff";
-      span.context = options.spans->Child(trace);
+      span.context = spans->Child(trace);
       span.kind = obs::SpanKind::kOverlay;
       span.start = sim->Now();
       span.end = sim->Now() + backoff;
       span.SetTag("retried", "true");
       span.SetTag("attempt", std::to_string(attempt));
-      options.spans->Record(std::move(span));
+      spans->Record(std::move(span));
     }
     sim->ScheduleAfter(backoff, [=, this] {
       SendWithRetry(from, to, bytes, deadline_at, retry_slot, trace,
@@ -291,21 +238,18 @@ struct ResilientCtx {
   }
 };
 
-}  // namespace
-
-PipelineResult RunResilientPipeline(FogTopology& topology,
-                                    std::vector<WorkItem> items,
-                                    const FogResilienceOptions& options) {
-  auto ctx = std::make_shared<ResilientCtx>(topology, options);
+/// The one Fig. 3 event chain behind both entry points.
+PipelineResult RunChain(FogTopology& topology, std::vector<WorkItem> items,
+                        bool resilient, obs::SpanCollector* spans) {
+  auto ctx = std::make_shared<ChainCtx>(topology, resilient, spans);
   net::Simulator& sim = *ctx->sim;
   ctx->result.outcomes.reserve(items.size());
   const auto before = topology.Traffic();
 
-  if (options.spans != nullptr) {
+  if (spans != nullptr) {
     // Breaker transitions are run-scoped, not item-scoped: they land as
     // event markers on one trace for the whole run. The listener captures
     // raw pointers (not ctx) so the breaker does not own its owner.
-    obs::SpanCollector* spans = options.spans;
     const obs::TraceContext run_trace = spans->StartTrace();
     ctx->breaker.SetStateListener(
         [spans, run_trace](resilience::CircuitBreaker::State from,
@@ -332,8 +276,8 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
       // finishes (the outcome is built at completion time).
       auto retries = std::make_shared<int>(0);
       auto tr = std::make_shared<ItemTrace>();
-      if (ctx->options.spans != nullptr) {
-        tr->root = ctx->options.spans->StartTrace();
+      if (ctx->spans != nullptr) {
+        tr->root = ctx->spans->StartTrace();
         tr->cursor = start;
       }
       auto finish = [item, ctx, start, retries](bool offloaded, bool dropped,
@@ -366,19 +310,15 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
               ctx->Stage(tr, "edge.uplink");
               // Tier 2: the split model's local half runs on the fog node.
               (void)sim.Compute(fog, item.local_macs, [=, &sim] {
-                const bool local_exit =
-                    ctx->options.hooks.local_gate
-                        ? ctx->options.hooks.local_gate(item)
-                        : item.local_exit;
                 ctx->Stage(tr, "fog.local");
-                // The local answer now exists; nothing past this point may
-                // hard-fail the item.
+                // The local answer now exists; past this point the resilient
+                // chain serves it instead of hard-failing the item.
                 auto degrade = [=](const char* cause) {
                   ctx->MarkDegraded(tr, cause);
-                  finish(false, false, true, false);
+                  finish(false, false, ctx->resilient, !ctx->resilient);
                 };
 
-                if (local_exit) {
+                if (item.local_exit) {
                   // Confident: annotation travels upstream for storage. If
                   // the uplink stays down the answer is still served
                   // locally — a degraded success, not an error. Both hops
@@ -406,10 +346,8 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
 
                 // Wants the server. Fast-fail on an open breaker.
                 const TimeNs deadline_at =
-                    ctx->options.offload_deadline > 0
-                        ? sim.Now() + ctx->options.offload_deadline
-                        : 0;
-                if (!ctx->breaker.Allow()) {
+                    ctx->resilient ? sim.Now() + kOffloadDeadline : 0;
+                if (ctx->resilient && !ctx->breaker.Allow()) {
                   degrade("fog.degraded.server_unavailable");
                   return;
                 }
@@ -418,11 +356,8 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
                     retries.get(), tr->root,
                     [=, &sim] {
                       ctx->Stage(tr, "offload.transfer");
-                      ctx->breaker.RecordSuccess();
+                      if (ctx->resilient) ctx->breaker.RecordSuccess();
                       (void)sim.Compute(server, item.server_macs, [=, &sim] {
-                        if (ctx->options.hooks.server_infer) {
-                          ctx->options.hooks.server_infer(item);
-                        }
                         ctx->Stage(tr, "server.compute");
                         ctx->result.server_macs_total +=
                             double(item.server_macs);
@@ -438,7 +373,7 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
                     },
                     [=](bool deadline_exceeded) {
                       ctx->Stage(tr, "offload.transfer");
-                      ctx->breaker.RecordFailure();
+                      if (ctx->resilient) ctx->breaker.RecordFailure();
                       degrade(deadline_exceeded
                                   ? "fog.degraded.offload_deadline"
                                   : "fog.degraded.offload_failed");
@@ -456,6 +391,19 @@ PipelineResult RunResilientPipeline(FogTopology& topology,
   sim.RunUntilIdle();
   Summarize(ctx->result, topology, before);
   return std::move(ctx->result);
+}
+
+}  // namespace
+
+PipelineResult RunEarlyExitPipeline(FogTopology& topology,
+                                    std::vector<WorkItem> items) {
+  return RunChain(topology, std::move(items), /*resilient=*/false, nullptr);
+}
+
+PipelineResult RunResilientPipeline(FogTopology& topology,
+                                    std::vector<WorkItem> items,
+                                    obs::SpanCollector* spans) {
+  return RunChain(topology, std::move(items), /*resilient=*/true, spans);
 }
 
 }  // namespace metro::fog

@@ -10,13 +10,11 @@
 // measured quantities.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/simulator.h"
 #include "obs/trace.h"
 #include "util/analysis.h"
-#include "resilience/policy.h"
 
 namespace metro::fog {
 
@@ -151,78 +149,38 @@ struct PipelineResult {
   double AccuracyOver(const std::vector<WorkItem>& items) const;
 };
 
-/// Optional real-inference callbacks for the pipelines. The simulator prices
-/// compute in MACs on simulated time; when hooks are set, the pipelines
-/// additionally drive real model inference (e.g. a zoo session bound to an
-/// arena) at the matching stages, on the caller's wall clock:
-///   local_gate   — invoked when the `fog.local` stage completes; runs the
-///                  local half for the item and returns whether the early
-///                  exit accepts. Overrides `item.local_exit`.
-///   server_infer — invoked when the `server.compute` stage completes for an
-///                  offloaded item; runs the server half.
-/// Sessions emit their own infer.plan / infer.exec / infer.gate spans into a
-/// wall-clock SpanCollector; the pipelines' sim-clock stage spans are
-/// unaffected.
-struct FogComputeHooks {
-  std::function<bool(const WorkItem&)> local_gate;
-  std::function<void(const WorkItem&)> server_infer;
-};
-
-/// Tuning for `RunResilientPipeline`.
-struct FogResilienceOptions {
-  /// Per-send retry schedule (backoff waits run on simulated time).
-  resilience::RetryConfig retry{
-      .max_attempts = 3,
-      .initial_backoff = 4 * kMillisecond,
-      .max_backoff = 64 * kMillisecond,
-      .multiplier = 2.0,
-      .jitter = 0.2,
-      .deadline = 0,
-  };
-  /// Breaker guarding the analysis-server tier, driven by simulated time.
-  resilience::BreakerConfig breaker{
-      .failure_threshold = 3,
-      .cooldown = 200 * kMillisecond,
-      .half_open_probes = 1,
-  };
-  /// Total budget for the offload path, measured from the offload decision;
-  /// when it cannot be met the item degrades to its local answer. 0 = none.
-  TimeNs offload_deadline = 400 * kMillisecond;
-  /// Optional tracer. When set, every item gets a trace with contiguous
-  /// stage spans per tier hop (`edge.filter`, `edge.uplink`, `fog.local`,
-  /// then `upstream.annotation` or `offload.transfer` / `server.compute` /
-  /// `cloud.annotate`), `retry.backoff` overlays around retried sends, and
-  /// `degrade` / breaker-transition event markers. A `degrade` event's
-  /// `degraded` tag names the fallback cause (`fog.degraded.*`); an item
-  /// whose cloud hop was deferred has no `cloud.annotate` stage. The
-  /// collector should run on the topology's simulated clock
-  /// (`topology.sim().clock()`).
-  obs::SpanCollector* spans = nullptr;
-  std::uint64_t seed = 19;  ///< retry jitter
-  /// Optional real-model inference at fog.local / server.compute.
-  FogComputeHooks hooks;
-};
-
 /// Runs a batch of work items through the Fig. 3 pipeline on `topology`:
 /// edge filter -> raw to fog -> local half -> (exit: annotation upstream |
 /// offload: feature map to server -> server half -> annotation to cloud).
-/// Send failures (downed links) leave the item `failed` — this is the
-/// baseline without the resilience layer. When `hooks` are set, real model
-/// inference runs at the fog.local / server.compute stages and the gate
-/// outcome replaces each item's precomputed `local_exit`.
-PipelineResult RunEarlyExitPipeline(FogTopology& topology,
-                                    std::vector<WorkItem> items,
-                                    const FogComputeHooks& hooks = {});
-
-/// The same pipeline wrapped in the resilience layer: link sends retry with
-/// jittered exponential backoff on simulated time; a circuit breaker guards
-/// the analysis-server tier; and when the server is unreachable, the breaker
-/// is open, or the offload deadline cannot be met, items that wanted the
-/// server fall back to their local answer and complete `degraded` instead of
-/// failing. Only an unreachable fog uplink (edge -> fog, after retries) still
-/// hard-fails an item — there is nowhere to compute even a local answer.
+/// Both entry points run one event chain, and every item gets exactly one
+/// outcome.
+///
+/// `RunResilientPipeline` wraps each hop in the resilience layer: link sends
+/// retry with jittered exponential backoff on simulated time; a circuit
+/// breaker guards the analysis-server tier; and when the server is
+/// unreachable, the breaker is open, or the offload deadline cannot be met,
+/// items that wanted the server fall back to their local answer and
+/// complete `degraded` instead of failing. Only an unreachable fog uplink
+/// (edge -> fog, after retries) still hard-fails an item — there is nowhere
+/// to compute even a local answer. An offloaded item whose cloud hop fails
+/// still completes `offloaded`; its annotation is deferred.
+///
+/// `spans`, when set, gives every item a trace with contiguous stage spans
+/// per tier hop (`edge.filter`, `edge.uplink`, `fog.local`, then
+/// `upstream.annotation` or `offload.transfer` / `server.compute` /
+/// `cloud.annotate`), `retry.backoff` overlays around retried sends, and
+/// `degrade` / breaker-transition event markers. A `degrade` event's
+/// `degraded` tag names the fallback cause (`fog.degraded.*`); an item whose
+/// cloud hop was deferred has no `cloud.annotate` stage. The collector
+/// should run on the topology's simulated clock (`topology.sim().clock()`).
 PipelineResult RunResilientPipeline(FogTopology& topology,
                                     std::vector<WorkItem> items,
-                                    const FogResilienceOptions& options);
+                                    obs::SpanCollector* spans = nullptr);
+
+/// The same chain with resilience off, the baseline: each send gets one
+/// attempt, the breaker is never consulted, no deadline applies, and an item
+/// the resilient chain would mark `degraded` is marked `failed`.
+PipelineResult RunEarlyExitPipeline(FogTopology& topology,
+                                    std::vector<WorkItem> items);
 
 }  // namespace metro::fog

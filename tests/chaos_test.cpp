@@ -596,8 +596,7 @@ enum class Chain { kBaseline, kResilient };
 fog::PipelineResult RunChain(Chain chain, fog::FogTopology& topo,
                              const std::vector<fog::WorkItem>& items) {
   if (chain == Chain::kBaseline) return fog::RunEarlyExitPipeline(topo, items);
-  fog::FogResilienceOptions options;
-  return fog::RunResilientPipeline(topo, items, options);
+  return fog::RunResilientPipeline(topo, items);
 }
 
 // bench_chaos_recovery's Chaos A: every server loses its fog links for
@@ -737,9 +736,7 @@ TEST(FogPipelinePinTest, ResilientSpansDoNotChangeTheResult) {
   fog::FogTopology topo(ChaosBenchConfig());
   ScheduleServerOutage(topo);
   obs::SpanCollector spans(topo.sim().clock());
-  fog::FogResilienceOptions options;
-  options.spans = &spans;
-  ExpectPin(fog::RunResilientPipeline(topo, items, options),
+  ExpectPin(fog::RunResilientPipeline(topo, items, &spans),
             kServerOutagePin[int(Chain::kResilient)]);
   EXPECT_GT(spans.Snapshot().size(), 0u);
 }
@@ -770,6 +767,36 @@ TEST(ResilientPipelineTest, MatchesBaselineWhenHealthy) {
   EXPECT_DOUBLE_EQ(result.AccuracyOver(items), 1.0);  // server answers
 }
 
+TEST(ResilientPipelineTest, EveryItemGetsExactlyOneOutcome) {
+  // With the archive tier unreachable, no item may vanish: local exits lose
+  // their annotation hop, offloads their cloud hop.
+  auto items = OffloadItems(200, kMillisecond);
+  for (fog::WorkItem& item : items) {
+    item.local_exit = item.id % 2 == 0;
+    item.dropped_by_edge_filter = item.id % 8 == 0;
+  }
+  for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
+    SCOPED_TRACE(testing::Message() << "chain " << int(chain));
+    fog::FogTopology topo(ChaosFogConfig());
+    for (int s = 0; s < topo.num_servers(); ++s) {
+      ASSERT_TRUE(
+          topo.sim().SetLinkUp(topo.server(s), topo.cloud(), false).ok());
+    }
+    const auto result = RunChain(chain, topo, items);
+    EXPECT_EQ(result.outcomes.size(), items.size());
+    EXPECT_EQ(result.items_dropped + result.items_local +
+                  result.items_offloaded + result.items_degraded +
+                  result.items_failed,
+              std::int64_t(items.size()));
+    EXPECT_EQ(result.items_dropped, 25);
+    EXPECT_EQ(result.items_offloaded, 100);  // the cloud hop is deferred
+    // Resilience off fails what the resilient chain serves degraded.
+    EXPECT_EQ(chain == Chain::kBaseline ? result.items_failed
+                                        : result.items_degraded,
+              75);
+  }
+}
+
 TEST(ResilientPipelineTest, ServerOutageDegradesInsteadOfFailing) {
   // 20ms spacing: the first items burn their retries and trip the breaker,
   // later items arrive after the trip and must fast-degrade on Allow().
@@ -786,9 +813,7 @@ TEST(ResilientPipelineTest, ServerOutageDegradesInsteadOfFailing) {
   fog::FogTopology topo(ChaosFogConfig());
   TakeDownServerLinks(topo);
   obs::SpanCollector spans(topo.sim().clock());
-  fog::FogResilienceOptions options;
-  options.spans = &spans;
-  const auto result = fog::RunResilientPipeline(topo, items, options);
+  const auto result = fog::RunResilientPipeline(topo, items, &spans);
   EXPECT_EQ(result.items_failed, 0);
   EXPECT_EQ(result.items_offloaded, 0);
   EXPECT_EQ(result.items_degraded, 12);
@@ -819,8 +844,7 @@ TEST(ResilientPipelineTest, RecoversAfterScriptedOutageEnds) {
   plan.ScheduleOn(topo.sim(), targets);
 
   const auto items = OffloadItems(30, 20 * kMillisecond);  // t = 0..580ms
-  fog::FogResilienceOptions options;
-  const auto result = fog::RunResilientPipeline(topo, items, options);
+  const auto result = fog::RunResilientPipeline(topo, items);
   EXPECT_EQ(result.items_failed, 0);
   EXPECT_DOUBLE_EQ(result.Availability(), 1.0);
   // Early items degrade during the outage; once the links heal and the
@@ -836,8 +860,7 @@ TEST(ResilientPipelineTest, EdgeUplinkLossIsTheOnlyHardFailure) {
   ASSERT_TRUE(
       topo.sim().SetLinkUp(topo.edge(0), topo.fog_of_edge(0), false).ok());
   const auto items = OffloadItems(8, kMillisecond);  // edges 0..3 round-robin
-  fog::FogResilienceOptions options;
-  const auto result = fog::RunResilientPipeline(topo, items, options);
+  const auto result = fog::RunResilientPipeline(topo, items);
   EXPECT_EQ(result.items_failed, 2);  // items from edge 0
   EXPECT_EQ(result.items_offloaded, 6);
   EXPECT_LT(result.Availability(), 1.0);

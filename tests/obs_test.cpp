@@ -767,10 +767,8 @@ std::vector<fog::WorkItem> FogItems(int n, bool offload) {
 TEST(FogTracingTest, HealthyOffloadTracesReconcileExactly) {
   fog::FogTopology topo(SmallFogConfig());
   obs::SpanCollector collector(topo.sim().clock());
-  fog::FogResilienceOptions options;
-  options.spans = &collector;
-  const auto result =
-      fog::RunResilientPipeline(topo, FogItems(8, /*offload=*/true), options);
+  const auto result = fog::RunResilientPipeline(
+      topo, FogItems(8, /*offload=*/true), &collector);
   ASSERT_EQ(result.items_offloaded, 8);
 
   int traced_items = 0;
@@ -802,10 +800,8 @@ TEST(FogTracingTest, ServerOutageTracesAreTaggedDegraded) {
                     .ok());
   }
   obs::SpanCollector collector(topo.sim().clock());
-  fog::FogResilienceOptions options;
-  options.spans = &collector;
-  const auto result =
-      fog::RunResilientPipeline(topo, FogItems(8, /*offload=*/true), options);
+  const auto result = fog::RunResilientPipeline(
+      topo, FogItems(8, /*offload=*/true), &collector);
   ASSERT_GT(result.items_degraded, 0);
   ASSERT_GT(result.send_retries, 0);
 
