@@ -5,11 +5,6 @@
 
 namespace metro::graph {
 
-VertexId PregelGraph::AddVertex() {
-  out_.emplace_back();
-  return VertexId(out_.size() - 1);
-}
-
 void PregelGraph::AddVertices(std::size_t count) {
   out_.resize(out_.size() + count);
 }

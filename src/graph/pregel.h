@@ -29,10 +29,7 @@ using VertexId = std::uint32_t;
 /// undirected semantics).
 class PregelGraph {
  public:
-  /// Adds a vertex; returns its id (dense, starting at 0).
-  VertexId AddVertex();
-
-  /// Adds `count` vertices at once.
+  /// Adds `count` vertices; ids are dense, starting at 0.
   void AddVertices(std::size_t count);
 
   Status AddEdge(VertexId from, VertexId to, double weight = 1.0);

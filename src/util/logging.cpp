@@ -8,7 +8,8 @@
 namespace metro {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
+/// The minimum level that is emitted.
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 std::string_view LevelName(LogLevel level) {
   switch (level) {
@@ -28,16 +29,10 @@ Mutex& OutputMutex() {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-LogLevel SetLogLevel(LogLevel level) {
-  return g_level.exchange(level, std::memory_order_relaxed);
-}
-
 namespace internal {
 
 LogLine::LogLine(LogLevel level, std::string_view file, int line)
-    : enabled_(level >= GetLogLevel() && level != LogLevel::kOff) {
+    : enabled_(level >= kMinLevel && level != LogLevel::kOff) {
   if (!enabled_) return;
   // Basename keeps lines short.
   const auto slash = file.rfind('/');

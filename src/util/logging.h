@@ -3,21 +3,14 @@
 // Minimal leveled logging.
 //
 // `METRO_LOG(kInfo) << "replicated block " << id;` — thread-safe line-at-a-time
-// output; the global threshold silences verbose subsystems in benches.
+// output; lines below kWarning are compiled in but not emitted.
 
-#include <atomic>
 #include <sstream>
 #include <string_view>
 
 namespace metro {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
-
-/// Returns the process-wide minimum level that is emitted.
-LogLevel GetLogLevel();
-
-/// Sets the process-wide minimum level; returns the previous value.
-LogLevel SetLogLevel(LogLevel level);
 
 namespace internal {
 
