@@ -2,8 +2,8 @@
 // availability claim, stress-tested).
 //
 // The headline experiment scripts an analysis-server outage into the fog
-// simulation and runs the same workload twice: through the raw pipeline
-// (sends fail, items are lost) and through the resilience layer (retry +
+// simulation and runs the same workload twice: with resilience off (a
+// failed send fails the item) and through the resilience layer (retry +
 // circuit breaker + local-answer degradation). The resilient run must keep
 // item availability >= 99% — degraded local answers count as answers,
 // errors do not — while the baseline collapses for the outage window. A
