@@ -593,8 +593,8 @@ void ExpectSameResult(const fog::PipelineResult& a,
 
 enum class Chain { kBaseline, kResilient };
 
-fog::PipelineResult RunChain(Chain chain, fog::FogTopology& topo,
-                             const std::vector<fog::WorkItem>& items) {
+fog::PipelineResult RunEntryPoint(Chain chain, fog::FogTopology& topo,
+                                  const std::vector<fog::WorkItem>& items) {
   if (chain == Chain::kBaseline) return fog::RunEarlyExitPipeline(topo, items);
   return fog::RunResilientPipeline(topo, items);
 }
@@ -624,7 +624,7 @@ TEST(FogPipelinePinTest, Healthy) {
   const auto items = ChaosBenchWorkload(60, 42);
   for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
     fog::FogTopology topo(ChaosBenchConfig());
-    ExpectPin(RunChain(chain, topo, items), kHealthyPin);
+    ExpectPin(RunEntryPoint(chain, topo, items), kHealthyPin);
   }
 }
 
@@ -646,7 +646,7 @@ TEST(FogPipelinePinTest, ScriptedServerOutage) {
   for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
     fog::FogTopology topo(ChaosBenchConfig());
     ScheduleServerOutage(topo);
-    ExpectPin(RunChain(chain, topo, items), kServerOutagePin[int(chain)]);
+    ExpectPin(RunEntryPoint(chain, topo, items), kServerOutagePin[int(chain)]);
   }
 }
 
@@ -703,7 +703,7 @@ TEST(FogPipelinePinTest, RandomFaultPlans) {
       targets.fog = &topo;
       auto plan = FaultPlan::Random(c.intensity, 4 * kSecond, targets, {}, 7);
       plan.ScheduleOn(topo.sim(), targets);
-      ExpectPin(RunChain(chain, topo, items), c.want[int(chain)]);
+      ExpectPin(RunEntryPoint(chain, topo, items), c.want[int(chain)]);
     }
   }
 }
@@ -726,7 +726,7 @@ TEST(FogPipelinePinTest, EdgeUplinkDown) {
     fog::FogTopology topo(ChaosBenchConfig());
     ASSERT_TRUE(
         topo.sim().SetLinkUp(topo.edge(0), topo.fog_of_edge(0), false).ok());
-    ExpectPin(RunChain(chain, topo, items), want[int(chain)]);
+    ExpectPin(RunEntryPoint(chain, topo, items), want[int(chain)]);
   }
 }
 
@@ -750,8 +750,10 @@ TEST(ResilientPipelineTest, MatchesBaselineWhenHealthy) {
     }
     fog::FogTopology baseline_topo(ChaosBenchConfig());
     fog::FogTopology resilient_topo(ChaosBenchConfig());
-    const auto baseline = RunChain(Chain::kBaseline, baseline_topo, items);
-    const auto resilient = RunChain(Chain::kResilient, resilient_topo, items);
+    const auto baseline =
+        RunEntryPoint(Chain::kBaseline, baseline_topo, items);
+    const auto resilient =
+        RunEntryPoint(Chain::kResilient, resilient_topo, items);
     EXPECT_GT(resilient.items_dropped, 0);
     EXPECT_EQ(resilient.items_degraded, 0);
     EXPECT_EQ(resilient.items_failed, 0);
@@ -761,7 +763,7 @@ TEST(ResilientPipelineTest, MatchesBaselineWhenHealthy) {
   // All-offload items: every answer comes from the server.
   fog::FogTopology topo(ChaosFogConfig());
   const auto items = OffloadItems(12, kMillisecond);
-  const auto result = RunChain(Chain::kResilient, topo, items);
+  const auto result = RunEntryPoint(Chain::kResilient, topo, items);
   EXPECT_EQ(result.items_offloaded, 12);
   EXPECT_DOUBLE_EQ(result.Availability(), 1.0);
   EXPECT_DOUBLE_EQ(result.AccuracyOver(items), 1.0);  // server answers
@@ -782,7 +784,7 @@ TEST(ResilientPipelineTest, EveryItemGetsExactlyOneOutcome) {
       ASSERT_TRUE(
           topo.sim().SetLinkUp(topo.server(s), topo.cloud(), false).ok());
     }
-    const auto result = RunChain(chain, topo, items);
+    const auto result = RunEntryPoint(chain, topo, items);
     EXPECT_EQ(result.outcomes.size(), items.size());
     EXPECT_EQ(result.items_dropped + result.items_local +
                   result.items_offloaded + result.items_degraded +
