@@ -41,19 +41,25 @@ using nn::Tensor;
 using tensor::TensorView;
 using tensor::Workspace;
 
-void ExpectBitExact(const Tensor& expected, const Tensor& actual) {
-  ASSERT_EQ(expected.shape(), actual.shape());
+// Compares the float bits, so the sign of a zero counts and NaN matches only
+// an identical NaN.
+void ExpectBitExact(const Tensor& expected, const nn::Shape& shape,
+                    std::span<const float> actual) {
+  ASSERT_EQ(expected.shape(), shape);
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << "float mismatch at index " << i;
+    const float e = expected[i];
+    ASSERT_EQ(std::memcmp(&e, &actual[i], sizeof(float)), 0)
+        << "bit mismatch at index " << i << ": expected " << e << ", got "
+        << actual[i];
   }
 }
 
+void ExpectBitExact(const Tensor& expected, const Tensor& actual) {
+  ExpectBitExact(expected, actual.shape(), actual.data());
+}
+
 void ExpectBitExact(const Tensor& expected, const TensorView& actual) {
-  ASSERT_EQ(expected.shape(), actual.shape());
-  const auto d = actual.data();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], d[i]) << "float mismatch at index " << i;
-  }
+  ExpectBitExact(expected, actual.shape(), actual.data());
 }
 
 Tensor RandomInput(const nn::Shape& shape, Rng& rng) {
@@ -62,6 +68,22 @@ Tensor RandomInput(const nn::Shape& shape, Rng& rng) {
     x[i] = rng.UniformFloat(-1.0f, 1.0f);
   }
   return x;
+}
+
+// Overwrites every parameter with U(-0.5, 0.5) and every BatchNorm buffer
+// pair (running mean, running var) with U(-0.5, 0.5) and U(0.5, 1.5), so the
+// goldens depend on no libm call in the initializers.
+void FillUniform(const std::vector<nn::Param*>& params,
+                 const std::vector<Tensor*>& buffers, Rng& rng) {
+  for (nn::Param* p : params) {
+    for (float& v : p->value.data()) v = rng.UniformFloat(-0.5f, 0.5f);
+  }
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    const bool var = i % 2 == 1;
+    for (float& v : buffers[i]->data()) {
+      v = var ? rng.UniformFloat(0.5f, 1.5f) : rng.UniformFloat(-0.5f, 0.5f);
+    }
+  }
 }
 
 // ------------------------------------------------------------ single layers
@@ -112,27 +134,130 @@ TEST(InferenceParityTest, SessionWithThreadPoolIsStillBitExact) {
   ExpectBitExact(eager, session.Run(TensorView::OfConst(x)));
 }
 
+// ---------------------------------------------------------- layer sequences
+
+// Layer stacks around the planner's conv epilogue rule (a Conv2d followed by
+// a BatchNorm, a LeakyReLU or both), built with uniform parameters and
+// BatchNorm statistics. Conv widths 8 and 12 run register-blocked kernels,
+// 5 the generic one.
+struct SequenceCase {
+  const char* name;
+  void (*build)(nn::Sequential& model, Rng& rng);
+};
+
+const SequenceCase kSequenceCases[] = {
+    {"conv-bn-lrelu-pool",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
+           .Emplace<nn::BatchNorm>(8)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu)
+           .Emplace<nn::MaxPool2d>(2, 2);
+     }},
+    {"two conv-bn-lrelu runs",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 12, 3, 1, 1, rng)
+           .Emplace<nn::BatchNorm>(12)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu)
+           .Emplace<nn::Conv2d>(12, 5, 3, 2, 1, rng)
+           .Emplace<nn::BatchNorm>(5)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu, 0.3f);
+     }},
+    {"conv-lrelu",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 2, 1, rng)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu);
+     }},
+    {"conv-bn",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 12, 1, 1, 0, rng).Emplace<nn::BatchNorm>(12);
+     }},
+    {"conv-lrelu-bn",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu)
+           .Emplace<nn::BatchNorm>(8);
+     }},
+    {"conv-bn-bn-lrelu",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
+           .Emplace<nn::BatchNorm>(8)
+           .Emplace<nn::BatchNorm>(8)
+           .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu);
+     }},
+    {"conv-sigmoid",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
+           .Emplace<nn::Activation>(nn::ActKind::kSigmoid);
+     }},
+    {"conv-relu",
+     [](nn::Sequential& m, Rng& rng) {
+       m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
+           .Emplace<nn::Activation>(nn::ActKind::kRelu);
+     }},
+    {"bn-lrelu without conv",
+     [](nn::Sequential& m, Rng&) {
+       m.Emplace<nn::BatchNorm>(3).Emplace<nn::Activation>(
+           nn::ActKind::kLeakyRelu);
+     }},
+};
+
+// Each stack, planned, against running its layers one by one: bit for bit,
+// with and without a thread pool, over repeated runs.
+TEST(InferenceParityTest, LayerSequencesMatchEager) {
+  ThreadPool pool(3);
+  for (const SequenceCase& c : kSequenceCases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(300);
+    nn::Sequential model;
+    c.build(model, rng);
+    FillUniform(model.Params(), model.Buffers(), rng);
+    const Tensor x = RandomInput({2, 8, 8, 3}, rng);
+    const Tensor eager = model.Forward(x, false);
+
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      Workspace arena;
+      nn::InferenceSession session(model, x.shape(), arena, p);
+      for (int run = 0; run < 2; ++run) {
+        ExpectBitExact(eager, session.Run(TensorView::OfConst(x)));
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- arena rules
 
+// A session's arena stops growing after its first run, whether or not its
+// plan folds layers into a conv.
 TEST(InferenceParityTest, SteadyStateRunsDoNotGrowArena) {
+  auto expect_steady = [](nn::InferenceSession& session, const Tensor& x) {
+    session.Run(TensorView::OfConst(x));  // warm-up may grow chunks
+    const std::size_t grown = session.arena().grow_count();
+    const std::size_t peak = session.arena().peak_bytes();
+    for (int i = 0; i < 8; ++i) {
+      session.Run(TensorView::OfConst(x));
+    }
+    EXPECT_EQ(session.arena().grow_count(), grown);
+    EXPECT_EQ(session.arena().peak_bytes(), peak);
+    EXPECT_EQ(session.stats().runs, 9);
+    EXPECT_EQ(session.stats().replans, 0);
+  };
+
   Rng rng(9);
   zoo::InceptionConfig config;
   zoo::InceptionBlock block(3, config, rng);
-  Tensor x = RandomInput({2, 6, 6, 3}, rng);
-
+  const Tensor x = RandomInput({2, 6, 6, 3}, rng);
   Workspace arena;
   nn::InferenceSession session(std::vector<nn::Layer*>{&block}, x.shape(),
                                arena);
-  session.Run(TensorView::OfConst(x));  // warm-up may grow chunks
-  const std::size_t grown = arena.grow_count();
-  const std::size_t peak = arena.peak_bytes();
-  for (int i = 0; i < 8; ++i) {
-    session.Run(TensorView::OfConst(x));
-  }
-  EXPECT_EQ(arena.grow_count(), grown);
-  EXPECT_EQ(arena.peak_bytes(), peak);
-  EXPECT_EQ(session.stats().runs, 9);
-  EXPECT_EQ(session.stats().replans, 0);
+  expect_steady(session, x);
+
+  nn::Sequential stem;
+  kSequenceCases[0].build(stem, rng);
+  FillUniform(stem.Params(), stem.Buffers(), rng);
+  const Tensor images = RandomInput({2, 8, 8, 3}, rng);
+  Workspace stem_arena;
+  nn::InferenceSession stem_session(stem, images.shape(), stem_arena);
+  expect_steady(stem_session, images);
 }
 
 TEST(InferenceParityTest, RepeatedRunsStayBitExact) {
@@ -168,23 +293,30 @@ TEST(InferenceParityTest, BatchSizeChangeReplansTransparently) {
 
 // ------------------------------------------------------------- zoo sessions
 
+// At construction every BatchNorm's running statistics are the identity;
+// the second detector gets uniform parameters and statistics, so a folded
+// BatchNorm that dropped or reordered a term would show.
 TEST(InferenceParityTest, DetectorHalvesMatchEager) {
-  Rng rng(12);
-  zoo::DetectorConfig config;
-  zoo::SplitDetector det(config, rng);
-  datagen::VehicleFrameGenerator gen(config, 99);
-  auto [images, truth] = gen.Batch(2);
+  for (const bool uniform : {false, true}) {
+    SCOPED_TRACE(uniform ? "uniform parameters" : "initial parameters");
+    Rng rng(12);
+    zoo::DetectorConfig config;
+    zoo::SplitDetector det(config, rng);
+    if (uniform) FillUniform(det.Params(), det.Buffers(), rng);
+    datagen::VehicleFrameGenerator gen(config, 99);
+    auto [images, truth] = gen.Batch(2);
 
-  const Tensor stem = det.Stem(images, false);
-  const Tensor tiny = det.TinyHead(stem, false);
-  const Tensor full = det.FullHead(stem, false);
+    const Tensor stem = det.Stem(images, false);
+    const Tensor tiny = det.TinyHead(stem, false);
+    const Tensor full = det.FullHead(stem, false);
 
-  Workspace arena;
-  zoo::DetectorSession session(det, /*batch=*/2, arena);
-  const TensorView stem_v = session.Stem(TensorView::OfConst(images));
-  ExpectBitExact(stem, stem_v);
-  ExpectBitExact(tiny, session.TinyHead(stem_v));
-  ExpectBitExact(full, session.FullHead(stem_v));
+    Workspace arena;
+    zoo::DetectorSession session(det, /*batch=*/2, arena);
+    const TensorView stem_v = session.Stem(TensorView::OfConst(images));
+    ExpectBitExact(stem, stem_v);
+    ExpectBitExact(tiny, session.TinyHead(stem_v));
+    ExpectBitExact(full, session.FullHead(stem_v));
+  }
 }
 
 TEST(InferenceParityTest, DetectorGateMatchesEagerProcessFrame) {
@@ -351,22 +483,6 @@ void ExpectGolden(const Golden& golden, const Tensor& t) {
 
 void ExpectGolden(const Golden& golden, const TensorView& v) {
   ExpectGolden(golden, v.shape(), v.data());
-}
-
-// Overwrites every parameter with U(-0.5, 0.5) and every BatchNorm buffer
-// pair (running mean, running var) with U(-0.5, 0.5) and U(0.5, 1.5), so the
-// goldens depend on no libm call in the initializers.
-void FillUniform(const std::vector<nn::Param*>& params,
-                 const std::vector<Tensor*>& buffers, Rng& rng) {
-  for (nn::Param* p : params) {
-    for (float& v : p->value.data()) v = rng.UniformFloat(-0.5f, 0.5f);
-  }
-  for (std::size_t i = 0; i < buffers.size(); ++i) {
-    const bool var = i % 2 == 1;
-    for (float& v : buffers[i]->data()) {
-      v = var ? rng.UniformFloat(0.5f, 1.5f) : rng.UniformFloat(-0.5f, 0.5f);
-    }
-  }
 }
 
 TEST(InferenceGoldenTest, ResNetBlockAllShortcuts) {

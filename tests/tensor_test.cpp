@@ -461,11 +461,12 @@ Tensor AdversarialPoolInput(int h, int w, int c, Rng& rng) {
 }
 
 // MaxPool2dForwardInto against the naive loop, bit for bit, across the
-// detector's k2/s2 and the inception branch's k3/s1, at channel counts below,
-// at and off the vector width.
+// detector's k2/s2 and the inception branch's k3/s1, at every channel count
+// from 1 to 33: below, at and off the vector width, and the zoo's 8, 12 and
+// 24, which run fixed-width kernels.
 TEST(MaxPoolTest, ForwardMatchesReferenceBits) {
   Rng rng(23);
-  for (const int c : {1, 8, 13}) {
+  for (int c = 1; c <= 33; ++c) {
     for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}}) {
       SCOPED_TRACE("c=" + std::to_string(c) + " k=" + std::to_string(k) +
                    " s=" + std::to_string(stride));
