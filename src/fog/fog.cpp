@@ -106,11 +106,11 @@ void Summarize(PipelineResult& result, FogTopology& topology,
       ++result.items_dropped;
       continue;
     }
+    result.send_retries += o.retries;
     if (o.failed) {
       ++result.items_failed;
       continue;
     }
-    result.send_retries += o.retries;
     if (o.degraded) {
       ++result.items_degraded;
     } else {

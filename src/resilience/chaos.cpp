@@ -42,12 +42,16 @@ void FaultPlan::ApplyEvent(const FaultEvent& event,
         (void)targets.net->SetLinkUp(event.index, event.index2, true);
       }
       break;
-    case FaultKind::kLinkLatencySpike:
-      if (targets.net) {
-        (void)targets.net->ScaleLinkLatency(event.index, event.index2,
-                                            event.magnitude);
+    case FaultKind::kLinkLatencySpike: {
+      // Random() draws spikes between a fog node and its server, whose node
+      // ids belong to the fog topology's simulator.
+      net::Simulator* sim = targets.fog ? &targets.fog->sim() : targets.net;
+      if (sim) {
+        (void)sim->ScaleLinkLatency(event.index, event.index2,
+                                    event.magnitude);
       }
       break;
+    }
     case FaultKind::kMqPartitionDown:
     case FaultKind::kMqPartitionUp: {
       if (!targets.mq_cluster) break;

@@ -29,7 +29,8 @@ enum class FaultKind {
   kDfsNodeRevive,     ///< DataNode `index` restarts (disk intact)
   kLinkDown,          ///< net link (`index`, `index2`) goes down
   kLinkUp,            ///< net link (`index`, `index2`) comes back
-  kLinkLatencySpike,  ///< net link latency multiplied by `magnitude`
+  kLinkLatencySpike,  ///< link latency multiplied by `magnitude`, on the
+                      ///< fog topology's simulator if `fog` is set, else `net`
   kMqPartitionDown,   ///< preferred leader of (`topic`, `index`) crashes
   kMqPartitionUp,     ///< preferred leader of (`topic`, `index`) revives
   kMqNodeKill,        ///< broker node `index` crashes
@@ -59,7 +60,8 @@ struct FaultTargets {
   /// partition fails over; at replication factor 1 it goes unavailable
   /// until the node returns.
   mq::BrokerCluster* mq_cluster = nullptr;
-  fog::FogTopology* fog = nullptr;  ///< for server-tier outages
+  /// Server-tier outages and latency spikes act on its simulator.
+  fog::FogTopology* fog = nullptr;
 };
 
 /// A time-ordered, replayable fault script.

@@ -657,42 +657,52 @@ TEST(FogPipelinePinTest, RandomFaultPlans) {
     ResultPin want[2];
   };
   const Case cases[] = {
-      // This plan holds only link latency spikes, which act on
-      // `targets.net`; with only `targets.fog` set the run stays healthy.
-      {0.25, {kHealthyPin, kHealthyPin}},
+      // This plan holds only fog<->server latency spikes: no item fails or
+      // degrades, and both chains return the same, slower, result.
+      {0.25,
+       {{"outcomes=960 dropped=0 local=453 offloaded=507 "
+         "degraded=0 failed=0 retries=0 "
+         "bytes=23592960/1673472/245760 "
+         "mean=35.680232 p99=62.634176 server_macs=20280000000",
+         3291411204471503114ull},
+        {"outcomes=960 dropped=0 local=453 offloaded=507 "
+         "degraded=0 failed=0 retries=0 "
+         "bytes=23592960/1673472/245760 "
+         "mean=35.680232 p99=62.634176 server_macs=20280000000",
+         3291411204471503114ull}}},
       {0.5,
        {{"outcomes=960 dropped=0 local=405 offloaded=451 "
          "degraded=0 failed=104 retries=0 "
          "bytes=23592960/1489152/219136 "
-         "mean=33.135205 p99=34.055327 server_macs=18040000000",
-         13708495198031397684ull},
+         "mean=36.211272 p99=77.089068 server_macs=18040000000",
+         1182228943889357058ull},
         {"outcomes=960 dropped=0 local=405 offloaded=396 "
          "degraded=159 failed=0 retries=114 "
          "bytes=23592960/1320192/205056 "
-         "mean=30.496823 p99=34.055327 server_macs=15840000000",
-         393063725428763768ull}}},
+         "mean=33.190704 p99=77.001707 server_macs=15840000000",
+         2863855479584448792ull}}},
       {0.75,
        {{"outcomes=960 dropped=0 local=392 offloaded=440 "
          "degraded=0 failed=128 retries=0 "
          "bytes=23592960/1452032/212992 "
-         "mean=33.135894 p99=34.055327 server_macs=17600000000",
-         17514096736505366466ull},
+         "mean=37.273241 p99=91.543961 server_macs=17600000000",
+         3436060909322603991ull},
         {"outcomes=960 dropped=0 local=392 offloaded=359 "
          "degraded=209 failed=0 retries=148 "
          "bytes=23592960/1203200/192256 "
-         "mean=29.650242 p99=34.055327 server_macs=14360000000",
-         4429310565974700915ull}}},
+         "mean=33.180126 p99=91.456600 server_macs=14360000000",
+         15187279909823258569ull}}},
       {1.0,
        {{"outcomes=960 dropped=0 local=344 offloaded=400 "
          "degraded=0 failed=216 retries=0 "
          "bytes=23592960/1316864/190464 "
-         "mean=33.140026 p99=34.055327 server_macs=16000000000",
-         12703890640186181516ull},
+         "mean=37.824469 p99=105.511493 server_macs=16000000000",
+         4686111338952690458ull},
         {"outcomes=960 dropped=0 local=351 offloaded=334 "
          "degraded=275 failed=0 retries=238 "
          "bytes=23592960/1115904/175360 "
-         "mean=28.836965 p99=34.055327 server_macs=13360000000",
-         16643136900331983098ull}}},
+         "mean=32.267707 p99=105.198854 server_macs=13360000000",
+         5138420815736435429ull}}},
   };
   for (const Case& c : cases) {
     for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
@@ -708,6 +718,8 @@ TEST(FogPipelinePinTest, RandomFaultPlans) {
   }
 }
 
+// Edge 0's 20 items fail on either chain. The resilient chain retries each
+// one's uplink twice first, and send_retries counts those 40 retries.
 TEST(FogPipelinePinTest, EdgeUplinkDown) {
   const auto items = ChaosBenchWorkload(20, 42);
   const ResultPin want[2] = {
@@ -717,10 +729,10 @@ TEST(FogPipelinePinTest, EdgeUplinkDown) {
        "mean=33.077162 p99=34.055327 server_macs=5920000000",
        14779791367324950300ull},
       {"outcomes=320 dropped=0 local=152 offloaded=148 "
-       "degraded=0 failed=20 retries=0 "
+       "degraded=0 failed=20 retries=40 "
        "bytes=7372800/493568/76800 "
        "mean=33.077162 p99=34.055327 server_macs=5920000000",
-       14174254543727454789ull},
+       14949746789518326557ull},
   };
   for (const Chain chain : {Chain::kBaseline, Chain::kResilient}) {
     fog::FogTopology topo(ChaosBenchConfig());
