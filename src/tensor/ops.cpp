@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "util/thread_pool.h"
 
@@ -33,17 +34,38 @@ struct ConvDims {
   int n, h, w, cin, kh, kw, cout, oh, ow, stride, pad;
 };
 
+// Applies `ep` to `pixels` stored outputs of `c` channels each, in the
+// operations of BatchNormInferenceInto and then LeakyReluInto. The
+// generic-width row kernels run it over each row they have just written.
+METRO_NOALLOC
+void ApplyConvEpilogue(float* out, std::size_t pixels, int c,
+                       const ConvEpilogue& ep) {
+  if (!ep.scale.empty()) {
+    const float* scale = ep.scale.data();
+    const float* shift = ep.shift.data();
+    for (std::size_t px = 0; px < pixels; ++px) {
+      float* o = &out[px * std::size_t(c)];
+      for (int ch = 0; ch < c; ++ch) o[ch] = o[ch] * scale[ch] + shift[ch];
+    }
+  }
+  if (ep.leaky_relu) {
+    for (std::size_t i = 0; i < pixels * std::size_t(c); ++i) {
+      out[i] = SelectIf(out[i] < 0.0f, out[i] * ep.alpha, out[i]);
+    }
+  }
+}
+
 // Computes output rows [row_begin, row_end), where a "row" is one (batch,
 // output-y) pair. All indexing is raw pointers with precomputed strides —
 // no per-element Tensor::at() — and the bias span is hoisted out of the
 // pixel loop. The plain row kernel: Conv2dForwardInto runs it for output
 // widths above kConvAccChannels, which no stack accumulator covers. Each
 // output element is written by exactly one row, so ParallelFor over rows is
-// race-free and order-preserving.
+// race-free and order-preserving. `ep` is null for no epilogue.
 METRO_NOALLOC
 void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
-                  const ConvDims& d, float* out_d, std::int64_t row_begin,
-                  std::int64_t row_end) {
+                  const ConvDims& d, const ConvEpilogue* ep, float* out_d,
+                  std::int64_t row_begin, std::int64_t row_end) {
   const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
   const std::size_t w_tap_stride = std::size_t(d.cin) * d.cout;
   for (std::int64_t r = row_begin; r < row_end; ++r) {
@@ -76,6 +98,7 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
         }
       }
     }
+    if (ep) ApplyConvEpilogue(out_row, std::size_t(d.ow), d.cout, *ep);
   }
 }
 
@@ -96,7 +119,8 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
 // its bias and then receives, per tap in (ky, kx, ic) order, one rounded
 // multiply and one rounded add. Only the schedule around them changes. A
 // target that includes FMA would let -ffp-contract fuse the two and change
-// the bits, so neither build enables it.
+// the bits, so neither build enables it. With kEpilogue, the epilogue runs
+// on the accumulators in registers, just before the store.
 constexpr int kConvAccRegisters = 12;
 
 template <int kWidth>
@@ -107,6 +131,17 @@ template <>
 struct Lanes<1> {
   using Vec = float;
 };
+
+// LeakyReluInto's `v < 0 ? v * alpha : v` on one lane group, in place. The
+// vector `?:` computes both arms and selects per lane, as SelectIf does.
+template <typename Vec>
+[[gnu::always_inline]] inline void LeakyReluLanes(Vec& v, float alpha) {
+  if constexpr (std::is_same_v<Vec, float>) {
+    v = SelectIf(v < 0.0f, v * alpha, v);
+  } else {
+    v = v < Vec{} ? v * alpha : v;
+  }
+}
 
 // Accumulators of kPixels output pixels over kCount vectors of kWidth
 // channels each, from channel kFirst of a kCout-channel row. Vectors stay
@@ -148,6 +183,35 @@ struct LaneGroup {
     }
   }
 
+  // BatchNormInferenceInto's `v * scale + shift`, then LeakyReluInto, on
+  // the accumulators.
+  [[gnu::always_inline]] void Epilogue(const ConvEpilogue& ep) {
+    if (!ep.scale.empty()) {
+      Vec scale[kCount], shift[kCount];
+#pragma GCC unroll 16
+      for (int c = 0; c < kCount; ++c) {
+        std::memcpy(&scale[c], ep.scale.data() + kFirst + c * kWidth,
+                    sizeof(Vec));
+        std::memcpy(&shift[c], ep.shift.data() + kFirst + c * kWidth,
+                    sizeof(Vec));
+      }
+#pragma GCC unroll 16
+      for (int p = 0; p < kPixels; ++p) {
+#pragma GCC unroll 16
+        for (int c = 0; c < kCount; ++c) {
+          acc[p][c] = acc[p][c] * scale[c] + shift[c];
+        }
+      }
+    }
+    if (ep.leaky_relu) {
+#pragma GCC unroll 16
+      for (int p = 0; p < kPixels; ++p) {
+#pragma GCC unroll 16
+        for (int c = 0; c < kCount; ++c) LeakyReluLanes(acc[p][c], ep.alpha);
+      }
+    }
+  }
+
   [[gnu::always_inline]] void Store(float* out) const {
 #pragma GCC unroll 16
     for (int p = 0; p < kPixels; ++p) {
@@ -164,10 +228,11 @@ template <int kCout, int kFirst, int kWidth, int kPixels>
 struct LaneGroup<kCout, kFirst, kWidth, 0, kPixels> {
   void Init(const float*) {}
   void Mac(const float*, std::size_t, const float*) {}
+  void Epilogue(const ConvEpilogue&) {}
   void Store(float*) const {}
 };
 
-template <int kCout, int kLanes>
+template <int kCout, int kLanes, bool kEpilogue>
 struct ConvRowKernel {
   static constexpr int kFull = kCout / kLanes;
   static constexpr int kQuads = kCout % kLanes / 4;
@@ -186,6 +251,7 @@ struct ConvRowKernel {
     std::size_t w_row_stride;   // weight floats between kernel rows
     int rows;                   // in-bounds kernel rows
     const float* bias;          // kCout floats, or null for none
+    const ConvEpilogue* ep;     // set when kEpilogue
   };
 
   // kPixels neighbouring output pixels, each over `row.rows` kernel rows of
@@ -212,6 +278,11 @@ struct ConvRowKernel {
         quads.Mac(in_r + t, row.px_step, w_tap);
         singles.Mac(in_r + t, row.px_step, w_tap);
       }
+    }
+    if constexpr (kEpilogue) {
+      full.Epilogue(*row.ep);
+      quads.Epilogue(*row.ep);
+      singles.Epilogue(*row.ep);
     }
     full.Store(out);
     quads.Store(out);
@@ -241,7 +312,8 @@ struct ConvRowKernel {
 
   [[gnu::always_inline]] static void Rows(const float* in_d, const float* w_d,
                                           const float* bias_d,
-                                          const ConvDims& d, float* out_d,
+                                          const ConvDims& d,
+                                          const ConvEpilogue* ep, float* out_d,
                                           std::int64_t row_begin,
                                           std::int64_t row_end) {
     assert(d.cout == kCout);
@@ -274,7 +346,8 @@ struct ConvRowKernel {
                         in_row_stride,
                         w_row_stride,
                         ky_hi - ky_lo,
-                        bias_d};
+                        bias_d,
+                        ep};
 
       // Interior: whole blocks, then half blocks. Fewer than a half block
       // left run as one half block ending at ox_hi, which overlaps the block
@@ -293,23 +366,23 @@ struct ConvRowKernel {
   }
 };
 
-template <int kCout>
+template <int kCout, bool kEpilogue>
 METRO_NOALLOC
 void ConvRowRangeSse2(const float* in_d, const float* w_d, const float* bias_d,
-                      const ConvDims& d, float* out_d, std::int64_t row_begin,
-                      std::int64_t row_end) {
-  ConvRowKernel<kCout, 4>::Rows(in_d, w_d, bias_d, d, out_d, row_begin,
-                                row_end);
+                      const ConvDims& d, const ConvEpilogue* ep, float* out_d,
+                      std::int64_t row_begin, std::int64_t row_end) {
+  ConvRowKernel<kCout, 4, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d,
+                                           row_begin, row_end);
 }
 
-template <int kCout>
+template <int kCout, bool kEpilogue>
 METRO_NOALLOC
 [[gnu::target("avx2")]] void ConvRowRangeAvx2(
     const float* in_d, const float* w_d, const float* bias_d,
-    const ConvDims& d, float* out_d, std::int64_t row_begin,
-    std::int64_t row_end) {
-  ConvRowKernel<kCout, 8>::Rows(in_d, w_d, bias_d, d, out_d, row_begin,
-                                row_end);
+    const ConvDims& d, const ConvEpilogue* ep, float* out_d,
+    std::int64_t row_begin, std::int64_t row_end) {
+  ConvRowKernel<kCout, 8, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d,
+                                           row_begin, row_end);
 }
 
 // Generic-width fallback: one pixel at a time into a stack accumulator.
@@ -317,7 +390,8 @@ constexpr int kConvAccChannels = 128;
 
 METRO_NOALLOC
 void ConvRowRangeBlocked(const float* in_d, const float* w_d,
-                         const float* bias_d, const ConvDims& d, float* out_d,
+                         const float* bias_d, const ConvDims& d,
+                         const ConvEpilogue* ep, float* out_d,
                          std::int64_t row_begin, std::int64_t row_end) {
   assert(d.cout <= kConvAccChannels);
   const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
@@ -354,25 +428,35 @@ void ConvRowRangeBlocked(const float* in_d, const float* w_d,
       std::memcpy(&out_row[std::size_t(ox) * d.cout], acc,
                   std::size_t(d.cout) * sizeof(float));
     }
+    if (ep) ApplyConvEpilogue(out_row, std::size_t(d.ow), d.cout, *ep);
   }
 }
 
 using ConvRowFn = void (*)(const float*, const float*, const float*,
-                           const ConvDims&, float*, std::int64_t,
-                           std::int64_t);
+                           const ConvDims&, const ConvEpilogue*, float*,
+                           std::int64_t, std::int64_t);
 
-// Picks the register-blocked kernel, built for `isa`, for the channel widths
-// the zoo actually uses.
-ConvRowFn PickConvRowFn(int cout, ConvIsa isa) {
-  const bool avx2 = isa == ConvIsa::kAvx2;
+template <int kCout>
+ConvRowFn PickConvRowFnFor(ConvIsa isa, bool epilogue) {
+  if (isa == ConvIsa::kAvx2) {
+    return epilogue ? ConvRowRangeAvx2<kCout, true>
+                    : ConvRowRangeAvx2<kCout, false>;
+  }
+  return epilogue ? ConvRowRangeSse2<kCout, true>
+                  : ConvRowRangeSse2<kCout, false>;
+}
+
+// Picks the register-blocked kernel, built for `isa` and with or without an
+// epilogue, for the channel widths the zoo actually uses.
+ConvRowFn PickConvRowFn(int cout, ConvIsa isa, bool epilogue) {
   switch (cout) {
-    case 4: return avx2 ? ConvRowRangeAvx2<4> : ConvRowRangeSse2<4>;
-    case 8: return avx2 ? ConvRowRangeAvx2<8> : ConvRowRangeSse2<8>;
-    case 12: return avx2 ? ConvRowRangeAvx2<12> : ConvRowRangeSse2<12>;
-    case 13: return avx2 ? ConvRowRangeAvx2<13> : ConvRowRangeSse2<13>;
-    case 16: return avx2 ? ConvRowRangeAvx2<16> : ConvRowRangeSse2<16>;
-    case 24: return avx2 ? ConvRowRangeAvx2<24> : ConvRowRangeSse2<24>;
-    case 32: return avx2 ? ConvRowRangeAvx2<32> : ConvRowRangeSse2<32>;
+    case 4: return PickConvRowFnFor<4>(isa, epilogue);
+    case 8: return PickConvRowFnFor<8>(isa, epilogue);
+    case 12: return PickConvRowFnFor<12>(isa, epilogue);
+    case 13: return PickConvRowFnFor<13>(isa, epilogue);
+    case 16: return PickConvRowFnFor<16>(isa, epilogue);
+    case 24: return PickConvRowFnFor<24>(isa, epilogue);
+    case 32: return PickConvRowFnFor<32>(isa, epilogue);
     default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
                                              : ConvRowRange;
   }
@@ -411,10 +495,13 @@ METRO_NOALLOC
 void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
                              const Tensor& weights, const Tensor& bias,
                              int stride, int pad, const TensorView& out,
-                             ThreadPool* pool) {
+                             ThreadPool* pool, const ConvEpilogue& epilogue) {
   assert(input.rank() == 4 && weights.rank() == 4 && out.rank() == 4);
   assert(weights.dim(2) == input.dim(3));
   assert(bias.empty() || int(bias.size()) == weights.dim(3));
+  assert(epilogue.scale.size() == epilogue.shift.size());
+  assert(epilogue.scale.empty() ||
+         int(epilogue.scale.size()) == weights.dim(3));
   assert(ConvIsaSupported(isa));
   const ConvDims d = MakeConvDims(input.shape(), weights, stride, pad);
   assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
@@ -432,23 +519,25 @@ void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
       std::int64_t(d.ow) * d.cout * d.kh * d.kw * d.cin;
   const std::int64_t grain =
       std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(macs_per_row, 1));
-  const ConvRowFn row_fn = PickConvRowFn(d.cout, isa);
+  const ConvEpilogue* ep = epilogue.empty() ? nullptr : &epilogue;
+  const ConvRowFn row_fn = PickConvRowFn(d.cout, isa, ep != nullptr);
   ParallelFor(pool, 0, rows, grain,
               [&](std::int64_t lo, std::int64_t hi) {
-                row_fn(in_d, w_d, bias_d, d, out_d, lo, hi);
+                row_fn(in_d, w_d, bias_d, d, ep, out_d, lo, hi);
               });
 }
 
 METRO_NOALLOC
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
-                       const TensorView& out, ThreadPool* pool) {
+                       const TensorView& out, ThreadPool* pool,
+                       const ConvEpilogue& epilogue) {
   // Probed once: the widest build this host runs.
   static const ConvIsa host_isa = ConvIsaSupported(ConvIsa::kAvx2)
                                       ? ConvIsa::kAvx2
                                       : ConvIsa::kSse2;
   Conv2dForwardIntoForIsa(host_isa, input, weights, bias, stride, pad, out,
-                          pool);
+                          pool, epilogue);
 }
 
 ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,
@@ -665,39 +754,34 @@ float MaxProb(std::span<const float> probs) {
 // ---------------------------------------------------------------------------
 // Forward kernels.
 
-METRO_NOALLOC
-void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
-                          const TensorView& out) {
-  assert(input.rank() == 4 && out.rank() == 4);
-  const int n = input.dim(0), h = input.dim(1), w = input.dim(2),
-            c = input.dim(3);
-  const int oh = (h - k) / stride + 1;
-  const int ow = (w - k) / stride + 1;
-  assert(out.dim(0) == n && out.dim(1) == oh && out.dim(2) == ow &&
-         out.dim(3) == c);
+namespace {
 
-  // Channels are the innermost loop over each contiguous NHWC pixel, so
-  // the running maximum of a whole output pixel updates with one `maxps` per
-  // four channels instead of a strided scalar scan per channel. Every output
-  // still sees the same comparisons in the same (ky, kx) order, starting
-  // from -inf: `px > best ? px : best` keeps the first strictly greater
-  // value and never takes a NaN, exactly as the per-channel scan did.
-  const float* in_d = input.data().data();
-  float* out_d = out.data().data();
-  const std::size_t row_stride = std::size_t(w) * c;
-  for (int b = 0; b < n; ++b) {
-    const float* in_img = &in_d[std::size_t(b) * h * row_stride];
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        float* best = &out_d[((std::size_t(b) * oh + oy) * ow + ox) * c];
+struct PoolDims {
+  int n, h, w, c, k, stride, oh, ow;
+};
+
+// Any channel width. Channels are the innermost loop over each contiguous
+// NHWC pixel, so the running maximum of a whole output pixel updates with
+// one `maxps` per four channels instead of a strided scalar scan per
+// channel. The running maximum lives in the output pixel, which the
+// compiler must reload after every store, as `out` may alias the input.
+METRO_NOALLOC
+void MaxPoolAnyWidth(const float* in_d, const PoolDims& d, float* out_d) {
+  const int c = d.c;
+  const std::size_t row_stride = std::size_t(d.w) * c;
+  for (int b = 0; b < d.n; ++b) {
+    const float* in_img = &in_d[std::size_t(b) * d.h * row_stride];
+    for (int oy = 0; oy < d.oh; ++oy) {
+      for (int ox = 0; ox < d.ow; ++ox) {
+        float* best = &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * c];
         for (int ch = 0; ch < c; ++ch) {
           best[ch] = -std::numeric_limits<float>::infinity();
         }
-        for (int ky = 0; ky < k; ++ky) {
+        for (int ky = 0; ky < d.k; ++ky) {
           const float* in_row =
-              &in_img[std::size_t(oy * stride + ky) * row_stride];
-          for (int kx = 0; kx < k; ++kx) {
-            const float* px = &in_row[std::size_t(ox * stride + kx) * c];
+              &in_img[std::size_t(oy * d.stride + ky) * row_stride];
+          for (int kx = 0; kx < d.k; ++kx) {
+            const float* px = &in_row[std::size_t(ox * d.stride + kx) * c];
             for (int ch = 0; ch < c; ++ch) {
               best[ch] = px[ch] > best[ch] ? px[ch] : best[ch];
             }
@@ -706,6 +790,81 @@ void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
       }
     }
   }
+}
+
+// A fixed width of kC channels, a multiple of 4: an output pixel's running
+// maximum lives in kC / 4 vector registers and is stored once.
+template <int kC>
+METRO_NOALLOC
+void MaxPoolFixedWidth(const float* in_d, const PoolDims& d, float* out_d) {
+  static_assert(kC % 4 == 0);
+  using Vec = Lanes<4>::Vec;
+  constexpr int kVecs = kC / 4;
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t row_stride = std::size_t(d.w) * kC;
+  for (int b = 0; b < d.n; ++b) {
+    const float* in_img = &in_d[std::size_t(b) * d.h * row_stride];
+    for (int oy = 0; oy < d.oh; ++oy) {
+      for (int ox = 0; ox < d.ow; ++ox) {
+        Vec best[kVecs];
+#pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v) best[v] = Vec{-inf, -inf, -inf, -inf};
+        for (int ky = 0; ky < d.k; ++ky) {
+          const float* in_row =
+              &in_img[std::size_t(oy * d.stride + ky) * row_stride];
+          for (int kx = 0; kx < d.k; ++kx) {
+            const float* px = &in_row[std::size_t(ox * d.stride + kx) * kC];
+#pragma GCC unroll 8
+            for (int v = 0; v < kVecs; ++v) {
+              Vec x;
+              std::memcpy(&x, px + 4 * v, sizeof(Vec));
+              best[v] = x > best[v] ? x : best[v];
+            }
+          }
+        }
+        float* out = &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * kC];
+#pragma GCC unroll 8
+        for (int v = 0; v < kVecs; ++v) {
+          std::memcpy(out + 4 * v, &best[v], sizeof(Vec));
+        }
+      }
+    }
+  }
+}
+
+using MaxPoolFn = void (*)(const float*, const PoolDims&, float*);
+
+// Picks the fixed-width kernel for the channel widths the zoo pools.
+MaxPoolFn PickMaxPoolFn(int c) {
+  switch (c) {
+    case 8: return MaxPoolFixedWidth<8>;
+    case 12: return MaxPoolFixedWidth<12>;
+    case 24: return MaxPoolFixedWidth<24>;
+    default: return MaxPoolAnyWidth;
+  }
+}
+
+}  // namespace
+
+// Every kernel sees the same comparisons in the same (ky, kx) order, starting
+// from -inf: `px > best ? px : best` keeps the first strictly greater value
+// and never takes a NaN, exactly as a per-channel scan would.
+METRO_NOALLOC
+void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
+                          const TensorView& out) {
+  assert(input.rank() == 4 && out.rank() == 4);
+  PoolDims d;
+  d.n = input.dim(0);
+  d.h = input.dim(1);
+  d.w = input.dim(2);
+  d.c = input.dim(3);
+  d.k = k;
+  d.stride = stride;
+  d.oh = (d.h - k) / stride + 1;
+  d.ow = (d.w - k) / stride + 1;
+  assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
+         out.dim(3) == d.c);
+  PickMaxPoolFn(d.c)(input.data().data(), d, out.data().data());
 }
 
 METRO_NOALLOC

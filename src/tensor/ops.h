@@ -80,6 +80,22 @@ float MaxProb(std::span<const float> probs);
 // the arithmetic inside it, so results do not depend on `pool`. The
 // in-place variants allow `out` to alias `x`.
 
+/// What a convolution applies to each output after its last tap, before
+/// storing it: `y = y * scale[oc] + shift[oc]` when `scale` is set (a
+/// BatchNorm folded by BatchNormFoldScaleShift), then
+/// `y = y < 0 ? y * alpha : y` when `leaky_relu` is set. These are the
+/// rounded operations of BatchNormInferenceInto and LeakyReluInto, so a
+/// convolution with an epilogue gives the bits of the convolution followed
+/// by those kernels. The default applies nothing.
+struct ConvEpilogue {
+  std::span<const float> scale{};  ///< [Cout], or empty for no affine
+  std::span<const float> shift{};  ///< [Cout], set whenever `scale` is
+  bool leaky_relu = false;
+  float alpha = 0.0f;
+
+  bool empty() const { return scale.empty() && !leaky_relu; }
+};
+
 /// 2-D convolution into `out`, parallelized over batch × output rows when
 /// `pool` is given.
 ///
@@ -87,10 +103,12 @@ float MaxProb(std::span<const float> probs);
 /// empty for no bias). Zero padding of `pad` pixels on each side; `out` must
 /// have shape (N, (H + 2p - KH)/stride + 1, (W + 2p - KW)/stride + 1, Cout).
 /// Each output starts from its bias and adds the in-bounds taps in
-/// (ky, kx, ic) order, whichever row kernel runs.
+/// (ky, kx, ic) order, whichever row kernel runs; `epilogue` then applies to
+/// it while its row is still in cache.
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
-                       const TensorView& out, ThreadPool* pool = nullptr);
+                       const TensorView& out, ThreadPool* pool = nullptr,
+                       const ConvEpilogue& epilogue = {});
 
 /// The instruction sets the conv row kernels are built for, from one source.
 /// Conv2dForwardInto runs the widest one the host supports; every build
@@ -106,11 +124,13 @@ bool ConvIsaSupported(ConvIsa isa);
 void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
                              const Tensor& weights, const Tensor& bias,
                              int stride, int pad, const TensorView& out,
-                             ThreadPool* pool = nullptr);
+                             ThreadPool* pool = nullptr,
+                             const ConvEpilogue& epilogue = {});
 
 /// Max pooling with square window `k` and stride `stride` (no padding):
 /// each output is the first strictly greater value of its window in (ky, kx)
-/// order, starting from -inf.
+/// order, starting from -inf. The zoo's channel widths (8, 12, 24) run
+/// fixed-width kernels; every width gives the same bits.
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
                           const TensorView& out);
 

@@ -111,19 +111,21 @@ Tensor ConvOutput(const Tensor& input, const Tensor& weights, int stride,
 
 // Runs Conv2dForwardInto into a freshly allocated output.
 Tensor Conv(const Tensor& input, const Tensor& weights, const Tensor& bias,
-            int stride, int pad, ThreadPool* pool = nullptr) {
+            int stride, int pad, ThreadPool* pool = nullptr,
+            const ConvEpilogue& epilogue = {}) {
   Tensor out = ConvOutput(input, weights, stride, pad);
   Conv2dForwardInto(TensorView::OfConst(input), weights, bias, stride, pad,
-                    TensorView(out), pool);
+                    TensorView(out), pool, epilogue);
   return out;
 }
 
 // The same on one ISA's build of the row kernels.
 Tensor ConvOnIsa(ConvIsa isa, const Tensor& input, const Tensor& weights,
-                 const Tensor& bias, int stride, int pad) {
+                 const Tensor& bias, int stride, int pad,
+                 const ConvEpilogue& epilogue = {}) {
   Tensor out = ConvOutput(input, weights, stride, pad);
   Conv2dForwardIntoForIsa(isa, TensorView::OfConst(input), weights, bias,
-                          stride, pad, TensorView(out));
+                          stride, pad, TensorView(out), nullptr, epilogue);
   return out;
 }
 
@@ -165,6 +167,19 @@ Tensor ReferenceConv(const Tensor& input, const Tensor& weights,
     }
   }
   return out;
+}
+
+// A conv epilogue applied to a reference conv's output, one operation at a
+// time: `y * scale + shift`, then the branchy LeakyReLU.
+Tensor ReferenceEpilogue(Tensor y, const ConvEpilogue& ep) {
+  const std::size_t c = std::size_t(y.dim(3));
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    float v = y[i];
+    if (!ep.scale.empty()) v = v * ep.scale[i % c] + ep.shift[i % c];
+    if (ep.leaky_relu && v < 0.0f) v = v * ep.alpha;
+    y[i] = v;
+  }
+  return y;
 }
 
 // Uniform values in [-1, 1) with roughly every third element an exact zero,
@@ -209,7 +224,10 @@ void ExpectSameBits(const Tensor& expected, const Tensor& actual) {
 // every block size the kernels use (5, 9, 17, 33); 3 and 8 input channels
 // cover the stem's first layer and a wider tap loop. Each ISA build the host
 // supports runs too, not only the one Conv2dForwardInto picks, so the SSE2
-// build stays checked on AVX2 hosts.
+// build stays checked on AVX2 hosts. Each case also runs three epilogues: a
+// folded BatchNorm whose factors include 0, -0 and negatives (so outputs of
+// -0 occur), the same followed by LeakyReLU, and LeakyReLU alone with
+// alpha 0.
 TEST(ConvTest, EveryKernelBranchMatchesReference) {
   struct Geometry {
     int k, stride, pad;
@@ -220,6 +238,7 @@ TEST(ConvTest, EveryKernelBranchMatchesReference) {
   }
   ThreadPool pool(3);
   Rng rng(21);
+  std::size_t negative_zeros = 0;
   for (const int cout : {4, 8, 12, 13, 16, 20, 24, 32, 130}) {
     for (const int cin : {3, 8}) {
       for (const int w : {1, 2, 5, 9, 17, 33}) {
@@ -252,10 +271,40 @@ TEST(ConvTest, EveryKernelBranchMatchesReference) {
                            ConvOnIsa(isa, input, weights, Tensor(), g.stride,
                                      g.pad));
           }
+
+          Tensor scale = UniformWithZeros({cout}, rng);
+          Tensor shift = UniformWithZeros({cout}, rng);
+          for (int oc = 0; oc < cout; ++oc) {
+            if (oc % 4 == 1) scale[std::size_t(oc)] = -0.0f;
+            if (oc % 3 == 0) shift[std::size_t(oc)] = -0.0f;
+          }
+          const ConvEpilogue epilogues[] = {
+              {scale.data(), shift.data(), false, 0.0f},
+              {scale.data(), shift.data(), true, 0.1f},
+              {{}, {}, true, 0.0f},
+          };
+          for (const ConvEpilogue& ep : epilogues) {
+            SCOPED_TRACE(std::string(ep.scale.empty() ? "" : "affine ") +
+                         (ep.leaky_relu ? "leaky relu" : ""));
+            const Tensor expected_ep = ReferenceEpilogue(expected, ep);
+            for (const float v : expected_ep.data()) {
+              negative_zeros += v == 0.0f && std::signbit(v);
+            }
+            ExpectSameBits(expected_ep, Conv(input, weights, bias, g.stride,
+                                             g.pad, nullptr, ep));
+            ExpectSameBits(expected_ep, Conv(input, weights, bias, g.stride,
+                                             g.pad, &pool, ep));
+            for (const ConvIsa isa : isas) {
+              SCOPED_TRACE("isa " + std::to_string(int(isa)));
+              ExpectSameBits(expected_ep, ConvOnIsa(isa, input, weights, bias,
+                                                    g.stride, g.pad, ep));
+            }
+          }
         }
       }
     }
   }
+  EXPECT_GT(negative_zeros, 0u);
 }
 
 TEST(ConvTest, IdentityKernelPreservesInput) {
