@@ -2,14 +2,17 @@
 // I/O, broker produce/fetch, LSM store reads/writes/scans, document
 // store queries, dataflow shuffle, scheduler placement, NLP primitives, the
 // contended cost of the `metro::Mutex` every module locks through, and the
-// Fig. 5 detector stem's layer kernels at the stem's own shapes.
+// Fig. 5 detector stem's layer kernels at the stem's own shapes, and the
+// planned stem they make up.
 // These quantify the building blocks underneath the figure benches.
 
 #include <benchmark/benchmark.h>
 
 #include "dataflow/dataset.h"
+#include "datagen/video.h"
 #include "dfs/dfs.h"
 #include "mq/broker_cluster.h"
+#include "nn/inference.h"
 #include "sched/resource_manager.h"
 #include "store/document_store.h"
 #include "store/lsm.h"
@@ -18,6 +21,7 @@
 #include "text/text.h"
 #include "util/rng.h"
 #include "util/sync.h"
+#include "zoo/detector.h"
 
 namespace {
 
@@ -347,13 +351,15 @@ tensor::Tensor StemActivations(int hw, int channels) {
 // head's stride-2 conv and 1x1 prediction conv, and the full head's two 3x3
 // convs and 1x1 prediction conv (13 = 5 box/objectness outputs + 8
 // classes). Arguments: input size, input channels, output channels, kernel
-// size, stride and the row kernels' instruction set (0 SSE2, 1 AVX2);
-// padding is kernel / 2.
+// size, stride, the row kernels' instruction set (0 SSE2, 1 AVX2) and the
+// epilogue (0 none, 1 a folded BatchNorm then LeakyReLU, as planned
+// inference runs the stem's convs); padding is kernel / 2.
 void BM_Conv2dForwardInto(benchmark::State& state) {
   const int hw = int(state.range(0)), cin = int(state.range(1)),
             cout = int(state.range(2)), k = int(state.range(3)),
             stride = int(state.range(4));
   const auto isa = tensor::ConvIsa(state.range(5));
+  const bool with_epilogue = state.range(6) != 0;
   if (!tensor::ConvIsaSupported(isa)) {
     state.SkipWithError("instruction set not supported on this host");
     return;
@@ -365,25 +371,31 @@ void BM_Conv2dForwardInto(benchmark::State& state) {
   const tensor::Tensor w =
       tensor::Tensor::HeNormal({k, k, cin, cout}, k * k * cin, rng);
   const tensor::Tensor b = tensor::Tensor::RandomNormal({cout}, 0.1f, rng);
+  const tensor::Tensor scale =
+      tensor::Tensor::RandomNormal({cout}, 1.0f, rng);
+  const tensor::Tensor shift =
+      tensor::Tensor::RandomNormal({cout}, 0.1f, rng);
+  tensor::ConvEpilogue epilogue;
+  if (with_epilogue) epilogue = {scale.data(), shift.data(), true, 0.1f};
   tensor::Tensor y({1, ohw, ohw, cout});
   const tensor::TensorView out(y);
   for (auto _ : state) {
     tensor::Conv2dForwardIntoForIsa(isa, tensor::TensorView::OfConst(x), w, b,
-                                    stride, pad, out);
+                                    stride, pad, out, nullptr, epilogue);
     benchmark::DoNotOptimize(y.data().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(y.size()));
 }
 BENCHMARK(BM_Conv2dForwardInto)
-    ->ArgNames({"hw", "cin", "cout", "k", "stride", "isa"})
-    ->ArgsProduct({{32}, {3}, {8}, {3}, {1}, {0, 1}})
-    ->ArgsProduct({{16}, {8}, {12}, {3}, {1}, {0, 1}})
-    ->ArgsProduct({{8}, {12}, {16}, {3}, {2}, {0, 1}})
-    ->ArgsProduct({{4}, {16}, {13}, {1}, {1}, {0, 1}})
-    ->ArgsProduct({{8}, {12}, {24}, {3}, {1}, {0, 1}})
-    ->ArgsProduct({{4}, {24}, {32}, {3}, {1}, {0, 1}})
-    ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}});
+    ->ArgNames({"hw", "cin", "cout", "k", "stride", "isa", "epilogue"})
+    ->ArgsProduct({{32}, {3}, {8}, {3}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{16}, {8}, {12}, {3}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{8}, {12}, {16}, {3}, {2}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{4}, {16}, {13}, {1}, {1}, {0, 1}, {0}})
+    ->ArgsProduct({{8}, {12}, {24}, {3}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{4}, {24}, {32}, {3}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}, {0}});
 
 // Out of place, so every iteration sees the same mixed-sign input (in place,
 // repeated scaling would drive the negatives into denormals).
@@ -414,6 +426,34 @@ void BM_MaxPool2dForwardInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * std::int64_t(x.size()));
 }
 BENCHMARK(BM_MaxPool2dForwardInto)->Args({32, 8})->Args({16, 12});
+
+// The detector stem as planned inference runs it (conv with its BatchNorm
+// and LeakyReLU, pool, twice), one frame per iteration over 300 distinct
+// generated frames, so no frame's activations stay in cache from the last
+// time it ran. The detector is untrained; the kernels' work does not depend
+// on the weights.
+void BM_PlannedStem(benchmark::State& state) {
+  zoo::DetectorConfig config;
+  Rng rng(11);
+  zoo::SplitDetector det(config, rng);
+  datagen::VehicleFrameGenerator gen(config, 13);
+  std::vector<tensor::Tensor> frames;
+  for (int i = 0; i < 300; ++i) {
+    frames.push_back(gen.Generate().image.Reshape(
+        {1, config.image_size, config.image_size, config.channels}));
+  }
+  tensor::Workspace arena;
+  nn::InferenceSession stem(det.stem_net(), frames.front().shape(), arena);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const tensor::TensorView out =
+        stem.Run(tensor::TensorView::OfConst(frames[next]));
+    benchmark::DoNotOptimize(out.data().data());
+    next = next + 1 == frames.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlannedStem);
 
 }  // namespace
 

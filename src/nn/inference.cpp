@@ -1,9 +1,37 @@
 #include "nn/inference.h"
 
 #include <cassert>
+#include <span>
 #include <utility>
 
 namespace metro::nn {
+namespace {
+
+// Runs a Conv2d step with the BatchNorm and LeakyReLU it absorbed as its
+// epilogue. The BatchNorm folds into scratch here, not at plan time, as its
+// own ForwardInto does: a plan may be built before the statistics are
+// trained.
+METRO_NOALLOC
+void RunFusedConv(const InferencePlan::Step& step, const TensorView& x,
+                  const TensorView& out, InferenceContext& ctx) {
+  tensor::ConvEpilogue epilogue;
+  if (step.fused_bn) {
+    const std::size_t channels = std::size_t(step.fused_bn->channels());
+    const std::span<float> scale = ctx.scratch.Alloc(channels);
+    const std::span<float> shift = ctx.scratch.Alloc(channels);
+    step.fused_bn->FoldScaleShift(scale, shift);
+    epilogue.scale = scale;
+    epilogue.shift = shift;
+  }
+  if (step.fused_act) {
+    epilogue.leaky_relu = true;
+    epilogue.alpha = step.fused_act->alpha();
+  }
+  // The planner sets fused_* on Conv2d steps only.
+  static_cast<Conv2d*>(step.layer)->ForwardInto(x, out, ctx, epilogue);
+}
+
+}  // namespace
 
 InferencePlan::InferencePlan(std::vector<Layer*> layers,
                              const Shape& input_shape)
@@ -13,11 +41,28 @@ InferencePlan::InferencePlan(std::vector<Layer*> layers,
   // -1 means the current activation still lives in the caller's input
   // buffer, which the plan must never write to.
   int cur_slot = -1;
-  for (Layer* layer : layers_) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Layer* layer = layers_[i];
     Step step;
     step.layer = layer;
     step.in_shape = cur;
     step.out_shape = layer->OutputShape(cur);
+    // Conv2d -> [BatchNorm] -> [LeakyReLU]: the layers after the conv keep
+    // its shape and become its epilogue.
+    if (dynamic_cast<Conv2d*>(layer)) {
+      auto next = [&]() -> const Layer* {
+        return i + 1 < layers_.size() ? layers_[i + 1] : nullptr;
+      };
+      if (const auto* bn = dynamic_cast<const BatchNorm*>(next())) {
+        step.fused_bn = bn;
+        ++i;
+      }
+      const auto* act = dynamic_cast<const Activation*>(next());
+      if (act && act->kind() == ActKind::kLeakyRelu) {
+        step.fused_act = act;
+        ++i;
+      }
+    }
     switch (layer->placement()) {
       case InferencePlacement::kAlias:
         step.kind = ExecKind::kReshape;
@@ -148,7 +193,11 @@ TensorView InferenceSession::Run(const TensorView& input) {
       case InferencePlan::ExecKind::kCompute: {
         const TensorView& out = step_views_[i];
         const Workspace::Mark scratch = arena_->Position();
-        step.layer->ForwardInto(*cur, out, ctx);
+        if (step.fused_bn || step.fused_act) {
+          RunFusedConv(step, *cur, out, ctx);
+        } else {
+          step.layer->ForwardInto(*cur, out, ctx);
+        }
         arena_->Rewind(scratch);
         cur = &out;
         break;

@@ -7,10 +7,13 @@
 // walks a layer stack once, runs shape inference via Layer::OutputShape, and
 // assigns every activation to one of two ping-pong arena slots, collapsing
 // elementwise layers to in-place execution and reshapes/identities to free
-// view relabelings. An InferenceSession binds a plan to a tensor::Workspace
-// (and optional ThreadPool) and replays it allocation-free: after the first
-// Run the arena is warm and steady-state inference performs zero heap
-// allocations inside the engine.
+// view relabelings. A Conv2d followed by a BatchNorm, a LeakyReLU Activation
+// or both plans as one step: the conv applies them to each output before
+// storing it (tensor::ConvEpilogue), which saves a pass over the map per
+// folded layer and gives the same bits. An InferenceSession binds a plan to
+// a tensor::Workspace (and optional ThreadPool) and replays it
+// allocation-free: after the first Run the arena is warm and steady-state
+// inference performs zero heap allocations inside the engine.
 //
 // Several sessions may share one Workspace — the Fig. 5/7 split models bind
 // their local and server halves to the same arena so the cut-point
@@ -55,6 +58,11 @@ class InferencePlan {
     int dst_slot;  ///< 0 or 1 for kCompute; -1 otherwise
     Shape in_shape;
     Shape out_shape;
+    /// Set only on a Conv2d step: the BatchNorm and the LeakyReLU that
+    /// directly follow the conv, in that order, run as its epilogue and get
+    /// no step of their own.
+    const BatchNorm* fused_bn = nullptr;
+    const Activation* fused_act = nullptr;
   };
 
   InferencePlan() = default;

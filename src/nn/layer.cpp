@@ -92,9 +92,16 @@ Tensor Conv2d::ForwardTrain(const Tensor& x) {
 METRO_NOALLOC
 void Conv2d::ForwardInto(const TensorView& x, const TensorView& out,
                          InferenceContext& ctx) {
+  ForwardInto(x, out, ctx, tensor::ConvEpilogue{});
+}
+
+METRO_NOALLOC
+void Conv2d::ForwardInto(const TensorView& x, const TensorView& out,
+                         InferenceContext& ctx,
+                         const tensor::ConvEpilogue& epilogue) {
   assert(x.rank() == 4 && x.dim(3) == cin_);
   tensor::Conv2dForwardInto(x, w_.value, b_.value, stride_, pad_, out,
-                            ctx.pool);
+                            ctx.pool, epilogue);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
@@ -303,14 +310,20 @@ Tensor BatchNorm::ForwardTrain(const Tensor& x) {
 }
 
 METRO_NOALLOC
+void BatchNorm::FoldScaleShift(std::span<float> scale,
+                               std::span<float> shift) const {
+  tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
+                                  running_mean_.data(), running_var_.data(),
+                                  eps_, scale, shift);
+}
+
+METRO_NOALLOC
 void BatchNorm::ForwardInto(const TensorView& x, const TensorView& out,
                             InferenceContext& ctx) {
   assert(x.rank() >= 2 && x.dim(x.rank() - 1) == c_);
   const std::span<float> scale = ctx.scratch.Alloc(std::size_t(c_));
   const std::span<float> shift = ctx.scratch.Alloc(std::size_t(c_));
-  tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
-                                  running_mean_.data(), running_var_.data(),
-                                  eps_, scale, shift);
+  FoldScaleShift(scale, shift);
   tensor::BatchNormInferenceInto(x, scale, shift, out);
 }
 

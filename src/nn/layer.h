@@ -135,6 +135,12 @@ class Conv2d final : public Layer {
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
+  /// ForwardInto with `epilogue` applied to each output before it is
+  /// stored: planned inference runs a conv and the BatchNorm and LeakyReLU
+  /// after it this way (nn/inference.h).
+  void ForwardInto(const TensorView& x, const TensorView& out,
+                   InferenceContext& ctx,
+                   const tensor::ConvEpilogue& epilogue);
   std::vector<Param*> Params() override { return {&w_, &b_}; }
   std::string name() const override;
   std::size_t ForwardMacs(const Shape& input_shape) const override;
@@ -225,6 +231,9 @@ class Activation final : public Layer {
     return input_shape;
   }
 
+  ActKind kind() const { return kind_; }
+  float alpha() const { return alpha_; }
+
  private:
   Tensor ForwardTrain(const Tensor& x) override;
 
@@ -259,6 +268,12 @@ class BatchNorm final : public Layer {
 
   std::span<const float> running_mean() const { return running_mean_.data(); }
   std::span<const float> running_var() const { return running_var_.data(); }
+
+  int channels() const { return c_; }
+
+  /// The inference affine `y = x * scale[ch] + shift[ch]`, folded from the
+  /// running statistics into `scale` and `shift` ([C] each).
+  void FoldScaleShift(std::span<float> scale, std::span<float> shift) const;
 
  private:
   Tensor ForwardTrain(const Tensor& x) override;

@@ -139,10 +139,12 @@ TEST(InferenceParityTest, SessionWithThreadPoolIsStillBitExact) {
 // Layer stacks around the planner's conv epilogue rule (a Conv2d followed by
 // a BatchNorm, a LeakyReLU or both), built with uniform parameters and
 // BatchNorm statistics. Conv widths 8 and 12 run register-blocked kernels,
-// 5 the generic one.
+// 5 the generic one. `steps` is the planned step count: one per layer, less
+// one per layer folded into a conv.
 struct SequenceCase {
   const char* name;
   void (*build)(nn::Sequential& model, Rng& rng);
+  std::size_t steps;
 };
 
 const SequenceCase kSequenceCases[] = {
@@ -152,7 +154,8 @@ const SequenceCase kSequenceCases[] = {
            .Emplace<nn::BatchNorm>(8)
            .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu)
            .Emplace<nn::MaxPool2d>(2, 2);
-     }},
+     },
+     2},
     {"two conv-bn-lrelu runs",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 12, 3, 1, 1, rng)
@@ -161,45 +164,86 @@ const SequenceCase kSequenceCases[] = {
            .Emplace<nn::Conv2d>(12, 5, 3, 2, 1, rng)
            .Emplace<nn::BatchNorm>(5)
            .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu, 0.3f);
-     }},
+     },
+     2},
     {"conv-lrelu",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 8, 3, 2, 1, rng)
            .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu);
-     }},
+     },
+     1},
     {"conv-bn",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 12, 1, 1, 0, rng).Emplace<nn::BatchNorm>(12);
-     }},
+     },
+     1},
     {"conv-lrelu-bn",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
            .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu)
            .Emplace<nn::BatchNorm>(8);
-     }},
+     },
+     2},
     {"conv-bn-bn-lrelu",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
            .Emplace<nn::BatchNorm>(8)
            .Emplace<nn::BatchNorm>(8)
            .Emplace<nn::Activation>(nn::ActKind::kLeakyRelu);
-     }},
+     },
+     3},
     {"conv-sigmoid",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
            .Emplace<nn::Activation>(nn::ActKind::kSigmoid);
-     }},
+     },
+     2},
     {"conv-relu",
      [](nn::Sequential& m, Rng& rng) {
        m.Emplace<nn::Conv2d>(3, 8, 3, 1, 1, rng)
            .Emplace<nn::Activation>(nn::ActKind::kRelu);
-     }},
+     },
+     2},
     {"bn-lrelu without conv",
      [](nn::Sequential& m, Rng&) {
        m.Emplace<nn::BatchNorm>(3).Emplace<nn::Activation>(
            nn::ActKind::kLeakyRelu);
-     }},
+     },
+     2},
 };
+
+// The planner folds each Conv2d -> [BatchNorm] -> [LeakyReLU] run into the
+// conv's step and leaves every other layer a step of its own.
+TEST(InferenceParityTest, PlanFoldsBatchNormAndLeakyReluIntoConv) {
+  for (const SequenceCase& c : kSequenceCases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(301);
+    nn::Sequential model;
+    c.build(model, rng);
+    const nn::InferencePlan plan =
+        nn::InferencePlan::For(model, {2, 8, 8, 3});
+    EXPECT_EQ(plan.steps().size(), c.steps);
+    EXPECT_EQ(plan.output_shape(), model.OutputShape({2, 8, 8, 3}));
+  }
+
+  // The detector stem: conv, bn, lrelu, pool, twice.
+  Rng rng(302);
+  zoo::DetectorConfig config;
+  zoo::SplitDetector det(config, rng);
+  const nn::InferencePlan stem = nn::InferencePlan::For(
+      det.stem_net(),
+      {1, config.image_size, config.image_size, config.channels});
+  ASSERT_EQ(det.stem_net().num_layers(), 8u);
+  ASSERT_EQ(stem.steps().size(), 4u);
+  for (const std::size_t conv_step : {0u, 2u}) {
+    const nn::InferencePlan::Step& step = stem.steps()[conv_step];
+    EXPECT_EQ(step.layer, &det.stem_net().layer(2 * conv_step));
+    EXPECT_EQ(step.fused_bn, &det.stem_net().layer(2 * conv_step + 1));
+    EXPECT_EQ(step.fused_act, &det.stem_net().layer(2 * conv_step + 2));
+    EXPECT_EQ(stem.steps()[conv_step + 1].layer,
+              &det.stem_net().layer(2 * conv_step + 3));
+  }
+}
 
 // Each stack, planned, against running its layers one by one: bit for bit,
 // with and without a thread pool, over repeated runs.
