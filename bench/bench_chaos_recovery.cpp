@@ -128,12 +128,13 @@ void ScriptedServerOutage() {
 
 void IntensitySweep() {
   bench::Table table({"intensity", "faults", "baseline avail", "resil avail",
-                      "degraded", "retries", "resil accuracy"});
+                      "degraded", "retries", "resil accuracy",
+                      "resil p99 (ms)"});
   for (const double intensity : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     const TimeNs horizon = 4 * kSecond;
     double avail[2] = {0, 0};
     std::int64_t degraded = 0, retries = 0;
-    double accuracy = 0;
+    double accuracy = 0, p99_ms = 0;
     std::size_t faults = 0;
     for (const bool resilient : {false, true}) {
       fog::FogTopology topo(ChaosTopology());
@@ -149,6 +150,7 @@ void IntensitySweep() {
         degraded = result.items_degraded;
         retries = result.send_retries;
         accuracy = result.AccuracyOver(items);
+        p99_ms = result.p99_latency_ms;
       } else {
         result = fog::RunEarlyExitPipeline(topo, items);
       }
@@ -159,7 +161,8 @@ void IntensitySweep() {
                   bench::Fmt(100.0 * avail[0], 2) + "%",
                   bench::Fmt(100.0 * avail[1], 2) + "%",
                   bench::FmtInt(degraded), bench::FmtInt(retries),
-                  bench::Fmt(100.0 * accuracy, 2) + "%"});
+                  bench::Fmt(100.0 * accuracy, 2) + "%",
+                  bench::Fmt(p99_ms, 1)});
   }
   table.Print("Chaos B: random fault plans at rising intensity (seed 7)");
 }
