@@ -397,6 +397,28 @@ BENCHMARK(BM_Conv2dForwardInto)
     ->ArgsProduct({{4}, {24}, {32}, {3}, {1}, {0, 1}, {0, 1}})
     ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}, {0}});
 
+// The unfused BatchNorm pass over a stem conv's output, with its folded
+// scale and shift; planned inference now runs it as the conv's epilogue.
+void BM_BatchNormInferenceInto(benchmark::State& state) {
+  const int channels = int(state.range(1));
+  const tensor::Tensor x = StemActivations(int(state.range(0)), channels);
+  Rng rng(7);
+  const tensor::Tensor scale =
+      tensor::Tensor::RandomNormal({channels}, 1.0f, rng);
+  const tensor::Tensor shift =
+      tensor::Tensor::RandomNormal({channels}, 0.1f, rng);
+  tensor::Tensor y(x.shape());
+  const tensor::TensorView out(y);
+  for (auto _ : state) {
+    tensor::BatchNormInferenceInto(tensor::TensorView::OfConst(x),
+                                   scale.data(), shift.data(), out);
+    benchmark::DoNotOptimize(y.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(x.size()));
+}
+BENCHMARK(BM_BatchNormInferenceInto)->Args({32, 8})->Args({16, 12});
+
 // Out of place, so every iteration sees the same mixed-sign input (in place,
 // repeated scaling would drive the negatives into denormals).
 void BM_LeakyReluInto(benchmark::State& state) {
