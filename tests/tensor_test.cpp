@@ -218,7 +218,7 @@ void ExpectSameBits(const Tensor& expected, const Tensor& actual) {
 
 // Every PickConvRowFn branch against the reference, bit for bit: each
 // compile-time width (4, 8, 12, 13, 16, 24, 32), the blocked stack
-// accumulator (20), and the plain ConvRowRange fallback for widths above
+// accumulator (1, 2, 3, 6, 7, 20), and the plain ConvRowRange fallback for widths above
 // kConvAccChannels (130). The input widths give rows of border pixels only
 // (1, 2) and rows whose interior holds whole pixel blocks plus a remainder for
 // every block size the kernels use (5, 9, 17, 33); 3 and 8 input channels
@@ -239,7 +239,7 @@ TEST(ConvTest, EveryKernelBranchMatchesReference) {
   ThreadPool pool(3);
   Rng rng(21);
   std::size_t negative_zeros = 0;
-  for (const int cout : {4, 8, 12, 13, 16, 20, 24, 32, 130}) {
+  for (const int cout : {1, 2, 3, 4, 6, 7, 8, 12, 13, 16, 20, 24, 32, 130}) {
     for (const int cin : {3, 8}) {
       for (const int w : {1, 2, 5, 9, 17, 33}) {
         for (const Geometry g : {Geometry{3, 1, 1}, Geometry{3, 2, 1},
@@ -511,11 +511,14 @@ Tensor AdversarialPoolInput(int h, int w, int c, Rng& rng) {
 
 // MaxPool2dForwardInto against the naive loop, bit for bit, across the
 // detector's k2/s2 and the inception branch's k3/s1, at every channel count
-// from 1 to 33: below, at and off the vector width, and the zoo's 8, 12 and
-// 24, which run fixed-width kernels.
+// from 1 to 33 (below, at and off the vector width, and the zoo's 8, 12 and
+// 24, which run fixed-width kernels) and at 61.
 TEST(MaxPoolTest, ForwardMatchesReferenceBits) {
   Rng rng(23);
-  for (int c = 1; c <= 33; ++c) {
+  std::vector<int> widths;
+  for (int c = 1; c <= 33; ++c) widths.push_back(c);
+  widths.push_back(61);
+  for (const int c : widths) {
     for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}}) {
       SCOPED_TRACE("c=" + std::to_string(c) + " k=" + std::to_string(k) +
                    " s=" + std::to_string(stride));
