@@ -350,10 +350,14 @@ tensor::Tensor StemActivations(int hw, int channels) {
 // Every conv the detector runs, by shape: the two stem convs, the tiny
 // head's stride-2 conv and 1x1 prediction conv, and the full head's two 3x3
 // convs and 1x1 prediction conv (13 = 5 box/objectness outputs + 8
-// classes). Arguments: input size, input channels, output channels, kernel
-// size, stride, the row kernels' instruction set (0 SSE2, 1 AVX2) and the
-// epilogue (0 none, 1 a folded BatchNorm then LeakyReLU, as planned
-// inference runs the stem's convs); padding is kernel / 2.
+// classes). Beside them, two widths the zoo's row kernel is not compiled
+// for: the Inception block's 1x1 5x5-reduce (6x6x3 -> 2) and the ResNet
+// golden block's second conv (8x8x6 -> 6). Arguments: input size, input
+// channels, output channels, kernel size, stride, the row kernels'
+// instruction set (0 SSE2, 1 AVX2) and the epilogue (0 none, 1 a folded
+// BatchNorm then LeakyReLU, as planned inference runs the stem's convs);
+// padding is kernel / 2. The MAC/s counter counts in-bounds taps only, one
+// multiply-add per tap and output channel.
 void BM_Conv2dForwardInto(benchmark::State& state) {
   const int hw = int(state.range(0)), cin = int(state.range(1)),
             cout = int(state.range(2)), k = int(state.range(3)),
@@ -379,6 +383,15 @@ void BM_Conv2dForwardInto(benchmark::State& state) {
   if (with_epilogue) epilogue = {scale.data(), shift.data(), true, 0.1f};
   tensor::Tensor y({1, ohw, ohw, cout});
   const tensor::TensorView out(y);
+  // In-bounds taps along one axis, summed over the output positions.
+  std::int64_t taps = 0;
+  for (int o = 0; o < ohw; ++o) {
+    for (int t = 0; t < k; ++t) {
+      const int i = o * stride + t - pad;
+      taps += i >= 0 && i < hw;
+    }
+  }
+  const double macs = double(taps) * double(taps) * cin * cout;
   for (auto _ : state) {
     tensor::Conv2dForwardIntoForIsa(isa, tensor::TensorView::OfConst(x), w, b,
                                     stride, pad, out, nullptr, epilogue);
@@ -386,6 +399,8 @@ void BM_Conv2dForwardInto(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(y.size()));
+  state.counters["MAC/s"] = benchmark::Counter(
+      macs * double(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Conv2dForwardInto)
     ->ArgNames({"hw", "cin", "cout", "k", "stride", "isa", "epilogue"})
@@ -395,7 +410,9 @@ BENCHMARK(BM_Conv2dForwardInto)
     ->ArgsProduct({{4}, {16}, {13}, {1}, {1}, {0, 1}, {0}})
     ->ArgsProduct({{8}, {12}, {24}, {3}, {1}, {0, 1}, {0, 1}})
     ->ArgsProduct({{4}, {24}, {32}, {3}, {1}, {0, 1}, {0, 1}})
-    ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}, {0}});
+    ->ArgsProduct({{4}, {32}, {13}, {1}, {1}, {0, 1}, {0}})
+    ->ArgsProduct({{6}, {3}, {2}, {1}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{8}, {6}, {6}, {3}, {1}, {0, 1}, {0, 1}});
 
 // The unfused BatchNorm pass over a stem conv's output, with its folded
 // scale and shift; planned inference now runs it as the conv's epilogue.
@@ -447,7 +464,8 @@ void BM_MaxPool2dForwardInto(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(x.size()));
 }
-BENCHMARK(BM_MaxPool2dForwardInto)->Args({32, 8})->Args({16, 12});
+// The stem's two pools, then a width the zoo does not pool.
+BENCHMARK(BM_MaxPool2dForwardInto)->Args({32, 8})->Args({16, 12})->Args({16, 6});
 
 // The detector stem as planned inference runs it (conv with its BatchNorm
 // and LeakyReLU, pool, twice), one frame per iteration over 300 distinct
