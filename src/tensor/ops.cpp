@@ -34,79 +34,13 @@ struct ConvDims {
   int n, h, w, cin, kh, kw, cout, oh, ow, stride, pad;
 };
 
-// Applies `ep` to `pixels` stored outputs of `c` channels each, in the
-// operations of BatchNormInferenceInto and then LeakyReluInto. The
-// generic-width row kernels run it over each row they have just written.
-METRO_NOALLOC
-void ApplyConvEpilogue(float* out, std::size_t pixels, int c,
-                       const ConvEpilogue& ep) {
-  if (!ep.scale.empty()) {
-    const float* scale = ep.scale.data();
-    const float* shift = ep.shift.data();
-    for (std::size_t px = 0; px < pixels; ++px) {
-      float* o = &out[px * std::size_t(c)];
-      for (int ch = 0; ch < c; ++ch) o[ch] = o[ch] * scale[ch] + shift[ch];
-    }
-  }
-  if (ep.leaky_relu) {
-    for (std::size_t i = 0; i < pixels * std::size_t(c); ++i) {
-      out[i] = SelectIf(out[i] < 0.0f, out[i] * ep.alpha, out[i]);
-    }
-  }
-}
-
-// Computes output rows [row_begin, row_end), where a "row" is one (batch,
-// output-y) pair. All indexing is raw pointers with precomputed strides —
-// no per-element Tensor::at() — and the bias span is hoisted out of the
-// pixel loop. The plain row kernel: Conv2dForwardInto runs it for output
-// widths above kConvAccChannels, which no stack accumulator covers. Each
-// output element is written by exactly one row, so ParallelFor over rows is
-// race-free and order-preserving. `ep` is null for no epilogue.
-METRO_NOALLOC
-void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
-                  const ConvDims& d, const ConvEpilogue* ep, float* out_d,
-                  std::int64_t row_begin, std::int64_t row_end) {
-  const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-  const std::size_t w_tap_stride = std::size_t(d.cin) * d.cout;
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const int b = int(r / d.oh);
-    const int oy = int(r % d.oh);
-    const float* in_img = &in_d[std::size_t(b) * d.h * in_row_stride];
-    float* out_row = &out_d[std::size_t(r) * d.ow * d.cout];
-    for (int ox = 0; ox < d.ow; ++ox) {
-      float* out_px = &out_row[std::size_t(ox) * d.cout];
-      if (bias_d) {
-        std::memcpy(out_px, bias_d, std::size_t(d.cout) * sizeof(float));
-      } else {
-        std::memset(out_px, 0, std::size_t(d.cout) * sizeof(float));
-      }
-      for (int ky = 0; ky < d.kh; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        if (iy < 0 || iy >= d.h) continue;
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          if (ix < 0 || ix >= d.w) continue;
-          const float* in_px =
-              &in_img[std::size_t(iy) * in_row_stride + std::size_t(ix) * d.cin];
-          const float* w_px = &w_d[(std::size_t(ky) * d.kw + kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            if (iv == 0.0f) continue;
-            const float* w_row = &w_px[std::size_t(ic) * d.cout];
-            for (int oc = 0; oc < d.cout; ++oc) out_px[oc] += iv * w_row[oc];
-          }
-        }
-      }
-    }
-    if (ep) ApplyConvEpilogue(out_row, std::size_t(d.ow), d.cout, *ep);
-  }
-}
-
-// Register-blocked row kernel for the channel widths the zoo uses, written
-// once and compiled for two instruction sets (ConvRowRangeSse2/Avx2 below).
-// An output pixel's kCout channels split into lane groups: full vectors of
-// kLanes floats, then at most one 4-float vector, then single floats, so no
-// load or store runs past a row of kCout.
+// The conv row kernel, written once and compiled for two instruction sets
+// (ConvRowsSse2/Avx2 below). One instantiation computes a slab of kCout
+// output channels, from channel c0 of rows d.cout channels wide; a width
+// the zoo uses is one slab (see ConvSlabWidth). An output pixel's kCout
+// channels split into lane groups: full vectors of kLanes floats, then at
+// most one 4-float vector, then single floats, so no load or store runs
+// past the slab.
 //
 // Interior pixels, whose every kx tap is in bounds, run in blocks of
 // kBlock pixels, sized so that about kConvAccRegisters registers hold
@@ -115,12 +49,13 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
 // pixel's serial chain would expose. Border pixels run as blocks of one over
 // their in-bounds kx range.
 //
-// Results match ConvRowRange bit for bit: each output channel starts from
-// its bias and then receives, per tap in (ky, kx, ic) order, one rounded
-// multiply and one rounded add. Only the schedule around them changes. A
-// target that includes FMA would let -ffp-contract fuse the two and change
-// the bits, so neither build enables it. With kEpilogue, the epilogue runs
-// on the accumulators in registers, just before the store.
+// Each output channel starts from its bias and then receives, per tap in
+// (ky, kx, ic) order, one rounded multiply and one rounded add, with no
+// zero-input skip: the reference's operations, whatever the slab or the
+// schedule around them. A target that includes FMA would let -ffp-contract
+// fuse the two and change the bits, so neither build enables it. With
+// kEpilogue, the epilogue runs on the accumulators in registers, just before
+// the store.
 constexpr int kConvAccRegisters = 12;
 
 template <int kWidth>
@@ -144,10 +79,10 @@ template <typename Vec>
 }
 
 // Accumulators of kPixels output pixels over kCount vectors of kWidth
-// channels each, from channel kFirst of a kCout-channel row. Vectors stay
-// in locals and pass by reference: by value, a 32-byte vector in a function
-// not built for AVX would change the calling convention.
-template <int kCout, int kFirst, int kWidth, int kCount, int kPixels>
+// channels each, from channel kFirst of a slab. Vectors stay in locals and
+// pass by reference: by value, a 32-byte vector in a function not built for
+// AVX would change the calling convention.
+template <int kFirst, int kWidth, int kCount, int kPixels>
 struct LaneGroup {
   using Vec = typename Lanes<kWidth>::Vec;
   Vec acc[kPixels][kCount];
@@ -212,24 +147,25 @@ struct LaneGroup {
     }
   }
 
-  [[gnu::always_inline]] void Store(float* out) const {
+  // `out` is the first pixel's slab, `px_stride` floats from the next's.
+  [[gnu::always_inline]] void Store(float* out, std::size_t px_stride) const {
 #pragma GCC unroll 16
     for (int p = 0; p < kPixels; ++p) {
 #pragma GCC unroll 16
       for (int c = 0; c < kCount; ++c) {
-        std::memcpy(out + std::size_t(p) * kCout + kFirst + c * kWidth,
+        std::memcpy(out + std::size_t(p) * px_stride + kFirst + c * kWidth,
                     &acc[p][c], sizeof(Vec));
       }
     }
   }
 };
 
-template <int kCout, int kFirst, int kWidth, int kPixels>
-struct LaneGroup<kCout, kFirst, kWidth, 0, kPixels> {
+template <int kFirst, int kWidth, int kPixels>
+struct LaneGroup<kFirst, kWidth, 0, kPixels> {
   void Init(const float*) {}
   void Mac(const float*, std::size_t, const float*) {}
   void Epilogue(const ConvEpilogue&) {}
-  void Store(float*) const {}
+  void Store(float*, std::size_t) const {}
 };
 
 template <int kCout, int kLanes, bool kEpilogue>
@@ -241,7 +177,8 @@ struct ConvRowKernel {
       std::max(1, kConvAccRegisters / (kFull + kQuads + kSingles));
   static constexpr int kHalf = std::max(1, kBlock / 2);
 
-  // What every pixel of one output row shares.
+  // What every pixel of one output row shares. `w`, `out`, `bias` and
+  // `ep`'s factors start at the slab's first channel.
   struct RowArgs {
     const float* in;            // input row of the first in-bounds kernel row
     const float* w;             // weights of the first in-bounds kernel row
@@ -249,6 +186,7 @@ struct ConvRowKernel {
     std::size_t px_step;        // input floats between neighbouring pixels
     std::size_t in_row_stride;  // input floats between kernel rows
     std::size_t w_row_stride;   // weight floats between kernel rows
+    std::size_t cout;           // floats between weight rows and out pixels
     int rows;                   // in-bounds kernel rows
     const float* bias;          // kCout floats, or null for none
     const ConvEpilogue* ep;     // set when kEpilogue
@@ -263,9 +201,9 @@ struct ConvRowKernel {
                                             int taps, float* out) {
     constexpr int kQuadsFirst = kFull * kLanes;
     constexpr int kSinglesFirst = kQuadsFirst + kQuads * 4;
-    LaneGroup<kCout, 0, kLanes, kFull, kPixels> full;
-    LaneGroup<kCout, kQuadsFirst, 4, kQuads, kPixels> quads;
-    LaneGroup<kCout, kSinglesFirst, 1, kSingles, kPixels> singles;
+    LaneGroup<0, kLanes, kFull, kPixels> full;
+    LaneGroup<kQuadsFirst, 4, kQuads, kPixels> quads;
+    LaneGroup<kSinglesFirst, 1, kSingles, kPixels> singles;
     full.Init(row.bias);
     quads.Init(row.bias);
     singles.Init(row.bias);
@@ -273,7 +211,7 @@ struct ConvRowKernel {
       const float* in_r = in + std::size_t(r) * row.in_row_stride;
       const float* w_r = w + std::size_t(r) * row.w_row_stride;
       for (int t = 0; t < taps; ++t) {
-        const float* w_tap = w_r + std::size_t(t) * kCout;
+        const float* w_tap = w_r + std::size_t(t) * row.cout;
         full.Mac(in_r + t, row.px_step, w_tap);
         quads.Mac(in_r + t, row.px_step, w_tap);
         singles.Mac(in_r + t, row.px_step, w_tap);
@@ -284,9 +222,9 @@ struct ConvRowKernel {
       quads.Epilogue(*row.ep);
       singles.Epilogue(*row.ep);
     }
-    full.Store(out);
-    quads.Store(out);
-    singles.Store(out);
+    full.Store(out, row.cout);
+    quads.Store(out, row.cout);
+    singles.Store(out, row.cout);
   }
 
   // kPixels interior pixels from `ox` on, whose every kx tap is in bounds.
@@ -294,7 +232,7 @@ struct ConvRowKernel {
   [[gnu::always_inline]] static void Interior(const ConvDims& d,
                                               const RowArgs& row, int ox) {
     Pixels<kPixels>(row, row.in + std::size_t(ox * d.stride - d.pad) * d.cin,
-                    row.w, d.kw * d.cin, row.out + std::size_t(ox) * kCout);
+                    row.w, d.kw * d.cin, row.out + std::size_t(ox) * row.cout);
   }
 
   // One pixel over its in-bounds kx taps, which are contiguous in the input
@@ -306,19 +244,20 @@ struct ConvRowKernel {
     const int kx_hi = std::clamp(d.w - x0, kx_lo, d.kw);
     const int x_first = kx_lo < kx_hi ? x0 + kx_lo : 0;
     Pixels<1>(row, row.in + std::size_t(x_first) * d.cin,
-              row.w + std::size_t(kx_lo) * d.cin * kCout,
-              (kx_hi - kx_lo) * d.cin, row.out + std::size_t(ox) * kCout);
+              row.w + std::size_t(kx_lo) * d.cin * row.cout,
+              (kx_hi - kx_lo) * d.cin, row.out + std::size_t(ox) * row.cout);
   }
 
   [[gnu::always_inline]] static void Rows(const float* in_d, const float* w_d,
                                           const float* bias_d,
                                           const ConvDims& d,
                                           const ConvEpilogue* ep, float* out_d,
-                                          std::int64_t row_begin,
+                                          int c0, std::int64_t row_begin,
                                           std::int64_t row_end) {
-    assert(d.cout == kCout);
+    assert(c0 >= 0 && c0 + kCout <= d.cout);
+    const std::size_t cout = std::size_t(d.cout);
     const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-    const std::size_t w_row_stride = std::size_t(d.kw) * d.cin * kCout;
+    const std::size_t w_row_stride = std::size_t(d.kw) * d.cin * cout;
     // Interior ox range where every kx tap lands in bounds. Skipped border
     // taps contribute no additions, so splitting the range preserves the
     // accumulation order.
@@ -328,6 +267,14 @@ struct ConvRowKernel {
         last_fit < 0
             ? ox_lo
             : std::max(ox_lo, std::min(d.ow, last_fit / d.stride + 1));
+    ConvEpilogue slab_ep;
+    if constexpr (kEpilogue) {
+      slab_ep = *ep;
+      if (!ep->scale.empty()) {
+        slab_ep.scale = ep->scale.subspan(std::size_t(c0), kCout);
+        slab_ep.shift = ep->shift.subspan(std::size_t(c0), kCout);
+      }
+    }
 
     for (std::int64_t r = row_begin; r < row_end; ++r) {
       const int b = int(r / d.oh);
@@ -340,14 +287,15 @@ struct ConvRowKernel {
         in_y += std::size_t(oy * d.stride + ky_lo - d.pad) * in_row_stride;
       }
       const RowArgs row{in_y,
-                        &w_d[std::size_t(ky_lo) * w_row_stride],
-                        &out_d[std::size_t(r) * d.ow * kCout],
+                        &w_d[std::size_t(ky_lo) * w_row_stride + c0],
+                        &out_d[std::size_t(r) * d.ow * cout + c0],
                         std::size_t(d.stride) * d.cin,
                         in_row_stride,
                         w_row_stride,
+                        cout,
                         ky_hi - ky_lo,
-                        bias_d,
-                        ep};
+                        bias_d ? bias_d + c0 : nullptr,
+                        &slab_ep};
 
       // Interior: whole blocks, then half blocks. Fewer than a half block
       // left run as one half block ending at ox_hi, which overlaps the block
@@ -368,97 +316,63 @@ struct ConvRowKernel {
 
 template <int kCout, bool kEpilogue>
 METRO_NOALLOC
-void ConvRowRangeSse2(const float* in_d, const float* w_d, const float* bias_d,
-                      const ConvDims& d, const ConvEpilogue* ep, float* out_d,
-                      std::int64_t row_begin, std::int64_t row_end) {
-  ConvRowKernel<kCout, 4, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d,
+void ConvRowsSse2(const float* in_d, const float* w_d, const float* bias_d,
+                  const ConvDims& d, const ConvEpilogue* ep, float* out_d,
+                  int c0, std::int64_t row_begin, std::int64_t row_end) {
+  ConvRowKernel<kCout, 4, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d, c0,
                                            row_begin, row_end);
 }
 
 template <int kCout, bool kEpilogue>
 METRO_NOALLOC
-[[gnu::target("avx2")]] void ConvRowRangeAvx2(
+[[gnu::target("avx2")]] void ConvRowsAvx2(
     const float* in_d, const float* w_d, const float* bias_d,
-    const ConvDims& d, const ConvEpilogue* ep, float* out_d,
+    const ConvDims& d, const ConvEpilogue* ep, float* out_d, int c0,
     std::int64_t row_begin, std::int64_t row_end) {
-  ConvRowKernel<kCout, 8, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d,
+  ConvRowKernel<kCout, 8, kEpilogue>::Rows(in_d, w_d, bias_d, d, ep, out_d, c0,
                                            row_begin, row_end);
 }
 
-// Generic-width fallback: one pixel at a time into a stack accumulator.
-constexpr int kConvAccChannels = 128;
-
-METRO_NOALLOC
-void ConvRowRangeBlocked(const float* in_d, const float* w_d,
-                         const float* bias_d, const ConvDims& d,
-                         const ConvEpilogue* ep, float* out_d,
-                         std::int64_t row_begin, std::int64_t row_end) {
-  assert(d.cout <= kConvAccChannels);
-  const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-  const std::size_t w_tap_stride = std::size_t(d.cin) * d.cout;
-  float acc[kConvAccChannels];
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const int b = int(r / d.oh);
-    const int oy = int(r % d.oh);
-    const float* in_img = &in_d[std::size_t(b) * d.h * in_row_stride];
-    float* out_row = &out_d[std::size_t(r) * d.ow * d.cout];
-    for (int ox = 0; ox < d.ow; ++ox) {
-      if (bias_d) {
-        std::memcpy(acc, bias_d, std::size_t(d.cout) * sizeof(float));
-      } else {
-        std::memset(acc, 0, std::size_t(d.cout) * sizeof(float));
-      }
-      for (int ky = 0; ky < d.kh; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        if (iy < 0 || iy >= d.h) continue;
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          if (ix < 0 || ix >= d.w) continue;
-          const float* in_px =
-              &in_img[std::size_t(iy) * in_row_stride + std::size_t(ix) * d.cin];
-          const float* w_px = &w_d[(std::size_t(ky) * d.kw + kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            if (iv == 0.0f) continue;
-            const float* w_row = &w_px[std::size_t(ic) * d.cout];
-            for (int oc = 0; oc < d.cout; ++oc) acc[oc] += iv * w_row[oc];
-          }
-        }
-      }
-      std::memcpy(&out_row[std::size_t(ox) * d.cout], acc,
-                  std::size_t(d.cout) * sizeof(float));
-    }
-    if (ep) ApplyConvEpilogue(out_row, std::size_t(d.ow), d.cout, *ep);
-  }
-}
-
 using ConvRowFn = void (*)(const float*, const float*, const float*,
-                           const ConvDims&, const ConvEpilogue*, float*,
+                           const ConvDims&, const ConvEpilogue*, float*, int,
                            std::int64_t, std::int64_t);
 
 template <int kCout>
 ConvRowFn PickConvRowFnFor(ConvIsa isa, bool epilogue) {
   if (isa == ConvIsa::kAvx2) {
-    return epilogue ? ConvRowRangeAvx2<kCout, true>
-                    : ConvRowRangeAvx2<kCout, false>;
+    return epilogue ? ConvRowsAvx2<kCout, true> : ConvRowsAvx2<kCout, false>;
   }
-  return epilogue ? ConvRowRangeSse2<kCout, true>
-                  : ConvRowRangeSse2<kCout, false>;
+  return epilogue ? ConvRowsSse2<kCout, true> : ConvRowsSse2<kCout, false>;
 }
 
-// Picks the register-blocked kernel, built for `isa` and with or without an
-// epilogue, for the channel widths the zoo actually uses.
-ConvRowFn PickConvRowFn(int cout, ConvIsa isa, bool epilogue) {
+// The channels of the slab that starts at channel c0 of a `cout`-channel
+// row: the whole row at a width the zoo uses, else 32-channel slabs, then at
+// most one of 16, 8 and 4 each, then the 1 to 3 channels left.
+int ConvSlabWidth(int cout, int c0) {
   switch (cout) {
+    case 4: case 8: case 12: case 13: case 16: case 24: case 32: return cout;
+  }
+  const int left = cout - c0;
+  for (const int width : {32, 16, 8, 4}) {
+    if (left >= width) return width;
+  }
+  return left;
+}
+
+// The kernel for a ConvSlabWidth slab, built for `isa` and with or without
+// an epilogue.
+ConvRowFn PickConvRowFn(int width, ConvIsa isa, bool epilogue) {
+  switch (width) {
+    case 1: return PickConvRowFnFor<1>(isa, epilogue);
+    case 2: return PickConvRowFnFor<2>(isa, epilogue);
+    case 3: return PickConvRowFnFor<3>(isa, epilogue);
     case 4: return PickConvRowFnFor<4>(isa, epilogue);
     case 8: return PickConvRowFnFor<8>(isa, epilogue);
     case 12: return PickConvRowFnFor<12>(isa, epilogue);
     case 13: return PickConvRowFnFor<13>(isa, epilogue);
     case 16: return PickConvRowFnFor<16>(isa, epilogue);
     case 24: return PickConvRowFnFor<24>(isa, epilogue);
-    case 32: return PickConvRowFnFor<32>(isa, epilogue);
-    default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
-                                             : ConvRowRange;
+    default: assert(width == 32); return PickConvRowFnFor<32>(isa, epilogue);
   }
 }
 
@@ -520,11 +434,14 @@ void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
   const std::int64_t grain =
       std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(macs_per_row, 1));
   const ConvEpilogue* ep = epilogue.empty() ? nullptr : &epilogue;
-  const ConvRowFn row_fn = PickConvRowFn(d.cout, isa, ep != nullptr);
-  ParallelFor(pool, 0, rows, grain,
-              [&](std::int64_t lo, std::int64_t hi) {
-                row_fn(in_d, w_d, bias_d, d, ep, out_d, lo, hi);
-              });
+  ParallelFor(pool, 0, rows, grain, [&](std::int64_t lo, std::int64_t hi) {
+    for (int c0 = 0; c0 < d.cout;) {
+      const int width = ConvSlabWidth(d.cout, c0);
+      PickConvRowFn(width, isa, ep != nullptr)(in_d, w_d, bias_d, d, ep, out_d,
+                                               c0, lo, hi);
+      c0 += width;
+    }
+  });
 }
 
 METRO_NOALLOC
@@ -745,12 +662,6 @@ float Entropy(std::span<const float> probs) {
   return h;
 }
 
-float MaxProb(std::span<const float> probs) {
-  float mx = 0.0f;
-  for (const float p : probs) mx = std::max(mx, p);
-  return mx;
-}
-
 // ---------------------------------------------------------------------------
 // Forward kernels.
 
@@ -760,93 +671,84 @@ struct PoolDims {
   int n, h, w, c, k, stride, oh, ow;
 };
 
-// Any channel width. Channels are the innermost loop over each contiguous
-// NHWC pixel, so the running maximum of a whole output pixel updates with
-// one `maxps` per four channels instead of a strided scalar scan per
-// channel. The running maximum lives in the output pixel, which the
-// compiler must reload after every store, as `out` may alias the input.
-METRO_NOALLOC
-void MaxPoolAnyWidth(const float* in_d, const PoolDims& d, float* out_d) {
-  const int c = d.c;
-  const std::size_t row_stride = std::size_t(d.w) * c;
-  for (int b = 0; b < d.n; ++b) {
-    const float* in_img = &in_d[std::size_t(b) * d.h * row_stride];
-    for (int oy = 0; oy < d.oh; ++oy) {
-      for (int ox = 0; ox < d.ow; ++ox) {
-        float* best = &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * c];
-        for (int ch = 0; ch < c; ++ch) {
-          best[ch] = -std::numeric_limits<float>::infinity();
-        }
-        for (int ky = 0; ky < d.k; ++ky) {
-          const float* in_row =
-              &in_img[std::size_t(oy * d.stride + ky) * row_stride];
-          for (int kx = 0; kx < d.k; ++kx) {
-            const float* px = &in_row[std::size_t(ox * d.stride + kx) * c];
-            for (int ch = 0; ch < c; ++ch) {
-              best[ch] = px[ch] > best[ch] ? px[ch] : best[ch];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// A fixed width of kC channels, a multiple of 4: an output pixel's running
-// maximum lives in kC / 4 vector registers and is stored once.
+// Max pooling over a slab of kC channels from channel c0 of each d.c-channel
+// pixel. Channels are the innermost loop over each contiguous NHWC pixel, and
+// an output pixel's running maximum lives in registers and is stored once:
+// kC / 4 4-float vectors when kC is a multiple of 4, else kC single floats.
 template <int kC>
 METRO_NOALLOC
-void MaxPoolFixedWidth(const float* in_d, const PoolDims& d, float* out_d) {
-  static_assert(kC % 4 == 0);
-  using Vec = Lanes<4>::Vec;
-  constexpr int kVecs = kC / 4;
+void MaxPoolSlab(const float* in_d, const PoolDims& d, int c0, float* out_d) {
+  static_assert(kC % 4 == 0 || kC < 4);
+  constexpr int kWidth = kC % 4 == 0 ? 4 : 1;
+  constexpr int kVecs = kC / kWidth;
+  using Vec = typename Lanes<kWidth>::Vec;
+  assert(c0 >= 0 && c0 + kC <= d.c);
   const float inf = std::numeric_limits<float>::infinity();
-  const std::size_t row_stride = std::size_t(d.w) * kC;
+  const std::size_t px_stride = std::size_t(d.c);
+  const std::size_t row_stride = std::size_t(d.w) * px_stride;
   for (int b = 0; b < d.n; ++b) {
-    const float* in_img = &in_d[std::size_t(b) * d.h * row_stride];
+    const float* in_img = &in_d[std::size_t(b) * d.h * row_stride + c0];
     for (int oy = 0; oy < d.oh; ++oy) {
       for (int ox = 0; ox < d.ow; ++ox) {
         Vec best[kVecs];
 #pragma GCC unroll 8
-        for (int v = 0; v < kVecs; ++v) best[v] = Vec{-inf, -inf, -inf, -inf};
+        for (int v = 0; v < kVecs; ++v) best[v] = Vec{} - inf;
         for (int ky = 0; ky < d.k; ++ky) {
           const float* in_row =
               &in_img[std::size_t(oy * d.stride + ky) * row_stride];
           for (int kx = 0; kx < d.k; ++kx) {
-            const float* px = &in_row[std::size_t(ox * d.stride + kx) * kC];
+            const float* px =
+                &in_row[std::size_t(ox * d.stride + kx) * px_stride];
 #pragma GCC unroll 8
             for (int v = 0; v < kVecs; ++v) {
               Vec x;
-              std::memcpy(&x, px + 4 * v, sizeof(Vec));
+              std::memcpy(&x, px + kWidth * v, sizeof(Vec));
               best[v] = x > best[v] ? x : best[v];
             }
           }
         }
-        float* out = &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * kC];
+        float* out =
+            &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * px_stride + c0];
 #pragma GCC unroll 8
         for (int v = 0; v < kVecs; ++v) {
-          std::memcpy(out + 4 * v, &best[v], sizeof(Vec));
+          std::memcpy(out + kWidth * v, &best[v], sizeof(Vec));
         }
       }
     }
   }
 }
 
-using MaxPoolFn = void (*)(const float*, const PoolDims&, float*);
-
-// Picks the fixed-width kernel for the channel widths the zoo pools.
-MaxPoolFn PickMaxPoolFn(int c) {
+// The channels of the slab that starts at channel c0 of a `c`-channel pixel:
+// the whole pixel at a width the zoo pools, else 24-channel slabs, then at
+// most one of 12, 8 and 4 each, then the 1 to 3 channels left.
+int MaxPoolSlabWidth(int c, int c0) {
   switch (c) {
-    case 8: return MaxPoolFixedWidth<8>;
-    case 12: return MaxPoolFixedWidth<12>;
-    case 24: return MaxPoolFixedWidth<24>;
-    default: return MaxPoolAnyWidth;
+    case 8: case 12: case 24: return c;
+  }
+  const int left = c - c0;
+  for (const int width : {24, 12, 8, 4}) {
+    if (left >= width) return width;
+  }
+  return left;
+}
+
+using MaxPoolFn = void (*)(const float*, const PoolDims&, int, float*);
+
+MaxPoolFn PickMaxPoolFn(int width) {
+  switch (width) {
+    case 1: return MaxPoolSlab<1>;
+    case 2: return MaxPoolSlab<2>;
+    case 3: return MaxPoolSlab<3>;
+    case 4: return MaxPoolSlab<4>;
+    case 8: return MaxPoolSlab<8>;
+    case 12: return MaxPoolSlab<12>;
+    default: assert(width == 24); return MaxPoolSlab<24>;
   }
 }
 
 }  // namespace
 
-// Every kernel sees the same comparisons in the same (ky, kx) order, starting
+// Every slab sees the same comparisons in the same (ky, kx) order, starting
 // from -inf: `px > best ? px : best` keeps the first strictly greater value
 // and never takes a NaN, exactly as a per-channel scan would.
 METRO_NOALLOC
@@ -864,7 +766,11 @@ void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
   d.ow = (d.w - k) / stride + 1;
   assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
          out.dim(3) == d.c);
-  PickMaxPoolFn(d.c)(input.data().data(), d, out.data().data());
+  for (int c0 = 0; c0 < d.c;) {
+    const int width = MaxPoolSlabWidth(d.c, c0);
+    PickMaxPoolFn(width)(input.data().data(), d, c0, out.data().data());
+    c0 += width;
+  }
 }
 
 METRO_NOALLOC

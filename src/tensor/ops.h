@@ -68,9 +68,6 @@ CrossEntropyResult CrossEntropyLoss(const Tensor& logits,
 /// signal used by the Fig. 7 architecture.
 float Entropy(std::span<const float> probs);
 
-/// Max probability of one row — the confidence gate used by Fig. 5.
-float MaxProb(std::span<const float> probs);
-
 // ---------------------------------------------------------------------------
 // Forward kernels.
 //
@@ -129,8 +126,10 @@ void Conv2dForwardIntoForIsa(ConvIsa isa, const TensorView& input,
 
 /// Max pooling with square window `k` and stride `stride` (no padding):
 /// each output is the first strictly greater value of its window in (ky, kx)
-/// order, starting from -inf. The zoo's channel widths (8, 12, 24) run
-/// fixed-width kernels; every width gives the same bits.
+/// order, starting from -inf. One kernel runs every channel width as a
+/// sequence of fixed-width channel slabs (the zoo's 8, 12 and 24 as one
+/// slab each), keeping a pixel's running maximum in registers; every width
+/// gives the same bits.
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
                           const TensorView& out);
 

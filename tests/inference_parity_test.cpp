@@ -138,8 +138,8 @@ TEST(InferenceParityTest, SessionWithThreadPoolIsStillBitExact) {
 
 // Layer stacks around the planner's conv epilogue rule (a Conv2d followed by
 // a BatchNorm, a LeakyReLU or both), built with uniform parameters and
-// BatchNorm statistics. Conv widths 8 and 12 run register-blocked kernels,
-// 5 the generic one. `steps` is the planned step count: one per layer, less
+// BatchNorm statistics. Conv widths 8 and 12 run as one channel slab each,
+// 5 as two (4 + 1). `steps` is the planned step count: one per layer, less
 // one per layer folded into a conv.
 struct SequenceCase {
   const char* name;
