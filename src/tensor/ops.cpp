@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <type_traits>
 
@@ -345,18 +346,22 @@ ConvRowFn PickConvRowFnFor(ConvIsa isa, bool epilogue) {
   return epilogue ? ConvRowsSse2<kCout, true> : ConvRowsSse2<kCout, false>;
 }
 
-// The channels of the slab that starts at channel c0 of a `cout`-channel
-// row: the whole row at a width the zoo uses, else 32-channel slabs, then at
-// most one of 16, 8 and 4 each, then the 1 to 3 channels left.
+// The channels of the slab that starts at channel c0 of a `c`-channel row:
+// the whole row if `c` is one of `whole`, else the widest of `slabs` (in
+// descending order) that fits, else the 1 to 3 channels left.
+int SlabWidth(int c, int c0, std::initializer_list<int> whole,
+              std::initializer_list<int> slabs) {
+  if (std::find(whole.begin(), whole.end(), c) != whole.end()) return c;
+  for (const int width : slabs) {
+    if (c - c0 >= width) return width;
+  }
+  return c - c0;
+}
+
+// A conv width the zoo uses is one slab. Any other runs 32-channel slabs,
+// then at most one of 16, 8 and 4 each, then the channels left.
 int ConvSlabWidth(int cout, int c0) {
-  switch (cout) {
-    case 4: case 8: case 12: case 13: case 16: case 24: case 32: return cout;
-  }
-  const int left = cout - c0;
-  for (const int width : {32, 16, 8, 4}) {
-    if (left >= width) return width;
-  }
-  return left;
+  return SlabWidth(cout, c0, {4, 8, 12, 13, 16, 24, 32}, {32, 16, 8, 4});
 }
 
 // The kernel for a ConvSlabWidth slab, built for `isa` and with or without
@@ -718,18 +723,10 @@ void MaxPoolSlab(const float* in_d, const PoolDims& d, int c0, float* out_d) {
   }
 }
 
-// The channels of the slab that starts at channel c0 of a `c`-channel pixel:
-// the whole pixel at a width the zoo pools, else 24-channel slabs, then at
-// most one of 12, 8 and 4 each, then the 1 to 3 channels left.
+// A width the zoo pools is one slab. Any other runs 24-channel slabs, then
+// at most one of 12, 8 and 4 each, then the channels left.
 int MaxPoolSlabWidth(int c, int c0) {
-  switch (c) {
-    case 8: case 12: case 24: return c;
-  }
-  const int left = c - c0;
-  for (const int width : {24, 12, 8, 4}) {
-    if (left >= width) return width;
-  }
-  return left;
+  return SlabWidth(c, c0, {8, 12, 24}, {24, 12, 8, 4});
 }
 
 using MaxPoolFn = void (*)(const float*, const PoolDims&, int, float*);
